@@ -2,8 +2,7 @@
 
 from .alearn import AFit, a_covariance, a_equations, a_system, fit_a
 from .data import (FeatureMap, InterferenceMap, InterventionTable, OutcomeTable,
-                   Standardizer, ValidationReport, apply_standardizer,
-                   fit_standardizer, validate_bundle)
+                   Standardizer, ValidationReport, fit_standardizer, validate_bundle)
 from .effects import (EffectTable, benefit_cost, effect_inference, effect_table,
                       effect_weights, total_effects)
 from .errors import (BnpolicyError, DataValidationError, EstimationError,

@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 from scipy.stats import norm
@@ -70,19 +70,19 @@ def _model_spec(args) -> OutcomeModelSpec:
                             basis_fa=FeatureMap(args.fa_basis))
 
 
-def _fit_estimator(args, out, intv, h):
+def _fit_estimator(args, out, intv, h, ids):
+    """Trim (when asked) and fit; ``ids`` name the intervention units kept."""
     spec = _model_spec(args)
     if args.trim is not None:
         prop = fit_propensity(intv.x, intv.a, FeatureMap(args.prop_basis))
         report = trim_by_propensity(prop, args.trim)
         h, intv = apply_trim(h, intv, report)
+        ids = [ids[k] for k in report.kept]
     if args.estimator == "q":
         fit = fit_q(out, exposure_map(h, intv.a), spec)
-        cov_beta = fit.cov_beta()
     else:
         fit = fit_a(out, intv, h, spec, prop_basis=FeatureMap(args.prop_basis))
-        cov_beta = fit.cov_beta()
-    return fit, cov_beta, spec, intv, h
+    return fit, fit.cov_beta(), spec, intv, h, ids
 
 
 def _coef_report(path, prefix, names, estimates, cov, level):
@@ -117,8 +117,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _, out, _, intv, _, h = _read_bundle(args)
-    fit, cov_beta, spec, intv, h = _fit_estimator(args, out, intv, h)
+    _, out, ids, intv, _, h = _read_bundle(args)
+    fit, _, spec, intv, _, _ = _fit_estimator(args, out, intv, h, ids)
     os.makedirs(args.out_dir, exist_ok=True)
     f0_names = _basis_names(spec.basis_f0, out.p, "x")
     fa_names = _basis_names(spec.basis_fa, out.p, "x")
@@ -136,18 +136,17 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _effects_for(args, out, intv, h):
-    fit, cov_beta, spec, intv, h = _fit_estimator(args, out, intv, h)
+def _effects_for(args, out, intv, h, ids):
+    fit, cov_beta, spec, intv, h, ids = _fit_estimator(args, out, intv, h, ids)
     table = effect_table(h, out, fit.beta, cov_beta, spec.basis_fa,
                          cost=intv.cost, level=args.level)
-    return fit, spec, table, intv, h
+    return fit, spec, table, intv, h, ids
 
 
 def cmd_effects(args) -> int:
-    _, out, ids_int, intv, _, h = _read_bundle(args)
-    _, _, table, intv, h = _effects_for(args, out, intv, h)
+    _, out, ids, intv, _, h = _read_bundle(args)
+    _, _, table, _, _, ids = _effects_for(args, out, intv, h, ids)
     os.makedirs(args.out_dir, exist_ok=True)
-    ids = ids_int if len(ids_int) == h.j else [str(k) for k in range(h.j)]
     bio.write_effects_csv(os.path.join(args.out_dir, "effects.csv"), ids, table)
     print(f"effects written to {args.out_dir}; note: one-sided p-values are "
           "exploratory and carry no multiplicity correction")
@@ -155,10 +154,10 @@ def cmd_effects(args) -> int:
 
 
 def cmd_policy(args) -> int:
-    _, out, ids_int, intv, _, h = _read_bundle(args)
+    _, out, ids, intv, _, h = _read_bundle(args)
     if intv.cost is None:
         raise DataValidationError("policy command needs a complete cost column")
-    fit, spec, table, intv, h = _effects_for(args, out, intv, h)
+    fit, spec, table, intv, h, ids = _effects_for(args, out, intv, h, ids)
     te = table.total_effect
     if args.budget_frac is None:
         sol = unconstrained_policy(te, out.n, cost=intv.cost)
@@ -171,20 +170,18 @@ def cmd_policy(args) -> int:
     if out.person_years is not None:
         rate, count = policy_value(te, sol.pi, out.n, h=h, out=out, beta=fit.beta,
                                    basis_fa=spec.basis_fa)
-        sol = type(sol)(pi=sol.pi, spent=sol.spent, budget=sol.budget,
-                        value_rate=rate, value_count=count, method=sol.method)
+        sol = replace(sol, value_rate=rate, value_count=count)
     os.makedirs(args.out_dir, exist_ok=True)
-    ids = ids_int if len(ids_int) == h.j else [str(k) for k in range(h.j)]
     bio.write_policy_json(os.path.join(args.out_dir, "policy.json"), sol, ids)
     print(f"policy ({sol.method}) value_rate={sol.value_rate!r} spent={sol.spent!r}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    _, out, _, intv, _, h = _read_bundle(args)
+    _, out, ids, intv, _, h = _read_bundle(args)
     if intv.cost is None:
         raise DataValidationError("sweep command needs a complete cost column")
-    fit, spec, table, intv, h = _effects_for(args, out, intv, h)
+    _, _, table, intv, _, _ = _effects_for(args, out, intv, h, ids)
     fractions = [float(v) for v in args.fractions.split(",")]
     pairs = budget_sweep(table.total_effect, intv.cost, fractions, out.n)
     dominance = all(bc.value_rate <= te.value_rate + 1e-12 for bc, te in pairs)

@@ -162,14 +162,11 @@ class FeatureMap:
     """
 
     kind: str
-    include_intercept: bool = True
 
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise DataValidationError(
                 f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
-        if not self.include_intercept:
-            raise DataValidationError("only intercept-bearing bases are supported")
 
     def dim(self, p: int) -> int:
         blocks = {"linear": 1, "quadratic": 2, "cubic": 3, "trig": 3}[self.kind]
@@ -222,10 +219,6 @@ def fit_standardizer(x: np.ndarray) -> Standardizer:
     constant = np.flatnonzero(sds == 0.0)
     sds = np.where(sds == 0.0, 1.0, sds)
     return Standardizer(means=means, sds=sds, constant_columns=constant)
-
-
-def apply_standardizer(s: Standardizer, x: np.ndarray) -> np.ndarray:
-    return s.apply(x)
 
 
 @dataclass(frozen=True)

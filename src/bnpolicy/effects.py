@@ -50,15 +50,12 @@ def effect_weights(h: InterferenceMap, out: OutcomeTable,
     return h.h.T @ fa / h.j
 
 
-def effect_inference(te_weights: np.ndarray, cov_beta: np.ndarray,
-                     level: float = 0.95):
-    """Standard errors, one-sided p-values and CIs for W beta.
+def effect_inference(te_weights: np.ndarray, cov_beta: np.ndarray):
+    """Standard errors of W beta.
 
     ``cov_beta`` must already be on the per-sample scale (variance of
     beta_hat itself).
     """
-    if not 0.0 < level < 1.0:
-        raise DataValidationError("confidence level must lie in (0, 1)")
     w = np.asarray(te_weights, dtype=float)
     variances = np.einsum("jk,kl,jl->j", w, cov_beta, w)
     bad = variances < 0
@@ -66,17 +63,18 @@ def effect_inference(te_weights: np.ndarray, cov_beta: np.ndarray,
         raise EstimationError(
             f"negative effect variance at unit {int(np.flatnonzero(bad)[0])}: "
             "the beta covariance block is not positive semidefinite")
-    se = np.sqrt(variances)
-    return se
+    return np.sqrt(variances)
 
 
 def effect_table(h: InterferenceMap, out: OutcomeTable, beta,
                  cov_beta: np.ndarray, basis_fa: FeatureMap,
                  cost=None, level: float = 0.95) -> EffectTable:
     """Assemble the full per-unit effect report."""
+    if not 0.0 < level < 1.0:
+        raise DataValidationError("confidence level must lie in (0, 1)")
     te = total_effects(h, out, beta, basis_fa)
     w = effect_weights(h, out, basis_fa)
-    se = effect_inference(w, cov_beta, level)
+    se = effect_inference(w, cov_beta)
     z = norm.ppf(0.5 + level / 2.0)
     # degenerate se = 0: the one-sided p collapses to an indicator
     safe = np.where(se > 0, se, 1.0)

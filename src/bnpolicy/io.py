@@ -6,8 +6,9 @@ values bit for bit; human-readable tables round to 4 significant digits.
 """
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from collections import Counter
 
 import numpy as np
 
@@ -25,89 +26,107 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_human(x: float) -> str:
-    if not np.isfinite(x):
-        return str(x)
-    return f"{x:.4g}"
+    return f"{x:.4g}" if np.isfinite(x) else str(x)
 
 
-def _read_lines(path):
+def _write(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _load(path, row_dtype):
+    """Header and rows of a CSV file without blank or '#' lines, by numpy's C reader.
+
+    ``row_dtype(header)`` is the dtype of the rows after the header, or None
+    when the first line is already a row of a float matrix.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+        where = [0]  # number of the last line read, for error messages
+        lines = (line for where[0], line in enumerate(fh, start=1)
+                 if line.strip() and not line.startswith("#"))
+        first = next(lines, "")
+        header = [c.strip() for c in first.split(",")]
+        dtype = row_dtype(header)
+        head = first if dtype is None else next(lines, "")
+        if not head:
+            raise DataValidationError(f"{path}: no data rows")
+        blank_as_nan = {k: lambda s: float(s) if s.strip() else np.nan
+                        for k, name in enumerate(header) if name == "cost"}
+        try:
+            data = np.loadtxt(itertools.chain([head], lines), delimiter=",", comments=None,
+                              dtype=float if dtype is None else dtype,
+                              converters=blank_as_nan or None, ndmin=2 if dtype is None else 1)
+        except ValueError as exc:
+            reason = str(exc).split(" at row ")[0]
+            raise DataValidationError(f"{path}, line {where[0]}: {reason}") from exc
+    return header, data
 
 
-def _split_header_rows(lines):
-    rows = [ln for ln in lines if not ln.startswith("#")]
-    if not rows:
-        raise DataValidationError("file has no content rows")
-    header = [c.strip() for c in rows[0].split(",")]
-    return header, [r.split(",") for r in rows[1:]]
+def _read_units(path, key, extra):
+    """Ids, key column, extra column or None, covariates of id,<key>[,<extra>],..."""
+    def row_dtype(header):
+        if header[:2] != ["id", key]:
+            raise DataValidationError(
+                f"{path}: expected header starting 'id,{key}', got {header[:2]}")
+        if len(header) <= 2 + (header[2:3] == [extra]):
+            raise DataValidationError(f"{path}: no covariate columns found")
+        return np.dtype([("id", object), ("v", float, (len(header) - 1,))])
+
+    header, rows = _load(path, row_dtype)
+    ids = rows["id"].tolist()
+    if len(set(ids)) < len(ids):
+        dup = next(uid for uid, count in Counter(ids).items() if count > 1)
+        raise DataValidationError(f"{path}: duplicate unit id {dup!r}")
+    # contiguous copies: a strided column would change the order of later sums
+    v, has_extra = rows["v"], header[2] == extra
+    return (ids, np.ascontiguousarray(v[:, 0]),
+            np.ascontiguousarray(v[:, 1]) if has_extra else None,
+            np.ascontiguousarray(v[:, 1 + has_extra:]))
 
 
 def read_outcome_csv(path):
     """Outcome units: header id,y[,person_years],x1..xp."""
-    header, rows = _split_header_rows(_read_lines(path))
-    if header[:2] != ["id", "y"]:
-        raise DataValidationError(
-            f"{path}: expected header starting 'id,y', got {header[:2]}")
-    has_py = len(header) > 2 and header[2] == "person_years"
-    x_start = 3 if has_py else 2
-    ids = [r[0] for r in rows]
-    y = np.array([float(r[1]) for r in rows])
-    py = np.array([float(r[2]) for r in rows]) if has_py else None
-    x = np.array([[float(v) for v in r[x_start:]] for r in rows])
-    if x.size == 0:
-        raise DataValidationError(f"{path}: no covariate columns found")
+    ids, y, py, x = _read_units(path, "y", "person_years")
     return ids, OutcomeTable(x=x, y=y, person_years=py)
 
 
 def read_intervention_csv(path):
     """Intervention units: header id,a[,cost],z1..zq.
 
-    Empty cost cells become NaN so they can be imputed; a table with any
-    NaN costs is returned with cost=None and the raw column is handed
-    back separately.
+    Blank cost cells read as NaN, to be imputed: the table then has
+    cost=None and the raw column is handed back separately.
     """
-    header, rows = _split_header_rows(_read_lines(path))
-    if header[:2] != ["id", "a"]:
-        raise DataValidationError(
-            f"{path}: expected header starting 'id,a', got {header[:2]}")
-    has_cost = len(header) > 2 and header[2] == "cost"
-    x_start = 3 if has_cost else 2
-    ids = [r[0] for r in rows]
-    a = np.array([float(r[1]) for r in rows])
-    raw_cost = None
-    if has_cost:
-        raw_cost = np.array([float(r[2]) if r[2].strip() != "" else np.nan
-                             for r in rows])
-    x = np.array([[float(v) for v in r[x_start:]] for r in rows])
-    if x.size == 0:
-        raise DataValidationError(f"{path}: no covariate columns found")
+    ids, a, raw_cost, x = _read_units(path, "a", "cost")
     cost = raw_cost if raw_cost is not None and not np.any(np.isnan(raw_cost)) else None
     return ids, InterventionTable(x=x, a=a, cost=cost), raw_cost
 
 
 def read_interference_csv(path, n=None, j=None):
     """Dense (n rows x J numeric columns) or triplet (header i,j,value)."""
-    lines = _read_lines(path)
-    rows = [ln for ln in lines if not ln.startswith("#")]
-    first = [c.strip() for c in rows[0].split(",")]
-    if first[:3] == ["i", "j", "value"]:
+    def row_dtype(header):
+        if header[:3] != ["i", "j", "value"]:
+            return None
         if n is None or j is None:
             raise DataValidationError("triplet interference file needs n and J")
-        h = np.zeros((n, j))
-        for r in rows[1:]:
-            i_s, j_s, v_s = r.split(",")
-            i_idx, j_idx = int(i_s), int(j_s)
-            if not (0 <= i_idx < n and 0 <= j_idx < j):
-                raise DataValidationError(
-                    f"triplet index ({i_idx}, {j_idx}) outside {n}x{j}")
-            h[i_idx, j_idx] = float(v_s)
-        return InterferenceMap(h)
-    h = np.array([[float(v) for v in r.split(",")] for r in rows])
-    if n is not None and h.shape[0] != n:
-        raise DataValidationError(f"interference map has {h.shape[0]} rows, expected {n}")
-    if j is not None and h.shape[1] != j:
-        raise DataValidationError(f"interference map has {h.shape[1]} cols, expected {j}")
+        return np.dtype([("i", np.int64), ("j", np.int64), ("value", float)])
+
+    _, data = _load(path, row_dtype)
+    if data.dtype.names is None:
+        if (n is not None and data.shape[0] != n) or (j is not None and data.shape[1] != j):
+            raise DataValidationError(f"{path}: matrix shape {data.shape}, expected ({n}, {j})")
+        return InterferenceMap(data)
+    rows, cols = data["i"], data["j"]
+    outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= j)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise DataValidationError(f"{path}: triplet ({rows[k]}, {cols[k]}) outside {n}x{j}")
+    h = np.zeros((n, j))
+    h[rows, cols] = 1.0  # mark and count: a repeated (i, j) marks one cell twice
+    if np.count_nonzero(h) < data.shape[0]:
+        keys = np.sort(rows * j + cols)
+        dup = divmod(int(keys[np.argmax(keys[1:] == keys[:-1])]), j)
+        raise DataValidationError(f"{path}: duplicate triplet (i, j) = {dup}")
+    h[rows, cols] = data["value"]
     return InterferenceMap(h)
 
 
@@ -119,46 +138,34 @@ def write_effects_csv(path, ids, table: EffectTable):
     lines = [f"{FORMAT_PREFIX}effects v1", ",".join(EFFECTS_COLUMNS)]
     bc = table.benefit_cost
     for k, uid in enumerate(ids):
-        bc_s = "" if bc is None else _fmt(bc[k])
         lines.append(",".join([
             str(uid), _fmt(table.total_effect[k]), _fmt(table.se[k]),
-            _fmt(table.p_one_sided[k]), _fmt(table.ci_low[k]),
-            _fmt(table.ci_high[k]), bc_s, str(int(table.structural_zero[k]))]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            _fmt(table.p_one_sided[k]), _fmt(table.ci_low[k]), _fmt(table.ci_high[k]),
+            "" if bc is None else _fmt(bc[k]), str(int(table.structural_zero[k]))]))
+    _write(path, lines)
 
 
 def read_effects_csv(path):
-    header, rows = _split_header_rows(_read_lines(path))
-    if tuple(header) != EFFECTS_COLUMNS:
-        raise DataValidationError(f"{path}: unexpected effects header {header}")
-    ids = [r[0] for r in rows]
-    cols = {name: [] for name in EFFECTS_COLUMNS[1:]}
-    for r in rows:
-        for k, name in enumerate(EFFECTS_COLUMNS[1:], start=1):
-            cols[name].append(r[k])
-    bc_col = cols["benefit_cost"]
-    bc = None if all(v == "" for v in bc_col) else np.array([float(v) for v in bc_col])
-    table = EffectTable(
-        total_effect=np.array([float(v) for v in cols["total_effect"]]),
-        se=np.array([float(v) for v in cols["se"]]),
-        p_one_sided=np.array([float(v) for v in cols["p_one_sided"]]),
-        ci_low=np.array([float(v) for v in cols["ci_low"]]),
-        ci_high=np.array([float(v) for v in cols["ci_high"]]),
-        benefit_cost=bc,
-        structural_zero=np.array([v == "1" for v in cols["structural_zero"]]),
-        level=0.95)
-    return ids, table
+    def row_dtype(header):
+        if tuple(header) != EFFECTS_COLUMNS:
+            raise DataValidationError(f"{path}: unexpected effects header {header}")
+        return np.dtype([("id", object), ("v", float, (5,)), ("benefit_cost", object),
+                         ("structural_zero", np.int64)])
+
+    _, rows = _load(path, row_dtype)
+    v, bc = rows["v"], rows["benefit_cost"]
+    table = EffectTable(*(np.ascontiguousarray(v[:, k]) for k in range(5)),
+                        benefit_cost=None if (bc == "").all() else bc.astype(float),
+                        structural_zero=rows["structural_zero"] == 1, level=0.95)
+    return rows["id"].tolist(), table
 
 
 def write_coefficients_csv(path, names, estimates, ses, ci_low, ci_high, p_values):
-    lines = [f"{FORMAT_PREFIX}coefficients v1",
-             "name,estimate,se,ci_low,ci_high,p_value"]
+    lines = [f"{FORMAT_PREFIX}coefficients v1", "name,estimate,se,ci_low,ci_high,p_value"]
     for k, name in enumerate(names):
         lines.append(",".join([name, _fmt(estimates[k]), _fmt(ses[k]),
                                _fmt(ci_low[k]), _fmt(ci_high[k]), _fmt(p_values[k])]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, lines)
 
 
 def write_policy_json(path, sol: PolicySolution, ids):
@@ -171,9 +178,7 @@ def write_policy_json(path, sol: PolicySolution, ids):
         "value_count": sol.value_count,
         "allocation": {str(uid): float(sol.pi[k]) for k, uid in enumerate(ids)},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def write_sweep_csv(path, fractions, pairs, dominance_ok: bool):
@@ -185,8 +190,7 @@ def write_sweep_csv(path, fractions, pairs, dominance_ok: bool):
             _fmt(te_sol.value_rate), _fmt(te_sol.spent),
             str(int(bc_sol.value_rate <= te_sol.value_rate))]))
     lines.append(f"# dominance_holds={int(dominance_ok)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, lines)
 
 
 _CELL_DISPLAY = {
@@ -219,9 +223,7 @@ def sim_report_to_dict(report: SimReport) -> dict:
 
 
 def write_sim_report(json_path, txt_path, report: SimReport):
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(sim_report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(json_path, [json.dumps(sim_report_to_dict(report), indent=2, sort_keys=True)])
     rows = [["Method", "BS", "PS", "Bias", "RMSE", "Coverage", "Failed"]]
     for name in CELLS:
         stats = report.cells[name]
@@ -233,8 +235,7 @@ def write_sim_report(json_path, txt_path, report: SimReport):
     lines = [f"{FORMAT_PREFIX}sim-report v1 (seed={report.master_seed}, reps={report.reps})"]
     for r in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(txt_path, lines)
 
 
 def write_imputed_costs_csv(path, ids, observed_mask, costs):
@@ -243,5 +244,4 @@ def write_imputed_costs_csv(path, ids, observed_mask, costs):
         src = "observed" if observed_mask[k] else "imputed"
         lines.append(f"{uid},{_fmt(costs[k])},{src}")
     lines.append(f"# total_cost={_fmt(float(np.sum(costs)))}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, lines)

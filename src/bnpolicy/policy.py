@@ -16,8 +16,6 @@ from .data import FeatureMap, InterferenceMap, OutcomeTable
 from .errors import DataValidationError
 from .exposure import exposure_map
 
-FEAS_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PolicySolution:
@@ -151,7 +149,3 @@ def budget_sweep(te, cost, fractions, n_out: int):
         pairs.append((knapsack_policy(te, cost, budget, n_out),
                       te_ranked_policy(te, cost, budget, n_out)))
     return pairs
-
-
-def check_feasible(sol: PolicySolution) -> bool:
-    return sol.spent <= sol.budget * (1.0 + FEAS_RTOL) or sol.budget == np.inf

@@ -21,7 +21,6 @@ from .data import FeatureMap, OutcomeTable
 from .errors import DataValidationError, EstimationError, RankDeficiencyError
 
 RANK_RTOL = 1e-10
-NORMAL_EQ_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import json
 
 import numpy as np
-from bnpolicy import FeatureMap
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bnpolicy import FeatureMap, fit_propensity, trim_by_propensity
 from bnpolicy.cli import main
 from bnpolicy.effects import EffectTable
 from bnpolicy.io import (read_effects_csv, read_interference_csv,
@@ -225,3 +229,79 @@ def test_cli_rank_deficiency_exit_code(tmp_path, capsys):
                  "--interventions", paths["interventions"], "--h", paths["h"],
                  "--estimator", "q", "--out-dir", str(tmp_path / "x")])
     assert code == 3
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(y=st.lists(FINITE, min_size=1, max_size=8), data=st.data())
+def test_repr_written_doubles_read_back_bit_exactly(tmp_path_factory, y, data):
+    n = len(y)
+    x = data.draw(st.lists(st.lists(FINITE, min_size=2, max_size=2), min_size=n, max_size=n))
+    h = data.draw(st.lists(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                                    min_size=3, max_size=3), min_size=n, max_size=n))
+    root = tmp_path_factory.mktemp("roundtrip")
+    rows = [f"o{i},{y[i]!r},{x[i][0]!r},{x[i][1]!r}" for i in range(n)]
+    _, out = read_outcome_csv(_write(root / "o.csv", "\n".join(["id,y,x1,x2", *rows]) + "\n"))
+    assert out.y.tobytes() == np.array(y).tobytes()
+    assert out.x.tobytes() == np.array(x).tobytes()
+    dense = _write(root / "h.csv", "\n".join(",".join(map(repr, r)) for r in h) + "\n")
+    assert read_interference_csv(dense, n=n, j=3).h.tobytes() == np.array(h).tobytes()
+    triplets = [f"{i},{k},{h[i][k]!r}" for i in range(n) for k in range(3)]
+    sparse = _write(root / "h3.csv", "\n".join(["i,j,value", *triplets]) + "\n")
+    assert read_interference_csv(sparse, n=n, j=3).h.tobytes() == np.array(h).tobytes()
+
+
+def _replace(row, text):
+    return lambda lines: lines[:row] + [text] + lines[row + 1:]
+
+
+def _triplets_with_a_repeat(lines):
+    cells = [f"{i},{k},{v}" for i, row in enumerate(lines) for k, v in enumerate(row.split(","))]
+    return ["i,j,value", *cells, cells[5]]
+
+
+# file of the fixture bundle -> edit of its lines that makes it malformed
+MALFORMED = {
+    "non_numeric_cell": ("outcomes", _replace(3, "o2,1.0,abc,0.5")),
+    "short_row": ("outcomes", _replace(4, "o3,1.0,0.5")),
+    "long_row": ("outcomes", _replace(5, "o4,1.0,0.5,0.5,0.5")),
+    "duplicate_triplet": ("h", _triplets_with_a_repeat),
+    "duplicate_unit_id": ("interventions", _replace(2, "p0,0,1.0,0.5")),
+    "header_only": ("outcomes", lambda lines: lines[:1]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cli_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
+    paths, *_ = make_fixture(tmp_path)
+    bad, edit = MALFORMED[case]
+    with open(paths[bad], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    _write(tmp_path / "bad.csv", "\n".join(edit(lines)) + "\n")
+    paths[bad] = str(tmp_path / "bad.csv")
+    code = main(["effects", "--outcomes", paths["outcomes"],
+                 "--interventions", paths["interventions"], "--h", paths["h"],
+                 "--estimator", "q", "--out-dir", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert paths[bad] in err
+    assert "Traceback" not in err
+
+
+def test_cli_trim_writes_the_kept_units_ids(tmp_path):
+    paths, *_ = make_fixture(tmp_path, noise=0.05)
+    ids, intv, _ = read_intervention_csv(paths["interventions"])
+    kept = trim_by_propensity(fit_propensity(intv.x, intv.a, FeatureMap("linear")), 0.2).kept
+    expected = [ids[k] for k in kept]
+    assert 0 < len(expected) < len(ids)
+    bundle = ["--outcomes", paths["outcomes"], "--interventions", paths["interventions"],
+              "--h", paths["h"], "--estimator", "q", "--trim", "0.2"]
+    assert main(["effects", *bundle, "--out-dir", str(tmp_path / "eff")]) == 0
+    written, _ = read_effects_csv(tmp_path / "eff" / "effects.csv")
+    assert written == expected
+    assert main(["policy", *bundle, "--budget-frac", "0.3",
+                 "--out-dir", str(tmp_path / "pol")]) == 0
+    doc = json.loads((tmp_path / "pol" / "policy.json").read_text())
+    assert sorted(doc["allocation"]) == sorted(expected)
