@@ -56,13 +56,13 @@ def _load_sim_config(path) -> SimConfig:
 
 
 def _read_bundle(args):
-    ids_out, out = bio.read_outcome_csv(args.outcomes)
-    ids_int, intv, raw_cost = bio.read_intervention_csv(args.interventions)
+    _, out = bio.read_outcome_csv(args.outcomes)
+    ids, intv, _ = bio.read_intervention_csv(args.interventions)
     h = bio.read_interference_csv(args.h, n=out.n, j=intv.j)
     report = validate_bundle(h, out, intv)
     if not report.ok:
         raise DataValidationError("invalid bundle:\n  " + "\n  ".join(report.issues))
-    return ids_out, out, ids_int, intv, raw_cost, h
+    return ids, out, intv, h
 
 
 def _model_spec(args) -> OutcomeModelSpec:
@@ -82,10 +82,12 @@ def _fit_estimator(args, out, intv, h, ids):
         fit = fit_q(out, exposure_map(h, intv.a), spec)
     else:
         fit = fit_a(out, intv, h, spec, prop_basis=FeatureMap(args.prop_basis))
-    return fit, fit.cov_beta(), spec, intv, h, ids
+    return fit, spec, intv, h, ids
 
 
 def _coef_report(path, prefix, names, estimates, cov, level):
+    if not 0.0 < level < 1.0:
+        raise DataValidationError("confidence level must lie in (0, 1)")
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     z = norm.ppf(0.5 + level / 2.0)
     safe = np.where(se > 0, se, 1.0)
@@ -117,8 +119,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _, out, ids, intv, _, h = _read_bundle(args)
-    fit, _, spec, intv, _, _ = _fit_estimator(args, out, intv, h, ids)
+    ids, out, intv, h = _read_bundle(args)
+    fit, spec, intv, _, _ = _fit_estimator(args, out, intv, h, ids)
     os.makedirs(args.out_dir, exist_ok=True)
     f0_names = _basis_names(spec.basis_f0, out.p, "x")
     fa_names = _basis_names(spec.basis_fa, out.p, "x")
@@ -137,14 +139,14 @@ def cmd_fit(args) -> int:
 
 
 def _effects_for(args, out, intv, h, ids):
-    fit, cov_beta, spec, intv, h, ids = _fit_estimator(args, out, intv, h, ids)
-    table = effect_table(h, out, fit.beta, cov_beta, spec.basis_fa,
+    fit, spec, intv, h, ids = _fit_estimator(args, out, intv, h, ids)
+    table = effect_table(h, out, fit.beta, fit.cov_beta(), spec.basis_fa,
                          cost=intv.cost, level=args.level)
     return fit, spec, table, intv, h, ids
 
 
 def cmd_effects(args) -> int:
-    _, out, ids, intv, _, h = _read_bundle(args)
+    ids, out, intv, h = _read_bundle(args)
     _, _, table, _, _, ids = _effects_for(args, out, intv, h, ids)
     os.makedirs(args.out_dir, exist_ok=True)
     bio.write_effects_csv(os.path.join(args.out_dir, "effects.csv"), ids, table)
@@ -154,7 +156,7 @@ def cmd_effects(args) -> int:
 
 
 def cmd_policy(args) -> int:
-    _, out, ids, intv, _, h = _read_bundle(args)
+    ids, out, intv, h = _read_bundle(args)
     if intv.cost is None:
         raise DataValidationError("policy command needs a complete cost column")
     fit, spec, table, intv, h, ids = _effects_for(args, out, intv, h, ids)
@@ -178,11 +180,14 @@ def cmd_policy(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _, out, ids, intv, _, h = _read_bundle(args)
+    try:
+        fractions = [float(v) for v in args.fractions.split(",")]
+    except ValueError as exc:
+        raise DataValidationError(f"bad --fractions value: {exc}") from None
+    ids, out, intv, h = _read_bundle(args)
     if intv.cost is None:
         raise DataValidationError("sweep command needs a complete cost column")
     _, _, table, intv, _, _ = _effects_for(args, out, intv, h, ids)
-    fractions = [float(v) for v in args.fractions.split(",")]
     pairs = budget_sweep(table.total_effect, intv.cost, fractions, out.n)
     dominance = all(bc.value_rate <= te.value_rate + 1e-12 for bc, te in pairs)
     os.makedirs(args.out_dir, exist_ok=True)

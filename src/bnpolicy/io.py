@@ -154,8 +154,12 @@ def read_effects_csv(path):
 
     _, rows = _load(path, row_dtype)
     v, bc = rows["v"], rows["benefit_cost"]
+    try:
+        bc = None if (bc == "").all() else bc.astype(float)
+    except ValueError as exc:
+        raise DataValidationError(f"{path}: benefit_cost column: {exc}") from None
     table = EffectTable(*(np.ascontiguousarray(v[:, k]) for k in range(5)),
-                        benefit_cost=None if (bc == "").all() else bc.astype(float),
+                        benefit_cost=bc,
                         structural_zero=rows["structural_zero"] == 1, level=0.95)
     return rows["id"].tolist(), table
 

@@ -46,7 +46,7 @@ def _greedy(te, cost, budget, n_out, order_key, method):
     cost = np.asarray(cost, dtype=float)
     if te.shape != cost.shape:
         raise DataValidationError("total effects and costs must have equal length")
-    if budget < 0:
+    if not budget >= 0:
         raise DataValidationError("budget must be nonnegative")
     candidates = np.flatnonzero(te < 0)
     if np.any(cost[candidates] <= 0):

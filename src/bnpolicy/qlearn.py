@@ -5,10 +5,11 @@ The mean model is linear in the exposure,
     mu_i = f0(x_i) . alpha + abar_i * fa(x_i) . beta,
 
 so the fit is one least-squares solve of the stacked design
-[F0 | abar * FA].  The covariance is the M-estimation sandwich
+D = [F0 | abar * FA].  The covariance is the M-estimation sandwich
 Sigma_d^{-1} Sigma_phi Sigma_d^{-T} / n with bread Sigma_d = (1/n) D'D
 and meat Sigma_phi = (1/n) sum_i d_i d_i' r_i^2, stored already divided
-by n so standard errors read directly off the diagonal.
+by n so standard errors read directly off the diagonal.  One pivoted QR
+of D gives the rank check, the coefficients and the sandwich.
 """
 from __future__ import annotations
 
@@ -58,9 +59,19 @@ def q_design(out: OutcomeTable, abar: np.ndarray, spec: OutcomeModelSpec) -> np.
     return np.hstack([f0, abar[:, None] * fa])
 
 
-def _check_rank(design: np.ndarray, d_alpha: int):
-    # pivoted QR identifies the first dependent column for the error message
-    _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> QFit:
+    """Least-squares fit of the linear-exposure outcome model.
+
+    Solved through one pivoted QR, D[:, piv] = Q R, rather than normal
+    equations; a diagonal entry of R at or below RANK_RTOL times the
+    largest declares rank deficiency and names the dependent column.
+    """
+    design = q_design(out, np.asarray(abar, dtype=float), spec)
+    n, k = design.shape
+    if n <= k:
+        raise EstimationError(f"need more outcome units ({n}) than parameters ({k})")
+    d_alpha = spec.basis_f0.dim(out.p)
+    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0:
         raise RankDeficiencyError("design matrix is identically zero", column=int(piv[0]))
@@ -71,28 +82,14 @@ def _check_rank(design: np.ndarray, d_alpha: int):
         raise RankDeficiencyError(
             f"rank-deficient design: {block} column {col} is linearly dependent",
             column=col)
-
-
-def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> QFit:
-    """Least-squares fit of the linear-exposure outcome model.
-
-    Solved through an orthogonal decomposition (SVD) rather than normal
-    equations; singular values below 1e-10 of the largest declare rank
-    deficiency.
-    """
-    design = q_design(out, np.asarray(abar, dtype=float), spec)
-    n, k = design.shape
-    if n <= k:
-        raise EstimationError(f"need more outcome units ({n}) than parameters ({k})")
-    d_alpha = spec.basis_f0.dim(out.p)
-    _check_rank(design, d_alpha)
-    theta, *_ = np.linalg.lstsq(design, out.y, rcond=RANK_RTOL)
+    theta = np.empty(k)
+    theta[piv] = scipy.linalg.solve_triangular(r, q.T @ out.y)
     resid = out.y - design @ theta
 
-    bread = design.T @ design / n
-    meat = (design * (resid**2)[:, None]).T @ design / n
-    bread_inv = np.linalg.inv(bread)
-    cov = bread_inv @ meat @ bread_inv.T / n
+    # (D'D)^{-1} D' diag(r^2) D (D'D)^{-1} = P (R^{-1} Q' diag(r)) (...)' P'
+    half = scipy.linalg.solve_triangular(r, (q * resid[:, None]).T)
+    cov = np.empty((k, k))
+    cov[np.ix_(piv, piv)] = half @ half.T
     cov = 0.5 * (cov + cov.T)
     return QFit(alpha=theta[:d_alpha], beta=theta[d_alpha:], cov_theta=cov,
                 residuals=resid, spec=spec)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnpolicy import FeatureMap, fit_propensity, trim_by_propensity
+from bnpolicy import DataValidationError, FeatureMap, fit_propensity, trim_by_propensity
 from bnpolicy.cli import main
 from bnpolicy.effects import EffectTable
 from bnpolicy.io import (read_effects_csv, read_interference_csv,
@@ -288,6 +288,42 @@ def test_cli_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     assert code == 2
     assert paths[bad] in err
     assert "Traceback" not in err
+
+
+# argument that the exit-code contract rejects -> text the message must contain
+BAD_ARGS = {
+    "fit_level_above_one": (["fit", "--level", "1.5"], "confidence level"),
+    "sweep_non_numeric_fraction": (["sweep", "--fractions", "0.1,abc"], "'abc'"),
+    "policy_nan_budget": (["policy", "--budget-frac", "nan"], "budget"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGS)
+def test_cli_bad_arguments_exit_2_without_output(tmp_path, capsys, case):
+    paths, *_ = make_fixture(tmp_path)
+    (command, *extra), expected = BAD_ARGS[case]
+    out_dir = tmp_path / "out"
+    code = main([command, "--outcomes", paths["outcomes"],
+                 "--interventions", paths["interventions"], "--h", paths["h"],
+                 "--estimator", "q", *extra, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert expected in err
+    assert "Traceback" not in err
+    assert not [p for p in out_dir.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("cell", ["", "abc"])
+def test_effects_reader_rejects_a_bad_benefit_cost_cell(tmp_path, cell):
+    j = 3
+    table = EffectTable(*(np.linspace(-1.0, 1.0, j) for _ in range(5)),
+                        benefit_cost=np.array([0.5, 1.5, 2.5]),
+                        structural_zero=np.zeros(j, dtype=bool), level=0.95)
+    path = tmp_path / "effects.csv"
+    write_effects_csv(path, ["p0", "p1", "p2"], table)
+    path.write_text(path.read_text().replace(",1.5,", f",{cell},"))
+    with pytest.raises(DataValidationError, match="effects.csv"):
+        read_effects_csv(path)
 
 
 def test_cli_trim_writes_the_kept_units_ids(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bnpolicy import (EstimationError, FeatureMap, OutcomeModelSpec, OutcomeTable,
-                      RankDeficiencyError, fit_q, q_predict)
+from bnpolicy import (EstimationError, FeatureMap, InterferenceMap, InterventionTable,
+                      OutcomeModelSpec, OutcomeTable, RankDeficiencyError, exposure_map,
+                      fit_a, fit_q, q_predict)
 from bnpolicy.qlearn import q_design, q_score_norm
 
 LIN = OutcomeModelSpec(basis_f0=FeatureMap("linear"), basis_fa=FeatureMap("linear"))
@@ -38,7 +39,8 @@ def test_zero_exposure_column_is_rank_deficient():
     out = OutcomeTable(x=np.zeros((5, 0)), y=np.arange(5.0))
     with pytest.raises(RankDeficiencyError) as err:
         fit_q(out, np.zeros(5), LIN)
-    assert err.value.column is not None
+    assert err.value.column == 1
+    assert "treatment" in str(err.value)
 
 
 def test_duplicate_covariate_is_rank_deficient(rng):
@@ -127,3 +129,36 @@ def test_sandwich_close_to_classical_ols_under_homoskedasticity():
     classical = s2 * np.linalg.inv(design.T @ design)
     ratio = fit.standard_errors() / np.sqrt(np.diag(classical))
     assert np.all(np.abs(ratio - 1.0) <= 0.15)
+
+
+def test_covariance_equals_normal_equations_sandwich(rng):
+    x = rng.standard_normal((300, 2))
+    abar = rng.uniform(0, 1, 300)
+    y = rng.standard_normal(300) * (1.0 + np.abs(x[:, 0]))
+    out = OutcomeTable(x=x, y=y)
+    fit = fit_q(out, abar, LIN)
+    design = q_design(out, abar, LIN)
+    n = design.shape[0]
+    resid = y - design @ fit.theta
+    bread_inv = np.linalg.inv(design.T @ design / n)
+    meat = (design * (resid**2)[:, None]).T @ design / n
+    sandwich = bread_inv @ meat @ bread_inv.T / n
+    assert np.max(np.abs(fit.cov_theta - sandwich)) <= 1e-10 * np.max(np.abs(sandwich))
+
+
+@pytest.mark.parametrize("k", [-3, 1, 5])
+def test_both_fits_are_equivariant_to_the_scale_of_y(rng, k):
+    n, j = 300, 20
+    x = rng.standard_normal((n, 2))
+    h = InterferenceMap(rng.lognormal(0.0, 0.5, (n, j)))
+    intv = InterventionTable(x=rng.standard_normal((j, 2)), a=np.tile([1.0, 0.0], j // 2))
+    y = rng.standard_normal(n)
+    c = 2.0**k
+    out, scaled = OutcomeTable(x=x, y=y), OutcomeTable(x=x, y=c * y)
+    q, q_big = (fit_q(o, exposure_map(h, intv.a), LIN) for o in (out, scaled))
+    a, a_big = (fit_a(o, intv, h, LIN, prop_basis=FeatureMap("linear"))
+                for o in (out, scaled))
+    assert np.array_equal(q_big.theta, c * q.theta)
+    assert np.array_equal(q_big.cov_theta, c * c * q.cov_theta)
+    assert np.array_equal(a_big.theta, c * a.theta)
+    assert np.array_equal(a_big.cov_alphabeta, c * c * a.cov_alphabeta)
