@@ -103,8 +103,12 @@ def a_equations(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
 
 def gamma_sensitivity(h: InterferenceMap, e: np.ndarray,
                       prop_basis_matrix: np.ndarray) -> np.ndarray:
-    """d abar_hat_i / d gamma as an (n, dim gamma) matrix."""
-    return (h.h * (e * (1.0 - e))[None, :]) @ prop_basis_matrix / h.j
+    """d abar_hat_i / d gamma as an (n, dim gamma) matrix.
+
+    The weights e(1 - e) scale the (J, dim gamma) basis, not H, so no
+    n x J temporary is built.
+    """
+    return h.h @ ((e * (1.0 - e))[:, None] * prop_basis_matrix) / h.j
 
 
 def a_covariance(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,

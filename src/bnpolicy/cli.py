@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from . import io as bio
 from .alearn import fit_a
@@ -89,9 +89,9 @@ def _coef_report(path, prefix, names, estimates, cov, level):
     if not 0.0 < level < 1.0:
         raise DataValidationError("confidence level must lie in (0, 1)")
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     safe = np.where(se > 0, se, 1.0)
-    p = np.where(se > 0, 2.0 * norm.cdf(-np.abs(estimates) / safe),
+    p = np.where(se > 0, 2.0 * ndtr(-np.abs(estimates) / safe),
                  (estimates == 0).astype(float))
     bio.write_coefficients_csv(path, [f"{prefix}{n}" for n in names], estimates, se,
                                estimates - z * se, estimates + z * se, p)
@@ -106,9 +106,22 @@ def _basis_names(basis: FeatureMap, width: int, stem: str):
     return names
 
 
+def _env_threads() -> int:
+    """Worker count from ``BNPOLICY_THREADS`` (default 1)."""
+    raw = os.environ.get("BNPOLICY_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DataValidationError(
+            f"BNPOLICY_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
 def cmd_simulate(args) -> int:
     config = _load_sim_config(args.config)
-    threads = args.threads or int(os.environ.get("BNPOLICY_THREADS", "1"))
+    threads = args.threads or _env_threads()
     report = run_monte_carlo(config, n_workers=threads)
     os.makedirs(args.out_dir, exist_ok=True)
     bio.write_sim_report(os.path.join(args.out_dir, "sim_report.json"),

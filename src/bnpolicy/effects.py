@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .data import FeatureMap, InterferenceMap, OutcomeTable
 from .errors import DataValidationError, EstimationError
@@ -75,10 +75,10 @@ def effect_table(h: InterferenceMap, out: OutcomeTable, beta,
     te = total_effects(h, out, beta, basis_fa)
     w = effect_weights(h, out, basis_fa)
     se = effect_inference(w, cov_beta)
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     # degenerate se = 0: the one-sided p collapses to an indicator
     safe = np.where(se > 0, se, 1.0)
-    p = np.where(se > 0, norm.cdf(te / safe),
+    p = np.where(se > 0, ndtr(te / safe),
                  np.where(te < 0, 0.0, np.where(te > 0, 1.0, 0.5)))
     ci_low = te - z * se
     ci_high = te + z * se

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, fit_standardizer
 from .effects import total_effects
@@ -39,7 +39,7 @@ from .propensity import calibrate_propensity_intercept, logistic
 from .qlearn import OutcomeModelSpec, fit_q
 from .alearn import fit_a
 
-Z95 = float(norm.ppf(0.975))
+Z95 = float(ndtri(0.975))
 
 # Built-in reference coefficient vectors for the 13-outcome-covariate
 # configuration (27+27 entries; intervention-model vector of 12).  Used
@@ -226,19 +226,20 @@ def _draw_h(rng, config: SimConfig, x_out) -> np.ndarray:
     # structured default: lognormal-profile column masses, a localized
     # column minority anchored to the first covariate, diffuse remainder
     # with a fixed per-row degree
-    zgrid = norm.ppf((np.arange(j) + 0.5) / j)
+    zgrid = ndtri((np.arange(j) + 0.5) / j)
     colmass = rng.permutation(np.exp(config.h_colmass_log_sd * zgrid))
     j_loc = int(round(config.h_local_frac * j))
     load = np.zeros((n, j))
     if j_loc > 0:
-        centers = rng.permutation(norm.ppf((np.arange(j_loc) + 0.5) / j_loc))
+        centers = rng.permutation(ndtri((np.arange(j_loc) + 0.5) / j_loc))
         u = x_out[:, 0]
         load[:, :j_loc] = np.exp(
             -0.5 * ((u[:, None] - centers[None, :]) / config.h_kernel_bandwidth) ** 2)
     n_diff = j - j_loc
     deg = min(config.h_diffuse_degree, n_diff)
     if n_diff > 0 and deg > 0:
-        pick = np.argsort(rng.random((n, n_diff)), axis=1)[:, :deg]
+        # only the set of the deg smallest keys per row matters, not their order
+        pick = np.argpartition(rng.random((n, n_diff)), deg - 1, axis=1)[:, :deg]
         rows = np.repeat(np.arange(n), deg)
         load[rows, j_loc + pick.ravel()] = 1.0
     return colmass[None, :] * load * rng.lognormal(0.0, config.h_entry_log_sd, (n, j))

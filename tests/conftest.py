@@ -1,32 +1,7 @@
 import numpy as np
 import pytest
 
-from bnpolicy import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def make_bundle(rng, n=400, j=20, p=2, q=2, beta_scale=0.5, noise=0.05,
-                f0_kind="linear", fa_kind="linear", cost=True):
-    """Small synthetic bundle with a known linear-in-exposure truth.
-
-    Returns (out, intv, h, alpha0, beta0, abar).
-    """
-    x_out = rng.standard_normal((n, p))
-    x_int = rng.standard_normal((j, q))
-    h = InterferenceMap(rng.lognormal(0.0, 0.5, (n, j)))
-    a = (rng.random(j) < 0.4).astype(float)
-    basis_f0 = FeatureMap(f0_kind)
-    basis_fa = FeatureMap(fa_kind)
-    alpha0 = rng.uniform(-1.0, 1.0, basis_f0.dim(p))
-    beta0 = rng.uniform(-beta_scale, beta_scale, basis_fa.dim(p))
-    abar = h.h @ a / j
-    mu = basis_f0.expand(x_out) @ alpha0 + abar * (basis_fa.expand(x_out) @ beta0)
-    y = mu + noise * rng.standard_normal(n)
-    costs = rng.uniform(0.5, 3.0, j) if cost else None
-    out = OutcomeTable(x=x_out, y=y)
-    intv = InterventionTable(x=x_int, a=a, cost=costs)
-    return out, intv, h, alpha0, beta0, abar

@@ -76,6 +76,17 @@ def test_gamma_sensitivity_zero_for_zero_map(rng):
     assert np.array_equal(gamma_sensitivity(h, e, bprop), np.zeros((4, 3)))
 
 
+def test_gamma_sensitivity_matches_the_weighted_map_product(rng):
+    n, j = 300, 40
+    h = InterferenceMap(rng.lognormal(0.0, 0.8, (n, j)) * (rng.random((n, j)) < 0.3))
+    e = logistic(rng.standard_normal(j))
+    bprop = FeatureMap("quadratic").expand(rng.standard_normal((j, 3)))
+    expected = (h.h * (e * (1.0 - e))[None, :]) @ bprop / h.j
+    got = gamma_sensitivity(h, e, bprop)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_zero_map_fit_raises_singular(rng):
     h = InterferenceMap(np.zeros((50, 4)))
     out = OutcomeTable(x=rng.standard_normal((50, 1)), y=rng.standard_normal(50))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
+from scipy.stats import norm
 
 from bnpolicy import (EstimationError, FeatureMap, InterferenceMap, OutcomeTable,
                       benefit_cost, effect_inference, effect_table, effect_weights,
@@ -110,3 +112,17 @@ def test_benefit_cost_examples():
     assert benefit_cost(np.array([0.0]), np.array([9.0]))[0] == 0.0
     flagged = benefit_cost(np.array([-1.0, -2.0]), np.array([0.0, 2.0]))
     assert np.isnan(flagged[0]) and flagged[1] == -1.0
+
+
+def test_ndtr_ndtri_bitwise_equal_scipy_stats_norm():
+    probs = np.concatenate([[0.0, 0.5, 1.0, 0.975, 0.025, 1e-300, 1.0 - 1e-16,
+                             -0.5, 1.5, np.nan],
+                            np.linspace(0.0, 1.0, 1001), np.logspace(-300, -1, 300)])
+    zs = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 38.5, -38.5, 1e300],
+                         np.linspace(-40.0, 40.0, 2001)])
+    for got, want in ((ndtri(probs), norm.ppf(probs)), (ndtr(zs), norm.cdf(zs))):
+        # NaN positions match; ndtri(NaN) carries the sign bit, so the
+        # bitwise comparison covers every other entry
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and nan.sum() >= 1
+        assert got[~nan].tobytes() == want[~nan].tobytes()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +184,31 @@ def test_cli_simulate_thread_count_invariance(tmp_path):
                      "--out-dir", str(out_dir)]) == 0
         outs.append((out_dir / "sim_report.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "", "0"])
+def test_cli_simulate_rejects_a_bad_threads_variable(tmp_path, capsys, monkeypatch,
+                                                     value):
+    config = {"n": 300, "j": 30, "p": 2, "q": 2, "reps": 1, "master_seed": 5}
+    cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+    monkeypatch.setenv("BNPOLICY_THREADS", value)
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "BNPOLICY_THREADS" in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import bnpolicy
+    src = os.path.dirname(os.path.dirname(bnpolicy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, bnpolicy.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_bad_config_field_named(tmp_path, capsys):

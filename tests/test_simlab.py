@@ -5,7 +5,7 @@ from bnpolicy import (CELLS, EstimationError, SimConfig, DataValidationError,
                       generate_dgp, run_cell, run_monte_carlo, run_replication,
                       splitmix64)
 from bnpolicy.io import sim_report_to_dict
-from bnpolicy.simlab import THETA0_REFERENCE, resolve_truth_coefficients
+from bnpolicy.simlab import THETA0_REFERENCE, _draw_h, resolve_truth_coefficients
 
 FAST = SimConfig(n=400, j=40, p=2, q=2, reps=2, master_seed=777)
 
@@ -120,6 +120,39 @@ def test_user_supplied_h_and_covariates(rng):
     assert h.h.shape == (n, j)
     # covariates are standardized copies of the supplied ones
     assert np.allclose(out.x.mean(axis=0), 0.0, atol=1e-12)
+
+
+class _RecordingRng:
+    """Generator proxy that keeps every array it draws, by method name."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = {}
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = getattr(self._rng, name)(*args, **kwargs)
+            self.draws.setdefault(name, []).append(out)
+            return out
+        return draw
+
+
+def test_draw_h_diffuse_columns_match_the_full_argsort_construction():
+    # each row's diffuse cells are its deg smallest keys, as a full argsort
+    # of the same keys picks them, with the same mass and noise bits
+    config = SimConfig(n=400, j=200, p=2, q=2)
+    x_out = np.random.default_rng(7).standard_normal((config.n, config.p))
+    rng = _RecordingRng(11)
+    h = _draw_h(rng, config, x_out)
+    j_loc = round(config.h_local_frac * config.j)
+    deg = config.h_diffuse_degree
+    (keys,), (noise,) = rng.draws["random"], rng.draws["lognormal"]
+    colmass = rng.draws["permutation"][0]
+    assert 0 < deg < keys.shape[1] == config.j - j_loc
+    picked = np.zeros(keys.shape)
+    np.put_along_axis(picked, np.argsort(keys, axis=1)[:, :deg], 1.0, axis=1)
+    expected = colmass[None, j_loc:] * picked * noise[:, j_loc:]
+    assert h[:, j_loc:].tobytes() == expected.tobytes()
 
 
 def test_config_validation():
