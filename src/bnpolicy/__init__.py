@@ -16,9 +16,9 @@ from .propensity import (PropensityFit, TrimReport, apply_trim,
 from .qlearn import OutcomeModelSpec, QFit, fit_q, q_predict
 from .costimpute import (CostModelFit, RegressionForest, RegressionTree, SplitSpec,
                          fit_cost_models, nmae, predict_costs, split_train_val)
+from .seeding import splitmix64
 from .simlab import (CELLS, CellResult, CellSpec, CellStats, SimConfig, SimReport,
-                     Truth, generate_dgp, run_cell, run_monte_carlo, run_replication,
-                     splitmix64)
+                     Truth, generate_dgp, run_cell, run_monte_carlo, run_replication)
 
 __version__ = "0.1.0"
 

@@ -1,26 +1,28 @@
-"""Doubly robust route: joint estimating equations with augmented sandwich.
+"""Doubly robust route: A-learning as one just-identified instrumental-variable system.
 
-The treatment-effect coefficients solve
+The coefficients theta = (alpha, beta) solve
 
-    (1/n) sum_i lam_i (Y_i - mu_i) (abar_i - abar_hat_i) = 0,
+    (1/n) Z^T (y - D theta) = 0,
 
-jointly with the baseline block (1/n) sum_i f0_i (Y_i - mu_i) = 0, where
-abar_hat is the exposure implied by fitted (or supplied) propensities and
-lam_i = c_i * fa(x_i) with c_i the per-unit transport mass.  With bases
-linear in their parameters both blocks are linear in (alpha, beta), so the
-root is one square solve.
+with regressors D = [F0 | abar * FA] and instruments
+Z = [F0 | c (abar - abar_hat) * FA].  F0 and FA are the baseline and effect
+bases at the outcome units, abar is the realized exposure, abar_hat the
+exposure implied by fitted (or supplied) propensities and c_i the per-unit
+transport mass; lam_i = c_i * fa(x_i).  With bases linear in their
+parameters the root is theta = M^{-1} Z^T y / n with M = Z^T D / n, and one
+SVD of M gives its condition number, the root and the bread M^{-1}.
 
 The covariance adds the propensity-estimation term:
 
     cov = (Omega_phi + Omega_gamma) / n
-    Omega_phi   = S^{-1} Sigma_phi S^{-T}
-    Omega_gamma = (1/R) (S^{-1} Sigma_gamma) Omega_eps (S^{-1} Sigma_gamma)^T
+    Omega_phi   = M^{-1} Sigma_phi M^{-T},   Sigma_phi = Z^T diag(r^2) Z / n
+    Omega_gamma = (1/R) (M^{-1} Sigma_gamma) Omega_eps (M^{-1} Sigma_gamma)^T
 
-with S the mean Jacobian of the stacked equations, Sigma_phi the mean
-outer product of per-unit scores, Sigma_gamma the mean sensitivity to the
-propensity coefficients, R = J/n, and Omega_eps the propensity sandwich on
-the sqrt(J) scale.  Omega_gamma is zero when propensities are supplied as
-known.
+with r = y - D theta, -M the mean Jacobian of the equations (the sign
+cancels in both quadratic forms), Sigma_gamma the mean sensitivity of the
+equations to the propensity coefficients, R = J/n, and Omega_eps the
+propensity sandwich on the sqrt(J) scale.  Omega_gamma is zero when
+propensities are supplied as known.
 """
 from __future__ import annotations
 
@@ -64,41 +66,54 @@ class AFit:
         return np.sqrt(np.diag(self.cov_alphabeta))
 
 
-def _system_parts(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
-                  spec: OutcomeModelSpec):
+def _iv_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
+               spec: OutcomeModelSpec):
+    """Regressors D, instruments Z and lam = c * FA, each basis expanded once."""
     f0 = spec.basis_f0.expand(out.x)
     fa = spec.basis_fa.expand(out.x)
     c = exposure_row_mass(h)
-    lam = c[:, None] * fa
-    w = c * (abar - abar_hat)
-    return f0, fa, lam, w
+    da = f0.shape[1]
+    d = np.empty((out.n, da + fa.shape[1]))
+    z = np.empty_like(d)
+    d[:, :da] = z[:, :da] = f0
+    np.multiply(abar[:, None], fa, out=d[:, da:])
+    np.multiply((c * (abar - abar_hat))[:, None], fa, out=z[:, da:])
+    return d, z, c[:, None] * fa
+
+
+def _factor(m):
+    """2-norm condition number and inverse of M from one SVD M = U S V^T.
+
+    V S^{-1} U^T alone is accurate only to eps * cond(M), which loses digits
+    when the columns of M differ in scale (the effect block is much smaller
+    than the baseline block); one Newton step X + X (I - M X) restores the
+    accuracy of an LU inverse.
+    """
+    u, s, vt = np.linalg.svd(m)
+    cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
+    if not cond <= COND_FAIL:
+        raise SingularSystemError(
+            f"singular joint estimating system (condition estimate {cond:.3e})",
+            condition=cond)
+    if cond > COND_WARN:
+        warnings.warn(f"ill-conditioned estimating system (condition {cond:.3e})",
+                      RuntimeWarning, stacklevel=3)
+    x = (vt.T / s) @ u.T
+    return cond, x + x @ (np.eye(s.shape[0]) - m @ x)
 
 
 def a_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
              spec: OutcomeModelSpec):
-    """Mean-form linear system M theta = rhs for the stacked equations."""
-    f0, fa, lam, w = _system_parts(out, h, abar, abar_hat, spec)
-    n = out.n
-    ta = abar[:, None] * fa
-    wfa = w[:, None] * fa
-    da = f0.shape[1]
-    db = fa.shape[1]
-    m = np.empty((da + db, da + db))
-    m[:da, :da] = f0.T @ f0 / n
-    m[:da, da:] = f0.T @ ta / n
-    m[da:, :da] = wfa.T @ f0 / n
-    m[da:, da:] = wfa.T @ ta / n
-    rhs = np.concatenate([f0.T @ out.y / n, wfa.T @ out.y / n])
-    return m, rhs
+    """Mean-form linear system M theta = rhs: M = Z^T D / n, rhs = Z^T y / n."""
+    d, z, _ = _iv_system(out, h, abar, abar_hat, spec)
+    return z.T @ d / out.n, z.T @ out.y / out.n
 
 
 def a_equations(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
                 spec: OutcomeModelSpec, alpha, beta) -> np.ndarray:
-    """Averaged estimating equations at (alpha, beta); zero at the fit."""
-    f0, fa, lam, w = _system_parts(out, h, abar, abar_hat, spec)
-    resid = out.y - f0 @ alpha - abar * (fa @ beta)
-    return np.concatenate([f0.T @ resid / out.n,
-                           (w[:, None] * fa).T @ resid / out.n])
+    """Averaged estimating equations Z^T (y - D theta) / n; zero at the fit."""
+    d, z, _ = _iv_system(out, h, abar, abar_hat, spec)
+    return z.T @ (out.y - d @ np.concatenate([alpha, beta])) / out.n
 
 
 def gamma_sensitivity(h: InterferenceMap, e: np.ndarray,
@@ -111,6 +126,26 @@ def gamma_sensitivity(h: InterferenceMap, e: np.ndarray,
     return h.h @ ((e * (1.0 - e))[:, None] * prop_basis_matrix) / h.j
 
 
+def _covariance(z, lam, r, m_inv, h: InterferenceMap, e, prop_basis_matrix,
+                cov_gamma):
+    """(cov_alphabeta, omega_phi, omega_gamma, sigma_gamma) at residual r."""
+    n = r.shape[0]
+    omega_phi = m_inv @ ((z.T * r**2) @ z / n) @ m_inv.T
+    dth = m_inv.shape[0]
+    omega_gamma = np.zeros((dth, dth))
+    sigma_gamma = None
+    if cov_gamma is not None:
+        g = gamma_sensitivity(h, e, prop_basis_matrix)
+        sigma_gamma = np.vstack([np.zeros((dth - lam.shape[1], g.shape[1])),
+                                 -(lam * r[:, None]).T @ g / n])
+        ratio = h.j / n
+        core = m_inv @ sigma_gamma
+        omega_gamma = core @ cov_gamma @ core.T / ratio
+    cov = (omega_phi + omega_gamma) / n
+    cov = 0.5 * (cov + cov.T)
+    return cov, omega_phi, omega_gamma, sigma_gamma
+
+
 def a_covariance(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
                  spec: OutcomeModelSpec, alpha, beta, m,
                  e=None, prop_basis_matrix=None, cov_gamma=None):
@@ -120,33 +155,9 @@ def a_covariance(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
     propensity pieces may be omitted, in which case omega_gamma is zero
     (known-propensity analysis).
     """
-    f0, fa, lam, w = _system_parts(out, h, abar, abar_hat, spec)
-    n = out.n
-    resid = out.y - f0 @ alpha - abar * (fa @ beta)
-    delta = abar - abar_hat
-    phi = np.hstack([f0 * resid[:, None], lam * (resid * delta)[:, None]])
-    sigma_phi = phi.T @ phi / n
-    # mean Jacobian of the stacked equations is -m; the sign cancels in
-    # both quadratic forms below
-    try:
-        m_inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("singular bread matrix in covariance") from exc
-    omega_phi = m_inv @ sigma_phi @ m_inv.T
-    dth = m.shape[0]
-    da = f0.shape[1]
-    omega_gamma = np.zeros((dth, dth))
-    sigma_gamma = None
-    if cov_gamma is not None:
-        g = gamma_sensitivity(h, e, prop_basis_matrix)
-        sigma_gamma = np.vstack([np.zeros((da, g.shape[1])),
-                                 -(lam * resid[:, None]).T @ g / n])
-        ratio = h.j / n
-        core = m_inv @ sigma_gamma
-        omega_gamma = core @ cov_gamma @ core.T / ratio
-    cov = (omega_phi + omega_gamma) / n
-    cov = 0.5 * (cov + cov.T)
-    return cov, omega_phi, omega_gamma, sigma_gamma
+    d, z, lam = _iv_system(out, h, abar, abar_hat, spec)
+    return _covariance(z, lam, out.y - d @ np.concatenate([alpha, beta]),
+                       _factor(m)[1], h, e, prop_basis_matrix, cov_gamma)
 
 
 def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
@@ -187,25 +198,13 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
             "no treatment variation beyond the propensity model: "
             "abar - abar_hat is identically zero")
 
-    m, rhs = a_system(out, h, abar, abar_hat, spec)
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > COND_FAIL:
-        raise SingularSystemError(
-            f"singular joint estimating system (condition estimate {cond:.3e})",
-            condition=cond)
-    if cond > COND_WARN:
-        warnings.warn(f"ill-conditioned estimating system (condition {cond:.3e})",
-                      RuntimeWarning, stacklevel=2)
-    try:
-        theta = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"singular joint estimating system (condition estimate {cond:.3e})",
-            condition=cond) from exc
-
+    d, z, lam = _iv_system(out, h, abar, abar_hat, spec)
+    n = out.n
+    cond, m_inv = _factor(z.T @ d / n)
+    theta = m_inv @ (z.T @ out.y / n)
+    r = out.y - d @ theta
+    eq = z.T @ r / n
     da = spec.basis_f0.dim(out.p)
-    alpha, beta = theta[:da], theta[da:]
-    eq = a_equations(out, h, abar, abar_hat, spec, alpha, beta)
     scale = max(1.0, float(np.max(np.abs(out.y))))
     diagnostics = {
         "condition": float(cond),
@@ -219,9 +218,8 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
             "estimating equations not solved to tolerance; system is too "
             f"ill-conditioned (condition {cond:.3e})")
 
-    cov, omega_phi, omega_gamma, _ = a_covariance(
-        out, h, abar, abar_hat, spec, alpha, beta, m,
-        e=e, prop_basis_matrix=bprop, cov_gamma=cov_gamma)
-    return AFit(alpha=alpha, beta=beta, gamma_fit=gamma_fit, cov_alphabeta=cov,
-                omega_phi=omega_phi, omega_gamma=omega_gamma,
+    cov, omega_phi, omega_gamma, _ = _covariance(
+        z, lam, r, m_inv, h, e, bprop, cov_gamma)
+    return AFit(alpha=theta[:da], beta=theta[da:], gamma_fit=gamma_fit,
+                cov_alphabeta=cov, omega_phi=omega_phi, omega_gamma=omega_gamma,
                 ratio_r=h.j / out.n, diagnostics=diagnostics, spec=spec)

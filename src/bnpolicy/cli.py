@@ -106,22 +106,22 @@ def _basis_names(basis: FeatureMap, width: int, stem: str):
     return names
 
 
-def _env_threads() -> int:
-    """Worker count from ``BNPOLICY_THREADS`` (default 1)."""
-    raw = os.environ.get("BNPOLICY_THREADS", "1")
+def _worker_count(threads) -> int:
+    """Worker count from ``--threads``, else ``BNPOLICY_THREADS`` (default 1)."""
+    name, raw = (("--threads", str(threads)) if threads is not None else
+                 ("BNPOLICY_THREADS", os.environ.get("BNPOLICY_THREADS", "1")))
     try:
-        threads = int(raw)
+        count = int(raw)
     except ValueError:
-        threads = 0
-    if threads < 1:
-        raise DataValidationError(
-            f"BNPOLICY_THREADS must be a positive integer, got {raw!r}")
-    return threads
+        count = 0
+    if count < 1:
+        raise DataValidationError(f"{name} must be a positive integer, got {raw!r}")
+    return count
 
 
 def cmd_simulate(args) -> int:
     config = _load_sim_config(args.config)
-    threads = args.threads or _env_threads()
+    threads = _worker_count(args.threads)
     report = run_monte_carlo(config, n_workers=threads)
     os.makedirs(args.out_dir, exist_ok=True)
     bio.write_sim_report(os.path.join(args.out_dir, "sim_report.json"),

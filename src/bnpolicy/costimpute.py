@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, EstimationError
-from .simlab import splitmix64
+from .seeding import splitmix64
 
 NMAE_DENOM_GUARD = 1e-12
 

@@ -68,6 +68,9 @@ def _read_units(path, key, extra):
         if header[:2] != ["id", key]:
             raise DataValidationError(
                 f"{path}: expected header starting 'id,{key}', got {header[:2]}")
+        if extra in header[3:]:
+            raise DataValidationError(
+                f"{path}: column {extra!r} must be the third column, after {key!r}")
         if len(header) <= 2 + (header[2:3] == [extra]):
             raise DataValidationError(f"{path}: no covariate columns found")
         return np.dtype([("id", object), ("v", float, (len(header) - 1,))])

@@ -37,6 +37,7 @@ from .errors import BnpolicyError, DataValidationError, EstimationError
 from .exposure import exposure_map
 from .propensity import calibrate_propensity_intercept, logistic
 from .qlearn import OutcomeModelSpec, fit_q
+from .seeding import splitmix64
 from .alearn import fit_a
 
 Z95 = float(ndtri(0.975))
@@ -56,22 +57,6 @@ THETA0_REFERENCE = np.array([
 GAMMA0_REFERENCE = np.array([
     -0.681, 0.131, -0.704, 0.386, 0.334, 0.424,
     0.00141, -0.00471, 0.010, -0.0140, -0.0107, -1.449])
-
-
-def splitmix64(*parts: int) -> int:
-    """Stable 64-bit mix of integers; drives all derived seeding.
-
-    Same constants as the SplitMix64 generator, applied sequentially to
-    each part, so (master_seed, rep) -> seed is reproducible in any
-    language that implements the same mix.
-    """
-    mask = (1 << 64) - 1
-    state = 0x9E3779B97F4A7C15
-    for part in parts:
-        state = (state ^ (part & mask)) * 0xBF58476D1CE4E5B9 & mask
-        state = (state ^ (state >> 27)) * 0x94D049BB133111EB & mask
-        state = state ^ (state >> 31)
-    return state
 
 
 @dataclass(frozen=True)

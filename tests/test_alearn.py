@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bnpolicy import (FeatureMap, InterferenceMap, InterventionTable,
-                      OutcomeModelSpec, OutcomeTable, SingularSystemError,
-                      exposure_map, expected_exposure, fit_a, fit_q)
+                      OutcomeModelSpec, OutcomeTable, SimConfig, SingularSystemError,
+                      exposure_map, exposure_row_mass, expected_exposure, fit_a, fit_q,
+                      generate_dgp, splitmix64)
 from bnpolicy.alearn import a_covariance, a_equations, a_system, gamma_sensitivity
 from bnpolicy.propensity import logistic
 
@@ -199,3 +200,102 @@ def test_double_robustness_reduced_check():
     mean_err = errs.mean(axis=0)
     mc_se = errs.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(mean_err) <= 3.5 * mc_se)
+
+
+def _block_formula_fit(out, intv, h, spec, e, bprop, cov_gamma):
+    """(theta, cov) from the stacked blocks: LU solve, LU inverse, explicit scores."""
+    n = out.n
+    f0 = spec.basis_f0.expand(out.x)
+    fa = spec.basis_fa.expand(out.x)
+    c = exposure_row_mass(h)
+    lam = c[:, None] * fa
+    abar = exposure_map(h, intv.a)
+    delta = abar - expected_exposure(h, e)
+    w = c * delta
+    ta = abar[:, None] * fa
+    wfa = w[:, None] * fa
+    m = np.block([[f0.T @ f0, f0.T @ ta], [wfa.T @ f0, wfa.T @ ta]]) / n
+    theta = np.linalg.solve(m, np.concatenate([f0.T @ out.y, wfa.T @ out.y]) / n)
+    da = f0.shape[1]
+    resid = out.y - f0 @ theta[:da] - abar * (fa @ theta[da:])
+    phi = np.hstack([f0 * resid[:, None], lam * (resid * delta)[:, None]])
+    m_inv = np.linalg.inv(m)
+    omega_phi = m_inv @ (phi.T @ phi / n) @ m_inv.T
+    g = (h.h * (e * (1.0 - e))[None, :]) @ bprop / h.j
+    sigma_gamma = np.vstack([np.zeros((da, g.shape[1])), -(lam * resid[:, None]).T @ g / n])
+    core = m_inv @ sigma_gamma
+    cov = (omega_phi + core @ cov_gamma @ core.T * n / h.j) / n
+    return theta, 0.5 * (cov + cov.T)
+
+
+def _lab_replication(rng):
+    # default lab design: the effect columns of M are ~30x smaller than the
+    # baseline ones, the scaling under which an unrefined SVD inverse loses
+    # three digits
+    config = SimConfig()
+    out, intv, h, _ = generate_dgp(config, splitmix64(config.master_seed, 0))
+    return (out, intv, h, OutcomeModelSpec(FeatureMap("linear"), FeatureMap("quadratic")),
+            FeatureMap("quadratic"))
+
+
+def _fixture(rng):
+    out, intv, h, *_ = _make_data(rng, noise=0.3)
+    return (out, intv, h, OutcomeModelSpec(FeatureMap("quadratic"), FeatureMap("linear")),
+            FeatureMap("linear"))
+
+
+@pytest.mark.parametrize("make", [_fixture, _lab_replication])
+def test_fit_matches_the_stacked_block_formula(rng, make):
+    out, intv, h, spec, prop_basis = make(rng)
+    fit = fit_a(out, intv, h, spec, prop_basis=prop_basis)
+    theta, cov = _block_formula_fit(out, intv, h, spec, fit.gamma_fit.fitted,
+                                    prop_basis.expand(intv.x), fit.gamma_fit.cov_gamma)
+    assert np.max(np.abs(fit.theta - theta)) <= 1e-13 * np.max(np.abs(theta))
+    assert np.max(np.abs(fit.cov_alphabeta - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+def test_public_wrappers_reproduce_the_fit(rng):
+    out, intv, h, *_ = _make_data(rng, noise=0.3)
+    prop_basis = FeatureMap("linear")
+    fit = fit_a(out, intv, h, LIN, prop_basis=prop_basis)
+    e = fit.gamma_fit.fitted
+    abar, abar_hat = exposure_map(h, intv.a), expected_exposure(h, e)
+    m, _ = a_system(out, h, abar, abar_hat, LIN)
+    cov, omega_phi, omega_gamma, _ = a_covariance(
+        out, h, abar, abar_hat, LIN, fit.alpha, fit.beta, m, e=e,
+        prop_basis_matrix=prop_basis.expand(intv.x), cov_gamma=fit.gamma_fit.cov_gamma)
+    assert np.array_equal(cov, fit.cov_alphabeta)
+    assert np.array_equal(omega_phi, fit.omega_phi)
+    assert np.array_equal(omega_gamma, fit.omega_gamma)
+
+
+@pytest.mark.parametrize("known_propensities", [True, False])
+def test_one_fit_expands_each_basis_once_and_factors_once(rng, monkeypatch,
+                                                          known_propensities):
+    out, intv, h, *_ = _make_data(rng, noise=0.3)
+    spec = OutcomeModelSpec(basis_f0=FeatureMap("quadratic"), basis_fa=FeatureMap("linear"))
+    k = spec.basis_f0.dim(out.p) + spec.basis_fa.dim(out.p)
+    expanded, factored = [], []
+    expand = FeatureMap.expand
+
+    def counted_expand(self, x):
+        expanded.append(self)
+        return expand(self, x)
+
+    def counting(name, fn):
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == (k, k):  # the propensity Hessian has another shape
+                factored.append(name)
+            return fn(a, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(FeatureMap, "expand", counted_expand)
+    for name in ("svd", "solve", "inv", "cond"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    if known_propensities:
+        fit_a(out, intv, h, spec, propensities=np.full(intv.j, 0.4))
+    else:
+        fit_a(out, intv, h, spec, prop_basis=FeatureMap("linear"))
+    assert sum(b is spec.basis_f0 for b in expanded) == 1
+    assert sum(b is spec.basis_fa for b in expanded) == 1
+    assert factored == ["svd"]

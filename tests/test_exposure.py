@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnpolicy import (DataValidationError, InterferenceMap, expected_exposure,
                       exposure_map, exposure_row_mass)
@@ -53,6 +55,21 @@ def test_exposure_linearity(rng):
         lhs = exposure_map(h, a1 + a2)
         rhs = exposure_map(h, a1) + exposure_map(h, a2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda j: st.tuples(
+    st.lists(st.lists(st.floats(0.0, 10.0), min_size=j, max_size=j), min_size=1, max_size=5),
+    st.lists(st.floats(0.0, 1.0), min_size=j, max_size=j),
+    st.lists(st.floats(0.0, 1.0), min_size=j, max_size=j),
+    st.floats(0.0, 1.0))))
+def test_exposure_map_is_linear_over_convex_combinations(instance):
+    rows, a1, a2, t = instance
+    h = InterferenceMap(np.array(rows))
+    a1, a2 = np.array(a1), np.array(a2)
+    mixed = exposure_map(h, t * a1 + (1.0 - t) * a2)
+    combined = t * exposure_map(h, a1) + (1.0 - t) * exposure_map(h, a2)
+    assert np.max(np.abs(mixed - combined)) <= 1e-13 * max(1.0, float(h.h.max()))
 
 
 def test_exposure_monotonicity(rng):

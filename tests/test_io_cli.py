@@ -201,6 +201,20 @@ def test_cli_simulate_rejects_a_bad_threads_variable(tmp_path, capsys, monkeypat
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_simulate_rejects_a_thread_count_below_one(tmp_path, capsys, value):
+    config = {"n": 300, "j": 30, "p": 2, "q": 2, "reps": 1, "master_seed": 5}
+    cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--threads", value,
+                 "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--threads" in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     import bnpolicy
     src = os.path.dirname(os.path.dirname(bnpolicy.__file__))
@@ -290,6 +304,11 @@ def _triplets_with_a_repeat(lines):
     return ["i,j,value", *cells, cells[5]]
 
 
+def _cost_column_last(lines):
+    return [",".join([*cells[:2], *cells[3:], cells[2]])
+            for cells in (line.split(",") for line in lines)]
+
+
 # file of the fixture bundle -> edit of its lines that makes it malformed
 MALFORMED = {
     "non_numeric_cell": ("outcomes", _replace(3, "o2,1.0,abc,0.5")),
@@ -298,6 +317,8 @@ MALFORMED = {
     "duplicate_triplet": ("h", _triplets_with_a_repeat),
     "duplicate_unit_id": ("interventions", _replace(2, "p0,0,1.0,0.5")),
     "header_only": ("outcomes", lambda lines: lines[:1]),
+    "cost_column_not_third": ("interventions", _cost_column_last),
+    "person_years_column_not_third": ("outcomes", _replace(0, "id,y,x1,person_years")),
 }
 
 

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap,
                       OutcomeTable, budget_sweep, knapsack_policy, policy_value,
@@ -146,6 +149,32 @@ def test_cost_scaling_leaves_allocation_unchanged(rng):
         whole = (base.pi == 0.0) | (base.pi == 1.0)
         assert np.array_equal(base.pi[whole], scaled.pi[whole])
         assert np.allclose(base.pi[~whole], scaled.pi[~whole], rtol=1e-12, atol=0)
+
+
+def _knapsack_instances():
+    # effects and costs on a 1e-3 grid keep every objective coefficient and
+    # reduced cost above the LP solver's feasibility tolerances
+    te = st.integers(-5000, 2000).map(lambda k: k / 1000)
+    cost = st.integers(100, 3000).map(lambda k: k / 1000)
+    return st.integers(1, 12).flatmap(lambda j: st.tuples(
+        st.lists(te, min_size=j, max_size=j), st.lists(cost, min_size=j, max_size=j),
+        st.floats(0.0, 1.2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_knapsack_instances())
+def test_knapsack_attains_the_lp_optimum(instance):
+    te, cost, frac = (np.asarray(v, dtype=float) for v in instance)
+    budget = float(frac * cost.sum())
+    lp = linprog(te, A_ub=cost[None, :], b_ub=[budget], bounds=(0.0, 1.0), method="highs",
+                 options={"primal_feasibility_tolerance": 1e-10,
+                          "dual_feasibility_tolerance": 1e-10})
+    assert lp.status == 0
+    tol = 1e-9 * abs(lp.fun) + 1e-12
+    sol = knapsack_policy(te, cost, budget, te.shape[0])
+    assert abs(float(te @ sol.pi) - lp.fun) <= tol
+    cut = truncate_fractional(sol, te, cost, te.shape[0])
+    assert float(te @ cut.pi) >= lp.fun - tol
 
 
 def test_truncate_fractional():

@@ -15,6 +15,9 @@ def test_splitmix64_is_stable_and_sensitive():
     assert splitmix64(1, 2) != splitmix64(2, 1)
     assert splitmix64(0) != splitmix64(1)
     assert 0 <= splitmix64(123, 456) < 2**64
+    # pinned: every derived seed in the lab and the cost forest follows from these
+    assert splitmix64(20_240_817, 0) == 3215803732614143389
+    assert splitmix64(1, 2**70, -3) == 6059571170229495314
 
 
 def test_generate_dgp_deterministic():
