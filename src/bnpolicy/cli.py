@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import io as bio
+from ._blas import one_blas_thread
 from .alearn import fit_a
 from .data import FeatureMap, validate_bundle
 from .effects import effect_table
@@ -304,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except (RankDeficiencyError, SingularSystemError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -25,12 +25,15 @@ failures, excluded from the means, and counted in the report.
 """
 from __future__ import annotations
 
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
+from ._blas import one_blas_thread, pin_one_thread
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, fit_standardizer
 from .effects import total_effects
 from .errors import BnpolicyError, DataValidationError, EstimationError
@@ -354,17 +357,26 @@ def run_monte_carlo(config: SimConfig, n_workers: int = 1) -> SimReport:
     """Run the full study; deterministic for a given (config, master_seed).
 
     Replications are independent with per-rep seeds derived from the
-    master seed, and results are aggregated in replication order, so the
-    report is bitwise identical for any worker count.
+    master seed, and results are aggregated in replication order; BLAS
+    runs on one thread in this process and in every worker.  So the report
+    is bitwise identical for any worker count and any BLAS thread count.
+    The pool has at most one worker per replication and per CPU.
     """
+    if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
+        raise DataValidationError(
+            f"n_workers must be a positive integer, got {n_workers!r}")
     alpha0, beta0, gamma_slopes = resolve_truth_coefficients(config)
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = dict(pool.map(_worker, ((config, r) for r in range(config.reps)),
-                                    chunksize=max(1, config.reps // (4 * n_workers))))
-        per_rep = [results[r] for r in range(config.reps)]
-    else:
-        per_rep = [run_replication(config, r) for r in range(config.reps)]
+    n_workers = min(n_workers, config.reps, os.cpu_count() or 1)
+    with one_blas_thread():
+        if n_workers > 1:
+            with ProcessPoolExecutor(max_workers=n_workers,
+                                     initializer=pin_one_thread) as pool:
+                results = dict(pool.map(
+                    _worker, ((config, r) for r in range(config.reps)),
+                    chunksize=max(1, config.reps // (4 * n_workers))))
+            per_rep = [results[r] for r in range(config.reps)]
+        else:
+            per_rep = [run_replication(config, r) for r in range(config.reps)]
 
     cells = {}
     for name in CELLS:

@@ -1,0 +1,202 @@
+"""BLAS thread pinning, the study's worker count, and reports that do not
+depend on either."""
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+import pytest
+
+import bnpolicy
+from bnpolicy import DataValidationError, SimConfig, _blas, run_monte_carlo, simlab
+from bnpolicy._blas import one_blas_thread, pin_one_thread
+from bnpolicy.cli import main
+from bnpolicy.io import sim_report_to_dict
+
+SMALL = SimConfig(n=300, j=30, p=2, q=2, reps=4, master_seed=5)
+
+
+def _counts():
+    return [get() for _, get, _ in _blas._openblas()]
+
+
+@pytest.fixture
+def libs():
+    """The bundled OpenBLAS libraries, each set to 2 threads for the test."""
+    found = _blas._openblas()
+    if not found:
+        pytest.skip("no bundled OpenBLAS found")
+    before = [get() for _, get, _ in found]
+    for _, _, put in found:
+        put(2)
+    yield [path for path, _, _ in found]
+    for (_, _, put), count in zip(found, before):
+        put(count)
+
+
+def test_pins_every_library_to_one_thread_and_restores(libs):
+    with one_blas_thread() as pinned:
+        assert pinned == [(path, 2) for path in libs]
+        assert _counts() == [1] * len(libs)
+    assert _counts() == [2] * len(libs)
+
+
+def test_restores_the_caller_count_after_an_exception(libs):
+    with pytest.raises(ZeroDivisionError):
+        with one_blas_thread():
+            assert _counts() == [1] * len(libs)
+            1 / 0
+    assert _counts() == [2] * len(libs)
+
+
+def test_nested_use_restores_each_level(libs, tmp_path):
+    with one_blas_thread():
+        with one_blas_thread() as inner:
+            assert inner == [(path, 1) for path in libs]
+        assert _counts() == [1] * len(libs)
+    assert _counts() == [2] * len(libs)
+    # simulate nests run_monte_carlo's pin inside cli.main's
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 300, "j": 30, "p": 2, "q": 2, "reps": 1}))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert _counts() == [2] * len(libs)
+
+
+def test_does_nothing_when_no_openblas_is_found(libs, monkeypatch, tmp_path):
+    monkeypatch.setattr(_blas, "_library_dirs", lambda: [str(tmp_path)])
+    with one_blas_thread() as pinned:
+        assert pinned == []
+        pin_one_thread()
+        monkeypatch.undo()
+        assert _counts() == [2] * len(libs)
+
+
+def _worker_counts():
+    return _counts()
+
+
+def test_spawned_pool_workers_run_one_blas_thread(libs, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn,
+                             initializer=pin_one_thread) as pool:
+        assert pool.submit(_worker_counts).result(timeout=120) == [1] * len(libs)
+    if (os.cpu_count() or 1) > 1:
+        # without the initializer a spawned worker starts on its own count
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            assert pool.submit(_worker_counts).result(timeout=120) == [2] * len(libs)
+
+
+@pytest.mark.parametrize("n_workers", [0, -1, 2.5])
+def test_run_monte_carlo_rejects_a_worker_count_below_one(n_workers):
+    with pytest.raises(DataValidationError,
+                       match=f"n_workers must be a positive integer, got {n_workers!r}"):
+        run_monte_carlo(SMALL, n_workers=n_workers)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments, starts nothing."""
+    made = []
+
+    def __init__(self, max_workers, initializer):
+        self.made.append({"max_workers": max_workers, "initializer": initializer})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("n_workers, cpus, expected", [
+    (5000, 8, 4),     # capped by the 4 replications
+    (5000, 3, 3),     # capped by the CPU count
+    (2, 8, 2),
+    (5000, None, None),  # unknown CPU count: serial
+    (1, 8, None),
+])
+def test_the_pool_has_at_most_one_worker_per_rep_and_per_cpu(monkeypatch, n_workers,
+                                                             cpus, expected):
+    _RecordingPool.made = []
+    monkeypatch.setattr(simlab, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(simlab.os, "cpu_count", lambda: cpus)
+    report = run_monte_carlo(SMALL, n_workers=n_workers)
+    if expected is None:
+        assert _RecordingPool.made == []
+    else:
+        assert _RecordingPool.made == [{"max_workers": expected,
+                                        "initializer": pin_one_thread}]
+    monkeypatch.undo()
+    assert sim_report_to_dict(report) == sim_report_to_dict(run_monte_carlo(SMALL))
+
+
+def _write_bundle(root, n, j, deg, seed=3):
+    """Outcome (with person-years), plant and triplet CSVs; quadratic truth."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    z = rng.standard_normal((j, 3))
+    a = (rng.random(j) < 1.0 / (1.0 + np.exp(1.5 - z[:, 0]))).astype(float)
+    cost = np.exp(0.5 + 0.4 * z[:, 1] + 0.2 * rng.standard_normal(j))
+    cols = (rng.integers(0, j, n)[:, None] + (j // deg) * np.arange(deg)) % j
+    vals = (j / deg) * rng.lognormal(-0.28, 0.75, (n, deg))
+    abar = (vals * a[cols]).sum(axis=1) / j
+    quad = np.hstack([np.ones((n, 1)), x, x**2])
+    alpha = np.array([0.3, 0.1, -0.05, 0.08, 0.02, -0.03, 0.01])
+    beta = np.array([-0.01, 0.0025, -0.00125, 0.00125, 0.0005, 0.00025, -0.0005])
+    y = quad @ alpha + abar * (quad @ beta) + 0.1 * rng.standard_normal(n)
+    years = rng.uniform(500.0, 20000.0, n)
+    out = ["id,y,person_years,x1,x2,x3"]
+    out += [f"o{i}," + ",".join(map(repr, [yi, pi, *xi]))
+            for i, (yi, pi, xi) in enumerate(zip(y.tolist(), years.tolist(), x.tolist()))]
+    plants = ["id,a,cost,z1,z2,z3"]
+    plants += [f"p{k},{ak:.0f}," + ",".join(map(repr, [ck, *zk]))
+               for k, (ak, ck, zk) in enumerate(zip(a, cost.tolist(), z.tolist()))]
+    triplets = ["i,j,value"]
+    triplets += [f"{i},{c},{v!r}" for i, (cr, vr) in enumerate(zip(cols.tolist(), vals.tolist()))
+                 for c, v in zip(cr, vr)]
+    paths = {}
+    for name, lines in (("outcomes", out), ("interventions", plants), ("h", triplets)):
+        paths[name] = root / f"{name}.csv"
+        paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+def test_reports_are_identical_for_any_worker_and_blas_thread_count(tmp_path):
+    # n=12000 is large enough that OpenBLAS splits the fits' products across
+    # threads, so without the pin effects.csv and policy.json differ between
+    # one and two BLAS threads on a 2-core host; a small bundle would not.
+    paths = _write_bundle(tmp_path, n=12000, j=100, deg=6)
+    bundle = ["--outcomes", str(paths["outcomes"]),
+              "--interventions", str(paths["interventions"]), "--h", str(paths["h"]),
+              "--estimator", "a", "--f0-basis", "quadratic", "--fa-basis", "quadratic"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 600, "j": 40, "p": 2, "q": 2, "reps": 4,
+                               "master_seed": 5}))
+    src = os.path.dirname(os.path.dirname(bnpolicy.__file__))
+    base = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    runs = {}
+    for threads in ("1", "2"):
+        for blas in ("1", None):
+            env = dict(base, PYTHONPATH=src)
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            out_dir = tmp_path / f"w{threads}_b{blas}"
+            for argv in (["effects", *bundle],
+                         ["policy", *bundle, "--budget-frac", "0.3"],
+                         ["simulate", "--config", str(cfg), "--threads", threads]):
+                subprocess.run([sys.executable, "-m", "bnpolicy.cli", *argv,
+                                "--out-dir", str(out_dir)],
+                               env=env, check=True, capture_output=True, timeout=300)
+            runs[out_dir.name] = {f: (out_dir / f).read_bytes()
+                                  for f in sorted(os.listdir(out_dir))}
+    first, *rest = runs.values()
+    assert sorted(first) == ["effects.csv", "policy.json", "sim_report.json",
+                             "sim_report.txt"]
+    for other in rest:
+        assert other == first
