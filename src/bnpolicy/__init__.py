@@ -13,7 +13,7 @@ from .policy import (PolicySolution, budget_sweep, knapsack_policy, policy_value
 from .propensity import (PropensityFit, TrimReport, apply_trim,
                          calibrate_propensity_intercept, fit_propensity,
                          trim_by_propensity)
-from .qlearn import OutcomeModelSpec, QFit, fit_q, q_predict
+from .qlearn import OutcomeModelSpec, QFit, fit_q
 from .costimpute import (CostModelFit, RegressionForest, RegressionTree, SplitSpec,
                          fit_cost_models, nmae, predict_costs, split_train_val)
 from .seeding import splitmix64

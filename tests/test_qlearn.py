@@ -3,7 +3,7 @@ import pytest
 
 from bnpolicy import (EstimationError, FeatureMap, InterferenceMap, InterventionTable,
                       OutcomeModelSpec, OutcomeTable, RankDeficiencyError, exposure_map,
-                      fit_a, fit_q, q_predict)
+                      fit_a, fit_q)
 from bnpolicy.qlearn import q_design, q_score_norm
 
 LIN = OutcomeModelSpec(basis_f0=FeatureMap("linear"), basis_fa=FeatureMap("linear"))
@@ -73,15 +73,18 @@ def test_predict_decomposition_and_linearity(rng):
     y_noisy = out.y + 0.1 * rng.standard_normal(80)
     out2 = OutcomeTable(x=out.x, y=y_noisy)
     fit = fit_q(out2, abar, LIN)
+
+    def predict(exposure):
+        return q_design(out2, exposure, LIN) @ fit.theta
+
     # predictions + residuals reproduce y exactly
-    pred = q_predict(fit, out2, abar)
-    assert np.max(np.abs(pred + fit.residuals - y_noisy)) <= 1e-10
+    assert np.max(np.abs(predict(abar) + fit.residuals - y_noisy)) <= 1e-10
     # zero exposure gives the baseline
-    base = q_predict(fit, out2, np.zeros(80))
+    base = predict(np.zeros(80))
     assert np.allclose(base, LIN.basis_f0.expand(out2.x) @ fit.alpha)
     # doubling exposure doubles the treatment contribution
-    one = q_predict(fit, out2, abar) - base
-    two = q_predict(fit, out2, 2 * abar) - base
+    one = predict(abar) - base
+    two = predict(2 * abar) - base
     assert np.max(np.abs(two - 2 * one)) <= 1e-10
 
 
