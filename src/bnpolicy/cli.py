@@ -44,13 +44,19 @@ def _load_sim_config(path) -> SimConfig:
             raise DataValidationError(
                 f"config parse error at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise DataValidationError(f"config must be a JSON object, got {type(doc).__name__}")
     known = {f.name for f in dataclass_fields(SimConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:
         raise DataValidationError(f"unknown config keys: {', '.join(unknown)}")
-    for key in ("theta0", "gamma0"):
-        if key in doc and doc[key] is not None:
-            doc[key] = np.asarray(doc[key], dtype=float)
+    for key in ("theta0", "gamma0", "x_out", "x_int", "h_matrix"):
+        if doc.get(key) is not None:
+            try:
+                doc[key] = np.asarray(doc[key], dtype=float)
+            except (ValueError, TypeError):
+                raise DataValidationError(
+                    f"config key {key!r} must be a numeric array") from None
     try:
         return SimConfig(**doc)
     except TypeError as exc:

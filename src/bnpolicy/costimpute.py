@@ -12,6 +12,7 @@ importance (summed SSE reduction per feature, averaged over trees).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise DataValidationError("train_fraction must lie in (0, 1)")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise DataValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def split_train_val(n_labeled: int, spec: SplitSpec):
@@ -55,50 +59,41 @@ def nmae(actual, predicted) -> float:
     return float(np.mean(np.abs(actual - predicted) / np.abs(predicted)))
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value=None, feature=None, threshold=None, left=None, right=None):
-        self.value = value
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-
 def _best_split(x, y, features, min_leaf):
-    """(feature, threshold, sse_reduction) of the best variance-reducing split."""
+    """(feature, threshold, sse_reduction) of the best variance-reducing split.
+
+    A cut after sorted row k leaves k + 1 rows on the left, so only the cuts
+    k in [min_leaf - 1, n - min_leaf) are scored, and none between equal values.
+    """
     n = y.shape[0]
     parent_sse = float(np.sum((y - y.mean()) ** 2))
+    lo, hi = min_leaf - 1, n - min_leaf
+    sizes = np.arange(min_leaf, hi + 1)  # left rows of each scored cut
     best = None
     for f in features:
         order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys**2)
-        total, total_sq = csum[-1], csq[-1]
-        sizes = np.arange(1, n)
-        left_sse = csq[:-1] - csum[:-1] ** 2 / sizes
-        right_n = n - sizes
-        right_sum = total - csum[:-1]
-        right_sse = (total_sq - csq[:-1]) - right_sum**2 / right_n
-        valid = (sizes >= min_leaf) & (right_n >= min_leaf) & (xs[:-1] < xs[1:])
-        if not np.any(valid):
-            continue
-        red = parent_sse - (left_sse + right_sse)
-        red[~valid] = -np.inf
+        xs, ys = x[order, f], y[order]
+        csum, csq = np.cumsum(ys), np.cumsum(ys**2)
+        left_sum, left_sq = csum[lo:hi], csq[lo:hi]
+        left_sse = left_sq - left_sum**2 / sizes
+        right_sse = (csq[-1] - left_sq) - (csum[-1] - left_sum)**2 / (n - sizes)
+        red = np.where(xs[lo:hi] < xs[lo + 1:hi + 1],
+                       parent_sse - (left_sse + right_sse), -np.inf)
         k = int(np.argmax(red))
         if red[k] <= 1e-12:
             continue
-        threshold = 0.5 * (xs[k] + xs[k + 1])
         if best is None or red[k] > best[2]:
-            best = (f, float(threshold), float(red[k]))
+            best = (f, float(0.5 * (xs[lo + k] + xs[lo + k + 1])), float(red[k]))
     return best
 
 
 class RegressionTree:
-    """Variance-reduction CART for regression, no depth cap."""
+    """Variance-reduction CART for regression, no depth cap.
+
+    A leaf is its mean and a split is (feature, threshold, left, right), rows
+    with x[feature] <= threshold going left.  Nodes grow depth first, and each
+    split draws its candidate features from the tree's one generator.
+    """
 
     def __init__(self, min_leaf=5, max_features=None, seed=0):
         self.min_leaf = min_leaf
@@ -117,40 +112,33 @@ class RegressionTree:
 
     def _grow(self, x, y, rng):
         n, q = x.shape
-        if n < 2 * self.min_leaf or np.all(y == y[0]):
-            return _Node(value=float(y.mean()))
-        k = self.max_features or q
-        features = rng.choice(q, size=min(k, q), replace=False)
-        best = _best_split(x, y, features, self.min_leaf)
-        if best is None:
-            return _Node(value=float(y.mean()))
-        f, thr, red = best
-        self.importance_[f] += red
-        mask = x[:, f] <= thr
-        return _Node(feature=f, threshold=thr,
-                     left=self._grow(x[mask], y[mask], rng),
-                     right=self._grow(x[~mask], y[~mask], rng))
+        if n >= 2 * self.min_leaf and not np.all(y == y[0]):
+            features = rng.choice(q, size=min(self.max_features or q, q), replace=False)
+            best = _best_split(x, y, features, self.min_leaf)
+            if best is not None:
+                f, thr, red = best
+                self.importance_[f] += red
+                mask = x[:, f] <= thr
+                return (f, thr, self._grow(x[mask], y[mask], rng),
+                        self._grow(x[~mask], y[~mask], rng))
+        return float(y.mean())
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape[0])
         for i, row in enumerate(x):
             node = self.root
-            while node.value is None:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
+            while type(node) is tuple:
+                node = node[2] if row[node[0]] <= node[1] else node[3]
+            out[i] = node
         return out
 
 
 class RegressionForest:
-    """Bagged regression trees with per-tree derived seeds."""
+    """Bagged trees, each on a bootstrap sample with max(1, ceil(q / 3)) features per split."""
 
-    def __init__(self, n_trees=500, min_leaf=5, max_features=None, bootstrap=True,
-                 seed=0):
+    def __init__(self, n_trees=500, seed=0):
         self.n_trees = n_trees
-        self.min_leaf = min_leaf
-        self.max_features = max_features
-        self.bootstrap = bootstrap
         self.seed = seed
         self.trees: list[RegressionTree] = []
         self.importance_ = None
@@ -159,19 +147,14 @@ class RegressionForest:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         n, q = x.shape
-        max_features = self.max_features or max(1, math.ceil(q / 3))
+        max_features = max(1, math.ceil(q / 3))
         self.trees = []
         self.importance_ = np.zeros(q)
         for t in range(self.n_trees):
             tree_seed = splitmix64(self.seed, t)
-            if self.bootstrap:
-                idx = np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
-            else:
-                idx = np.arange(n)
-            tree = RegressionTree(min_leaf=self.min_leaf, max_features=max_features,
-                                  seed=tree_seed)
-            tree.fit(x[idx], y[idx])
-            self.trees.append(tree)
+            idx = np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
+            tree = RegressionTree(max_features=max_features, seed=tree_seed)
+            self.trees.append(tree.fit(x[idx], y[idx]))
             self.importance_ += tree.importance_
         self.importance_ /= self.n_trees
         return self
@@ -213,7 +196,7 @@ class CostModelFit:
     importance: np.ndarray | None
 
 
-def fit_cost_models(x, c, spec: SplitSpec, n_trees=500, min_leaf=5):
+def fit_cost_models(x, c, spec: SplitSpec, n_trees=500):
     """Train candidates, pick the lower validation NMAE, refit on all rows.
 
     Returns (selected CostModelFit, leaderboard), where the leaderboard is
@@ -227,8 +210,7 @@ def fit_cost_models(x, c, spec: SplitSpec, n_trees=500, min_leaf=5):
 
     candidates = {
         "linear": lambda: LinearModel(),
-        "forest": lambda: RegressionForest(n_trees=n_trees, min_leaf=min_leaf,
-                                           seed=splitmix64(spec.seed, 0xF0)),
+        "forest": lambda: RegressionForest(n_trees=n_trees, seed=splitmix64(spec.seed, 0xF0)),
     }
     scores = {}
     for kind, make in candidates.items():

@@ -37,6 +37,16 @@ def _write(path, lines) -> str:
     return text
 
 
+def _cost_cell(text):
+    """A cost cell: NaN when blank (to be imputed), else a finite number >= 0."""
+    if not text.strip():
+        return np.nan
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise DataValidationError(f"cost must be a finite number >= 0, got {text.strip()!r}")
+    return value
+
+
 def _load(path, row_dtype):
     """Header and rows of a CSV file without blank or '#' lines, by numpy's C reader.
 
@@ -53,14 +63,15 @@ def _load(path, row_dtype):
         head = first if dtype is None else next(lines, "")
         if not head:
             raise DataValidationError(f"{path}: no data rows")
-        blank_as_nan = {k: lambda s: float(s) if s.strip() else np.nan
-                        for k, name in enumerate(header) if name == "cost"}
+        cost_cells = {k: _cost_cell for k, name in enumerate(header) if name == "cost"}
         try:
             data = np.loadtxt(itertools.chain([head], lines), delimiter=",", comments=None,
                               dtype=float if dtype is None else dtype,
-                              converters=blank_as_nan or None, ndmin=2 if dtype is None else 1)
+                              converters=cost_cells or None, ndmin=2 if dtype is None else 1)
         except ValueError as exc:
-            reason = str(exc).split(" at row ")[0]
+            cause = exc.__cause__  # numpy wraps what a converter raises
+            reason = (str(cause) if isinstance(cause, DataValidationError)
+                      else str(exc).split(" at row ")[0])
             raise DataValidationError(f"{path}, line {where[0]}: {reason}") from exc
     return header, data
 
@@ -100,7 +111,8 @@ def read_intervention_csv(path):
     """Intervention units: header id,a[,cost],z1..zq.
 
     Blank cost cells read as NaN, to be imputed: the table then has
-    cost=None and the raw column is handed back separately.
+    cost=None and the raw column is handed back separately.  A cost cell
+    that is not blank must be a finite number >= 0.
     """
     ids, a, raw_cost, x = _read_units(path, "a", "cost")
     cost = raw_cost if raw_cost is not None and not np.any(np.isnan(raw_cost)) else None

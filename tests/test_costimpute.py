@@ -4,6 +4,7 @@ import pytest
 from bnpolicy import (DataValidationError, RegressionForest, RegressionTree,
                       SplitSpec, fit_cost_models, nmae, predict_costs,
                       split_train_val)
+from bnpolicy.costimpute import _best_split
 
 
 def test_split_135_rows_gives_108_27():
@@ -75,9 +76,8 @@ def test_unused_feature_has_zero_importance(rng):
 def test_memorizing_tree_reproduces_training_targets(rng):
     x = rng.standard_normal((30, 2))
     y = rng.uniform(0, 10, 30)
-    forest = RegressionForest(n_trees=1, min_leaf=1, bootstrap=False,
-                              max_features=None, seed=5).fit(x, y)
-    assert np.max(np.abs(forest.predict(x) - y)) <= 1e-12
+    tree = RegressionTree(min_leaf=1, seed=5).fit(x, y)
+    assert np.max(np.abs(tree.predict(x) - y)) <= 1e-12
 
 
 def test_forest_deterministic_and_averages_trees(rng):
@@ -107,3 +107,69 @@ def test_predictions_clipped_at_zero(rng):
     pred, n_clipped = predict_costs(fit, np.array([[-50.0]]))
     assert pred[0] == 0.0
     assert n_clipped == 1
+
+
+def _masked_best_split(x, y, features, min_leaf):
+    """Reference split search: every cut scored, the invalid ones masked to -inf."""
+    n = y.shape[0]
+    parent_sse = float(np.sum((y - y.mean()) ** 2))
+    best = None
+    for f in features:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys**2)
+        total, total_sq = csum[-1], csq[-1]
+        sizes = np.arange(1, n)
+        left_sse = csq[:-1] - csum[:-1] ** 2 / sizes
+        right_n = n - sizes
+        right_sum = total - csum[:-1]
+        right_sse = (total_sq - csq[:-1]) - right_sum**2 / right_n
+        valid = (sizes >= min_leaf) & (right_n >= min_leaf) & (xs[:-1] < xs[1:])
+        if not np.any(valid):
+            continue
+        red = parent_sse - (left_sse + right_sse)
+        red[~valid] = -np.inf
+        k = int(np.argmax(red))
+        if red[k] <= 1e-12:
+            continue
+        threshold = 0.5 * (xs[k] + xs[k + 1])
+        if best is None or red[k] > best[2]:
+            best = (f, float(threshold), float(red[k]))
+    return best
+
+
+def _bits(split):
+    return None if split is None else (int(split[0]), split[1].hex(), split[2].hex())
+
+
+def test_window_split_search_matches_the_masked_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    found = {"split": 0, "none": 0}
+    for _ in range(600):
+        min_leaf = int(rng.integers(1, 7))
+        n = int(rng.integers(2 * min_leaf, 61))
+        q = int(rng.integers(1, 4))
+        x = np.round(rng.standard_normal((n, q)), int(rng.integers(-1, 3)))  # many ties
+        y = np.round(rng.standard_normal(n), int(rng.integers(0, 4)))
+        features = rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False)
+        expected = _bits(_masked_best_split(x, y, features, min_leaf))
+        assert _bits(_best_split(x, y, features, min_leaf)) == expected
+        found["none" if expected is None else "split"] += 1
+    assert min(found.values()) > 100
+
+
+def test_forest_reproduces_its_recorded_bits():
+    rng = np.random.default_rng(2024)
+    x = rng.standard_normal((60, 3))
+    x[:, 1] = np.round(x[:, 1], 1)
+    y = x[:, 0] ** 2 + x[:, 1] + rng.standard_normal(60) * 0.1
+    grid = rng.standard_normal((8, 3))
+    forest = RegressionForest(n_trees=20, seed=11).fit(x, y)
+    assert [v.hex() for v in forest.predict(grid).tolist()] == [
+        "-0x1.8d6c0e7eb992ep-1", "0x1.49fcf5eae6486p+1", "0x1.91ff80e4ec644p-1",
+        "0x1.87c4260df51a8p-1", "0x1.2be666262c1dcp-3", "0x1.2dd246bde0a95p+1",
+        "-0x1.c1b4e58ac16fdp-1", "0x1.bed3cf8648e20p-1"]
+    assert [v.hex() for v in forest.importance_.tolist()] == [
+        "0x1.3c5e983a70ecap+5", "0x1.3bb3b4de734eep+6", "0x1.04e1d76629ce0p+4"]

@@ -417,3 +417,68 @@ def test_cli_trim_writes_the_kept_units_ids(tmp_path):
                  "--out-dir", str(tmp_path / "pol")]) == 0
     doc = json.loads((tmp_path / "pol" / "policy.json").read_text())
     assert sorted(doc["allocation"]) == sorted(expected)
+
+
+def _plants_missing_costs(tmp_path, p1_cost):
+    """Plant table of 20 units, every fourth cost blank and unit p1's cost cell ``p1_cost``."""
+    z = np.random.default_rng(7).standard_normal((20, 2))
+    lines = ["id,a,cost,z1,z2"]
+    for k in range(20):
+        cost = "" if k % 4 == 0 else p1_cost if k == 1 else repr(float(5.0 + z[k, 0]))
+        lines.append(f"p{k},{k % 2},{cost},{float(z[k, 0])!r},{float(z[k, 1])!r}")
+    return _write(tmp_path / "plants.csv", "\n".join(lines) + "\n")
+
+
+# impute-costs input the exit-code contract rejects: p1's cost cell, extra
+# arguments, text the message must contain
+BAD_IMPUTE = {
+    "negative_cost": ("-5.0", [], "'-5.0'"),
+    "infinite_cost": ("inf", [], "'inf'"),
+    "nan_cost": ("nan", [], "'nan'"),
+    "negative_seed": ("4.5", ["--seed", "-1"], "seed must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_IMPUTE)
+def test_cli_impute_costs_rejects_bad_costs_and_seeds(tmp_path, capsys, case):
+    p1_cost, extra, expected = BAD_IMPUTE[case]
+    path = _plants_missing_costs(tmp_path, p1_cost)
+    out_dir = tmp_path / "out"
+    code = main(["impute-costs", "--interventions", path, *extra, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and expected in err
+    assert "Traceback" not in err
+    if not extra:
+        assert f"{path}, line 3" in err
+    assert not out_dir.exists()
+
+
+_SMALL_STUDY = {"n": 300, "j": 30, "p": 2, "q": 2, "reps": 1, "master_seed": 5}
+
+# simulate config of a malformed shape -> text the message must contain
+BAD_CONFIG_SHAPES = {
+    "list_top_level": ([1, 2], "config must be a JSON object, got list"),
+    "number_top_level": (3, "config must be a JSON object, got int"),
+    "non_numeric_theta0": ({**_SMALL_STUDY, "theta0": "abc"}, "'theta0'"),
+    "ragged_gamma0": ({**_SMALL_STUDY, "gamma0": [[1.0], [1.0, 2.0]]}, "'gamma0'"),
+    "non_numeric_x_out": ({**_SMALL_STUDY, "covariate_source": "user_supplied",
+                           "x_out": "abc", "x_int": [[0.0, 1.0]]}, "'x_out'"),
+    "object_x_int": ({**_SMALL_STUDY, "covariate_source": "user_supplied",
+                      "x_out": [[0.0, 1.0]], "x_int": {"a": 1}}, "'x_int'"),
+    "non_numeric_h_matrix": ({**_SMALL_STUDY, "h_source": "user_supplied",
+                              "h_matrix": [[1, "a"]]}, "'h_matrix'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_SHAPES)
+def test_cli_simulate_rejects_a_malformed_config_shape(tmp_path, capsys, case):
+    doc, expected = BAD_CONFIG_SHAPES[case]
+    cfg = _write(tmp_path / "cfg.json", json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and expected in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
