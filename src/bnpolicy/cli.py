@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import io as bio
-from ._blas import one_blas_thread
+from ._blas import one_blas_thread, usable_cpus
 from .alearn import fit_a
 from .data import FeatureMap, validate_bundle
 from .effects import effect_table
@@ -119,10 +119,14 @@ def _coef_report(path, names, estimates, cov, level):
                                estimates - z * se, estimates + z * se, p)
 
 
-def _worker_count(threads) -> int:
-    """Worker count from ``--threads``, else ``BNPOLICY_THREADS`` (default 1)."""
-    name, raw = (("--threads", str(threads)) if threads is not None else
-                 ("BNPOLICY_THREADS", os.environ.get("BNPOLICY_THREADS", "1")))
+def _worker_count(threads, default) -> int:
+    """Worker count from ``--threads``, else ``BNPOLICY_THREADS``, else ``default``."""
+    if threads is not None:
+        name, raw = "--threads", str(threads)
+    elif "BNPOLICY_THREADS" in os.environ:
+        name, raw = "BNPOLICY_THREADS", os.environ["BNPOLICY_THREADS"]
+    else:
+        return default
     try:
         count = int(raw)
     except ValueError:
@@ -134,7 +138,7 @@ def _worker_count(threads) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_sim_config(args.config)
-    report = run_monte_carlo(config, n_workers=_worker_count(args.threads))
+    report = run_monte_carlo(config, n_workers=_worker_count(args.threads, 1))
     print(bio.write_sim_report(_out_path(args, "sim_report.json"),
                                _out_path(args, "sim_report.txt"), report), end="")
     return EXIT_OK
@@ -201,15 +205,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_impute_costs(args) -> int:
+    n_workers = _worker_count(None, usable_cpus())
     ids, intv, raw_cost = bio.read_intervention_csv(args.interventions)
     if raw_cost is None:
         raise DataValidationError("intervention file has no cost column to impute")
     observed = ~np.isnan(raw_cost)
     if observed.all():
         raise DataValidationError("no missing costs to impute")
-    fit, leaderboard = fit_cost_models(intv.x[observed], raw_cost[observed],
-                                       SplitSpec(train_fraction=args.train_fraction,
-                                                 seed=args.seed))
+    spec = SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
+    fit, leaderboard = fit_cost_models(intv.x[observed], raw_cost[observed], spec,
+                                       n_workers=n_workers)
     predicted, n_clipped = predict_costs(fit, intv.x[~observed])
     costs = raw_cost.copy()
     costs[~observed] = predicted

@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ._blas import map_in_order
 from .errors import DataValidationError, EstimationError
 from .seeding import splitmix64
 
@@ -59,27 +61,29 @@ def nmae(actual, predicted) -> float:
     return float(np.mean(np.abs(actual - predicted) / np.abs(predicted)))
 
 
-def _best_split(x, y, features, min_leaf):
+def _best_split(x, y, features, min_leaf, mean):
     """(feature, threshold, sse_reduction) of the best variance-reducing split.
 
     A cut after sorted row k leaves k + 1 rows on the left, so only the cuts
     k in [min_leaf - 1, n - min_leaf) are scored, and none between equal values.
+    ``mean`` is y's mean, ``np.add.reduce(y) / n``, which the caller has already.
     """
     n = y.shape[0]
-    parent_sse = float(np.sum((y - y.mean()) ** 2))
+    parent_sse = float(np.add.reduce((y - mean) ** 2))
     lo, hi = min_leaf - 1, n - min_leaf
     sizes = np.arange(min_leaf, hi + 1)  # left rows of each scored cut
     best = None
     for f in features:
-        order = np.argsort(x[:, f], kind="stable")
-        xs, ys = x[order, f], y[order]
-        csum, csq = np.cumsum(ys), np.cumsum(ys**2)
+        col = x[:, f]
+        order = col.argsort(kind="stable")
+        xs, ys = col[order], y[order]
+        csum, csq = ys.cumsum(), (ys**2).cumsum()
         left_sum, left_sq = csum[lo:hi], csq[lo:hi]
         left_sse = left_sq - left_sum**2 / sizes
         right_sse = (csq[-1] - left_sq) - (csum[-1] - left_sum)**2 / (n - sizes)
         red = np.where(xs[lo:hi] < xs[lo + 1:hi + 1],
                        parent_sse - (left_sse + right_sse), -np.inf)
-        k = int(np.argmax(red))
+        k = int(red.argmax())
         if red[k] <= 1e-12:
             continue
         if best is None or red[k] > best[2]:
@@ -90,71 +94,107 @@ def _best_split(x, y, features, min_leaf):
 class RegressionTree:
     """Variance-reduction CART for regression, no depth cap.
 
-    A leaf is its mean and a split is (feature, threshold, left, right), rows
-    with x[feature] <= threshold going left.  Nodes grow depth first, and each
-    split draws its candidate features from the tree's one generator.
+    The tree is five flat arrays in preorder, ``nodes`` = (feature,
+    threshold, left, right, value): rows with x[feature] <= threshold go to
+    node ``left``, the others to ``right``, and a leaf has feature -1 and
+    its rows' mean as value.  Nodes grow depth first, and each split draws
+    its candidate features from the tree's one generator.
     """
 
     def __init__(self, min_leaf=5, max_features=None, seed=0):
         self.min_leaf = min_leaf
         self.max_features = max_features
         self.seed = seed
-        self.root = None
+        self.nodes = None
         self.importance_ = None
 
     def fit(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        self.importance_ = np.zeros(x.shape[1])
+        q = x.shape[1]
+        n_features = min(self.max_features or q, q)
         rng = np.random.default_rng(self.seed)
-        self.root = self._grow(x, y, rng)
+        feature, threshold, left, right, value = [], [], [], [], []
+        self.importance_ = np.zeros(q)
+        stack = [(x, y, -1)]  # a node's rows, and the split it is the right child of
+        while stack:
+            node_x, node_y, parent = stack.pop()
+            node = len(value)
+            if parent >= 0:
+                right[parent] = node
+            n = node_y.shape[0]
+            mean = np.add.reduce(node_y) / n
+            value.append(float(mean))
+            best = None
+            if n >= 2 * self.min_leaf and (node_y != node_y[0]).any():
+                features = rng.choice(q, size=n_features, replace=False)
+                best = _best_split(node_x, node_y, features, self.min_leaf, mean)
+            if best is None:
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                continue
+            f, thr, red = best
+            self.importance_[f] += red
+            feature.append(f)
+            threshold.append(thr)
+            left.append(node + 1)
+            right.append(-1)
+            mask = node_x[:, f] <= thr
+            stack.append((node_x[~mask], node_y[~mask], node))
+            stack.append((node_x[mask], node_y[mask], -1))
+        self.nodes = (np.array(feature), np.array(threshold), np.array(left),
+                      np.array(right), np.array(value))
         return self
 
-    def _grow(self, x, y, rng):
-        n, q = x.shape
-        if n >= 2 * self.min_leaf and not np.all(y == y[0]):
-            features = rng.choice(q, size=min(self.max_features or q, q), replace=False)
-            best = _best_split(x, y, features, self.min_leaf)
-            if best is not None:
-                f, thr, red = best
-                self.importance_[f] += red
-                mask = x[:, f] <= thr
-                return (f, thr, self._grow(x[mask], y[mask], rng),
-                        self._grow(x[~mask], y[~mask], rng))
-        return float(y.mean())
-
     def predict(self, x):
+        """Leaf value of each row: every row still above a leaf steps down one
+        level per numpy pass."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = self.root
-            while type(node) is tuple:
-                node = node[2] if row[node[0]] <= node[1] else node[3]
-            out[i] = node
-        return out
+        feature, threshold, left, right, value = self.nodes
+        at = np.zeros(x.shape[0], dtype=np.intp)
+        live = np.flatnonzero(feature[at] >= 0)
+        while live.size:
+            node = at[live]
+            step = np.where(x[live, feature[node]] <= threshold[node], left[node], right[node])
+            at[live] = step
+            live = live[feature[step] >= 0]
+        return value[at]
+
+
+def _bagged_tree(x, y, max_features, tree_seed):
+    """One forest tree, grown on its own bootstrap draw of the rows."""
+    n = y.shape[0]
+    idx = np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
+    return RegressionTree(max_features=max_features, seed=tree_seed).fit(x[idx], y[idx])
 
 
 class RegressionForest:
-    """Bagged trees, each on a bootstrap sample with max(1, ceil(q / 3)) features per split."""
+    """Bagged trees, each on a bootstrap sample with max(1, ceil(q / 3)) features per split.
 
-    def __init__(self, n_trees=500, seed=0):
+    Tree t is grown from seed ``splitmix64(seed, t)``, in a pool of
+    ``n_workers`` processes when that is above 1; importances and
+    predictions are summed in tree order, so every bit of the fit is the
+    same for any worker count.
+    """
+
+    def __init__(self, n_trees=500, seed=0, n_workers=1):
         self.n_trees = n_trees
         self.seed = seed
+        self.n_workers = n_workers
         self.trees: list[RegressionTree] = []
         self.importance_ = None
 
     def fit(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        n, q = x.shape
-        max_features = max(1, math.ceil(q / 3))
-        self.trees = []
+        q = x.shape[1]
+        grow = partial(_bagged_tree, x, y, max(1, math.ceil(q / 3)))
+        self.trees = map_in_order(grow, (splitmix64(self.seed, t) for t in range(self.n_trees)),
+                                  self.n_workers)
         self.importance_ = np.zeros(q)
-        for t in range(self.n_trees):
-            tree_seed = splitmix64(self.seed, t)
-            idx = np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
-            tree = RegressionTree(max_features=max_features, seed=tree_seed)
-            self.trees.append(tree.fit(x[idx], y[idx]))
+        for tree in self.trees:
             self.importance_ += tree.importance_
         self.importance_ /= self.n_trees
         return self
@@ -196,8 +236,11 @@ class CostModelFit:
     importance: np.ndarray | None
 
 
-def fit_cost_models(x, c, spec: SplitSpec, n_trees=500):
+def fit_cost_models(x, c, spec: SplitSpec, n_trees=500, n_workers=1):
     """Train candidates, pick the lower validation NMAE, refit on all rows.
+
+    The forest grows its trees in ``n_workers`` processes; the result is the
+    same for any worker count.
 
     Returns (selected CostModelFit, leaderboard), where the leaderboard is
     the validation ranking as (kind, nmae) pairs ordered by (nmae, kind).
@@ -210,7 +253,8 @@ def fit_cost_models(x, c, spec: SplitSpec, n_trees=500):
 
     candidates = {
         "linear": lambda: LinearModel(),
-        "forest": lambda: RegressionForest(n_trees=n_trees, seed=splitmix64(spec.seed, 0xF0)),
+        "forest": lambda: RegressionForest(n_trees=n_trees, seed=splitmix64(spec.seed, 0xF0),
+                                           n_workers=n_workers),
     }
     scores = {}
     for kind, make in candidates.items():

@@ -26,14 +26,13 @@ failures, excluded from the means, and counted in the report.
 from __future__ import annotations
 
 import numbers
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
 
-from ._blas import one_blas_thread, pin_one_thread
+from ._blas import map_in_order, one_blas_thread
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, fit_standardizer
 from .effects import total_effects
 from .errors import BnpolicyError, DataValidationError, EstimationError
@@ -114,6 +113,19 @@ class SimConfig:
             raise DataValidationError("h_local_frac must lie in [0, 1)")
         if self.se_fail_threshold <= 0:
             raise DataValidationError("se_fail_threshold must be positive")
+        for name, source in (("x_out", "covariate_source"), ("x_int", "covariate_source"),
+                             ("h_matrix", "h_source")):
+            kind = getattr(self, source)
+            if getattr(self, name) is not None and kind != "user_supplied":
+                raise DataValidationError(
+                    f"{name} is given but {source} is {kind!r}, which never reads it "
+                    f"(set {source} to 'user_supplied' to use it)")
+        for name, ndim in (("theta0", 1), ("gamma0", 1), ("x_out", 2), ("x_int", 2),
+                           ("h_matrix", 2)):
+            value = getattr(self, name)
+            if value is not None and np.ndim(value) != ndim:
+                raise DataValidationError(
+                    f"{name} must be a {ndim}-d array, got {np.ndim(value)}-d")
 
 
 @dataclass(frozen=True)
@@ -350,11 +362,6 @@ def run_replication(config: SimConfig, rep: int) -> dict[str, CellResult]:
             for name, cell in CELLS.items()}
 
 
-def _worker(args):
-    config, rep = args
-    return rep, run_replication(config, rep)
-
-
 def run_monte_carlo(config: SimConfig, n_workers: int = 1) -> SimReport:
     """Run the full study; deterministic for a given (config, master_seed).
 
@@ -362,23 +369,12 @@ def run_monte_carlo(config: SimConfig, n_workers: int = 1) -> SimReport:
     master seed, and results are aggregated in replication order; BLAS
     runs on one thread in this process and in every worker.  So the report
     is bitwise identical for any worker count and any BLAS thread count.
-    The pool has at most one worker per replication and per CPU.
+    The pool has at most one worker per replication and per usable CPU.
     """
-    if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
-        raise DataValidationError(
-            f"n_workers must be a positive integer, got {n_workers!r}")
     alpha0, beta0, gamma_slopes = resolve_truth_coefficients(config)
-    n_workers = min(n_workers, config.reps, os.cpu_count() or 1)
     with one_blas_thread():
-        if n_workers > 1:
-            with ProcessPoolExecutor(max_workers=n_workers,
-                                     initializer=pin_one_thread) as pool:
-                results = dict(pool.map(
-                    _worker, ((config, r) for r in range(config.reps)),
-                    chunksize=max(1, config.reps // (4 * n_workers))))
-            per_rep = [results[r] for r in range(config.reps)]
-        else:
-            per_rep = [run_replication(config, r) for r in range(config.reps)]
+        per_rep = map_in_order(partial(run_replication, config), range(config.reps),
+                               n_workers)
 
     cells = {}
     for name in CELLS:

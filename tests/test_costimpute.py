@@ -155,21 +155,69 @@ def test_window_split_search_matches_the_masked_reference_bit_for_bit():
         y = np.round(rng.standard_normal(n), int(rng.integers(0, 4)))
         features = rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False)
         expected = _bits(_masked_best_split(x, y, features, min_leaf))
-        assert _bits(_best_split(x, y, features, min_leaf)) == expected
+        mean = np.add.reduce(y) / len(y)
+        assert _bits(_best_split(x, y, features, min_leaf, mean)) == expected
         found["none" if expected is None else "split"] += 1
     assert min(found.values()) > 100
 
 
-def test_forest_reproduces_its_recorded_bits():
+# RegressionForest(n_trees=20, seed=11) on _recorded_case(): predictions on its
+# grid and importances, as float.hex values
+RECORDED_PREDICTIONS = [
+    "-0x1.8d6c0e7eb992ep-1", "0x1.49fcf5eae6486p+1", "0x1.91ff80e4ec644p-1",
+    "0x1.87c4260df51a8p-1", "0x1.2be666262c1dcp-3", "0x1.2dd246bde0a95p+1",
+    "-0x1.c1b4e58ac16fdp-1", "0x1.bed3cf8648e20p-1"]
+RECORDED_IMPORTANCE = [
+    "0x1.3c5e983a70ecap+5", "0x1.3bb3b4de734eep+6", "0x1.04e1d76629ce0p+4"]
+
+
+def _recorded_case():
     rng = np.random.default_rng(2024)
     x = rng.standard_normal((60, 3))
     x[:, 1] = np.round(x[:, 1], 1)
     y = x[:, 0] ** 2 + x[:, 1] + rng.standard_normal(60) * 0.1
-    grid = rng.standard_normal((8, 3))
+    return x, y, rng.standard_normal((8, 3))
+
+
+def test_forest_reproduces_its_recorded_bits():
+    x, y, grid = _recorded_case()
     forest = RegressionForest(n_trees=20, seed=11).fit(x, y)
-    assert [v.hex() for v in forest.predict(grid).tolist()] == [
-        "-0x1.8d6c0e7eb992ep-1", "0x1.49fcf5eae6486p+1", "0x1.91ff80e4ec644p-1",
-        "0x1.87c4260df51a8p-1", "0x1.2be666262c1dcp-3", "0x1.2dd246bde0a95p+1",
-        "-0x1.c1b4e58ac16fdp-1", "0x1.bed3cf8648e20p-1"]
-    assert [v.hex() for v in forest.importance_.tolist()] == [
-        "0x1.3c5e983a70ecap+5", "0x1.3bb3b4de734eep+6", "0x1.04e1d76629ce0p+4"]
+    assert [v.hex() for v in forest.predict(grid).tolist()] == RECORDED_PREDICTIONS
+    assert [v.hex() for v in forest.importance_.tolist()] == RECORDED_IMPORTANCE
+
+
+def test_forest_grown_in_a_pool_reproduces_the_recorded_bits():
+    x, y, grid = _recorded_case()
+    forest = RegressionForest(n_trees=20, seed=11, n_workers=2).fit(x, y)
+    assert [v.hex() for v in forest.predict(grid).tolist()] == RECORDED_PREDICTIONS
+    assert [v.hex() for v in forest.importance_.tolist()] == RECORDED_IMPORTANCE
+    # each tree alone walks its rows to the same leaves as the whole forest
+    per_tree = np.zeros(grid.shape[0])
+    for tree in forest.trees:
+        per_tree += tree.predict(grid)
+    assert [v.hex() for v in (per_tree / 20).tolist()] == RECORDED_PREDICTIONS
+
+
+def _reference_predict(tree, x):
+    """Row-by-row walk of a tree's node arrays: the loop the vectorised walk replaces."""
+    feature, threshold, left, right, value = tree.nodes
+    out = []
+    for row in x:
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+        out.append(value[node])
+    return np.array(out)
+
+
+def test_tree_arrays_are_preorder_and_the_walk_matches_a_row_loop():
+    rng = np.random.default_rng(8)
+    x = np.round(rng.standard_normal((200, 3)), 1)
+    y = x[:, 0] ** 2 + rng.standard_normal(200)
+    tree = RegressionTree(min_leaf=3, max_features=2, seed=4).fit(x, y)
+    feature, threshold, left, right, value = tree.nodes
+    splits = np.flatnonzero(feature >= 0)
+    assert splits.size > 10 and np.array_equal(left[splits], splits + 1)
+    assert np.all(right[splits] > left[splits])
+    grid = np.vstack([x, np.round(rng.standard_normal((50, 3)), 1)])
+    assert np.array_equal(tree.predict(grid), _reference_predict(tree, grid))

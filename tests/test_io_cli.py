@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnpolicy import FeatureMap, fit_propensity, trim_by_propensity
+from bnpolicy import FeatureMap, cli, fit_propensity, trim_by_propensity
+from bnpolicy._blas import usable_cpus
 from bnpolicy.cli import main
 from bnpolicy.effects import EffectTable
 from bnpolicy.io import (EFFECTS_COLUMNS, read_interference_csv, read_intervention_csv,
@@ -468,6 +469,21 @@ BAD_CONFIG_SHAPES = {
                       "x_out": [[0.0, 1.0]], "x_int": {"a": 1}}, "'x_int'"),
     "non_numeric_h_matrix": ({**_SMALL_STUDY, "h_source": "user_supplied",
                               "h_matrix": [[1, "a"]]}, "'h_matrix'"),
+    "scalar_theta0": ({**_SMALL_STUDY, "theta0": 3}, "theta0 must be a 1-d array, got 0-d"),
+    "matrix_gamma0": ({**_SMALL_STUDY, "gamma0": [[1.0, 2.0, 3.0]]},
+                      "gamma0 must be a 1-d array, got 2-d"),
+    "vector_x_int": ({**_SMALL_STUDY, "covariate_source": "user_supplied",
+                      "x_out": [[0.0, 1.0]], "x_int": [0.0, 1.0]},
+                     "x_int must be a 2-d array, got 1-d"),
+    "vector_h_matrix": ({**_SMALL_STUDY, "h_source": "user_supplied", "h_matrix": [1.0]},
+                        "h_matrix must be a 2-d array, got 1-d"),
+    "unread_x_out": ({**_SMALL_STUDY, "x_out": [1, 2]},
+                     "x_out is given but covariate_source is 'synthetic_gaussian'"),
+    "unread_x_int": ({**_SMALL_STUDY, "x_int": [[0.0, 1.0]]},
+                     "x_int is given but covariate_source is 'synthetic_gaussian'"),
+    "unread_h_matrix": ({**_SMALL_STUDY, "h_source": "synthetic_lognormal_iid",
+                         "h_matrix": [[1.0]]},
+                        "h_matrix is given but h_source is 'synthetic_lognormal_iid'"),
 }
 
 
@@ -482,3 +498,83 @@ def test_cli_simulate_rejects_a_malformed_config_shape(tmp_path, capsys, case):
     assert err.count("\n") == 1 and expected in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+def _plants_with_a_nonlinear_cost(tmp_path, j=120):
+    """Plant table with three covariates, a cost nonlinear in them and a third blank."""
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((j, 3))
+    cost = np.exp(1.0 + 0.8 * np.abs(z[:, 0]) + 0.3 * z[:, 1] ** 2)
+    lines = ["id,a,cost,z1,z2,z3"]
+    for k in range(j):
+        shown = "" if k % 3 == 0 else repr(float(cost[k]))
+        lines.append(f"p{k},{k % 2},{shown}," + ",".join(map(repr, z[k].tolist())))
+    return _write(tmp_path / "plants.csv", "\n".join(lines) + "\n")
+
+
+def test_cli_impute_costs_is_identical_for_any_worker_count(tmp_path, capsys, monkeypatch):
+    path = _plants_with_a_nonlinear_cost(tmp_path)
+    runs = {}
+    for tag, env in (("env1", "1"), ("env2", "2"), ("default", None)):
+        if env is None:
+            monkeypatch.delenv("BNPOLICY_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BNPOLICY_THREADS", env)
+        out_dir = tmp_path / tag
+        assert main(["impute-costs", "--interventions", path, "--seed", "2",
+                     "--out-dir", str(out_dir)]) == 0
+        files = {f: (out_dir / f).read_bytes() for f in sorted(os.listdir(out_dir))}
+        runs[tag] = (files, capsys.readouterr().out)
+    first, *rest = runs.values()
+    assert sorted(first[0]) == ["importance.csv", "imputed_costs.csv", "leaderboard.csv"]
+    assert first[1].startswith("selected forest")
+    for other in rest:
+        assert other == first
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-1"])
+def test_cli_impute_costs_rejects_a_bad_threads_variable(tmp_path, capsys, monkeypatch,
+                                                         value):
+    path = _plants_with_a_nonlinear_cost(tmp_path)
+    monkeypatch.setenv("BNPOLICY_THREADS", value)
+    out_dir = tmp_path / "out"
+    code = main(["impute-costs", "--interventions", path, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert f"BNPOLICY_THREADS must be a positive integer, got {value!r}" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_each_command_has_its_own_default_worker_count(tmp_path, monkeypatch):
+    """simulate runs in one process unless told otherwise; impute-costs uses the
+    usable CPUs; BNPOLICY_THREADS sets both."""
+    seen = {}
+
+    def record(command):
+        def fake(*args, n_workers, **kwargs):
+            seen[command] = n_workers
+            raise _Stop
+        return fake
+
+    monkeypatch.setattr(cli, "run_monte_carlo", record("simulate"))
+    monkeypatch.setattr(cli, "fit_cost_models", record("impute-costs"))
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"reps": 2}))
+    plants = _plants_with_a_nonlinear_cost(tmp_path)
+    commands = (["simulate", "--config", cfg, "--out-dir", str(tmp_path / "s")],
+                ["impute-costs", "--interventions", plants, "--out-dir", str(tmp_path / "i")])
+    for env, expected in ((None, {"simulate": 1, "impute-costs": usable_cpus()}),
+                          ("3", {"simulate": 3, "impute-costs": 3})):
+        if env is None:
+            monkeypatch.delenv("BNPOLICY_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BNPOLICY_THREADS", env)
+        for argv in commands:
+            with pytest.raises(_Stop):
+                main(argv)
+        assert seen == expected

@@ -1,5 +1,5 @@
-"""BLAS thread pinning, the study's worker count, and reports that do not
-depend on either."""
+"""BLAS thread pinning, the worker pools of the study and the cost forest,
+and reports that depend on neither."""
 import json
 import multiprocessing
 import os
@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import bnpolicy
-from bnpolicy import DataValidationError, SimConfig, _blas, run_monte_carlo, simlab
+from bnpolicy import (DataValidationError, RegressionForest, SimConfig, _blas, costimpute,
+                      run_monte_carlo)
 from bnpolicy._blas import one_blas_thread, pin_one_thread
+from bnpolicy.costimpute import _bagged_tree
 from bnpolicy.cli import main
 from bnpolicy.io import sim_report_to_dict
 
@@ -101,8 +103,9 @@ class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its arguments, starts nothing."""
     made = []
 
-    def __init__(self, max_workers, initializer):
-        self.made.append({"max_workers": max_workers, "initializer": initializer})
+    def __init__(self, max_workers, initializer, mp_context):
+        self.made.append({"max_workers": max_workers, "initializer": initializer,
+                          "start": mp_context.get_start_method()})
 
     def __enter__(self):
         return self
@@ -111,29 +114,107 @@ class _RecordingPool:
         return False
 
     def map(self, fn, iterable, chunksize=1):
+        self.made[-1]["chunksize"] = chunksize
         return map(fn, iterable)
+
+
+def _set_usable_cpus(monkeypatch, cpus):
+    """CPUs in the affinity mask; None: no affinity call and an unknown CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(_blas.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(_blas.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(_blas.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(_blas, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.made = []
 
 
 @pytest.mark.parametrize("n_workers, cpus, expected", [
     (5000, 8, 4),     # capped by the 4 replications
-    (5000, 3, 3),     # capped by the CPU count
+    (5000, 3, 3),     # capped by the usable CPUs
     (2, 8, 2),
-    (5000, None, None),  # unknown CPU count: serial
+    (5000, None, None),  # no affinity mask and unknown CPU count: serial
     (1, 8, None),
 ])
 def test_the_pool_has_at_most_one_worker_per_rep_and_per_cpu(monkeypatch, n_workers,
                                                              cpus, expected):
-    _RecordingPool.made = []
-    monkeypatch.setattr(simlab, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(simlab.os, "cpu_count", lambda: cpus)
+    _set_usable_cpus(monkeypatch, cpus)
     report = run_monte_carlo(SMALL, n_workers=n_workers)
     if expected is None:
         assert _RecordingPool.made == []
     else:
         assert _RecordingPool.made == [{"max_workers": expected,
-                                        "initializer": pin_one_thread}]
+                                        "initializer": pin_one_thread, "start": "fork",
+                                        "chunksize": 1}]
     monkeypatch.undo()
     assert sim_report_to_dict(report) == sim_report_to_dict(run_monte_carlo(SMALL))
+
+
+def _forest_fit(n_workers):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((60, 3))
+    y = x[:, 0] ** 2 + rng.standard_normal(60) * 0.1
+    forest = RegressionForest(n_trees=40, seed=11, n_workers=n_workers).fit(x, y)
+    return forest.predict(rng.standard_normal((10, 3))).tolist(), forest.importance_.tolist()
+
+
+@pytest.mark.parametrize("n_workers, cpus, expected", [
+    (5000, 64, (40, 1)),   # capped by the 40 trees
+    (5000, 3, (3, 3)),     # capped by the usable CPUs; 40 // (4 * 3) trees a chunk
+    (2, 8, (2, 5)),
+    (5000, None, None),    # no affinity mask and unknown CPU count: serial
+    (1, 8, None),
+])
+def test_the_forest_pool_has_at_most_one_worker_per_tree_and_per_cpu(
+        monkeypatch, n_workers, cpus, expected):
+    _set_usable_cpus(monkeypatch, cpus)
+    fit = _forest_fit(n_workers)
+    if expected is None:
+        assert _RecordingPool.made == []
+    else:
+        assert _RecordingPool.made == [{"max_workers": expected[0],
+                                        "initializer": pin_one_thread, "start": "fork",
+                                        "chunksize": expected[1]}]
+    monkeypatch.undo()
+    assert fit == _forest_fit(1)
+
+
+def test_pools_run_serially_where_the_platform_cannot_fork(monkeypatch):
+    """Spawned workers would import the package again, which costs about what
+    a forest saves on two cores; so without fork the items run in-process."""
+    _set_usable_cpus(monkeypatch, 8)
+    monkeypatch.setattr(_blas.multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    fit = _forest_fit(2)
+    report = run_monte_carlo(SMALL, n_workers=2)
+    assert _RecordingPool.made == []
+    monkeypatch.undo()
+    assert fit == _forest_fit(1)
+    assert sim_report_to_dict(report) == sim_report_to_dict(run_monte_carlo(SMALL))
+
+
+def _tree_with_blas_counts(*args):
+    tree = _bagged_tree(*args)
+    tree.blas_counts = _counts()
+    return tree
+
+
+def test_forest_pool_workers_run_one_blas_thread(libs, monkeypatch):
+    if _blas.usable_cpus() < 2:
+        pytest.skip("the forest grows its trees serially on one CPU")
+    monkeypatch.setattr(costimpute, "_bagged_tree", _tree_with_blas_counts)
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((40, 3)), rng.standard_normal(40)
+    forest = RegressionForest(n_trees=8, n_workers=2).fit(x, y)
+    assert [tree.blas_counts for tree in forest.trees] == [[1] * len(libs)] * 8
+    assert _counts() == [2] * len(libs)
+
+
+@pytest.mark.parametrize("n_workers", [0, -1, 2.5])
+def test_the_forest_rejects_a_worker_count_below_one(n_workers):
+    with pytest.raises(DataValidationError,
+                       match=f"n_workers must be a positive integer, got {n_workers!r}"):
+        RegressionForest(n_trees=4, n_workers=n_workers).fit(np.eye(6), np.arange(6.0))
 
 
 def _write_bundle(root, n, j, deg, seed=3):
