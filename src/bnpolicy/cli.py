@@ -37,7 +37,7 @@ EXIT_IO = 4
 
 
 def _load_sim_config(path) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

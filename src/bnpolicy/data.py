@@ -5,6 +5,7 @@ that, so instances can be shared freely across threads.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,25 +37,43 @@ def _as_1d_float(x, name):
 
 @dataclass(frozen=True)
 class InterferenceMap:
-    """Dense nonnegative n x J matrix of transport weights.
+    """Nonnegative n x J matrix of transport weights.
 
-    Rows index outcome units, columns index intervention units.  Columns
-    with no transport at all are legal here but flagged by
-    ``validate_bundle`` and rejected by per-unit effect estimation.
+    ``h`` is a numpy array, or a ``scipy.sparse.csr_array`` when it is
+    built from a scipy sparse array or matrix; ``h @ v`` and ``h.T @ v``
+    are numpy arrays either way.  Rows index outcome units, columns index
+    intervention units.  Columns with no transport at all are legal here
+    but flagged by ``validate_bundle`` and rejected by per-unit effect
+    estimation.
     """
 
     h: np.ndarray
 
     def __post_init__(self):
-        h = _as_2d_float(self.h, "h")
+        # scipy.sparse is loaded only by callers that build a sparse map
+        scipy_sparse = sys.modules.get("scipy.sparse")
+        if scipy_sparse is not None and scipy_sparse.issparse(self.h):
+            h = scipy_sparse.csr_array(self.h, dtype=float)
+            if not h.has_canonical_format:  # sort a copy, not the caller's arrays
+                h = h.copy()
+                h.sum_duplicates()
+            values, frozen = h.data, (h.data, h.indices, h.indptr)
+        else:
+            h = values = _as_2d_float(self.h, "h")
+            frozen = (h,)
         if h.shape[0] < 1 or h.shape[1] < 1:
             raise DataValidationError("interference map must have n >= 1 and J >= 1")
-        if not np.all(np.isfinite(h)):
+        if not np.all(np.isfinite(values)):
             raise DataValidationError("interference map contains non-finite entries")
-        if np.any(h < 0):
+        if np.any(values < 0):
             raise DataValidationError("interference map contains negative entries")
-        h.flags.writeable = False
+        for arr in frozen:
+            arr.flags.writeable = False
         object.__setattr__(self, "h", h)
+
+    @property
+    def sparse(self) -> bool:
+        return not isinstance(self.h, np.ndarray)
 
     @property
     def n(self) -> int:
@@ -64,9 +83,24 @@ class InterferenceMap:
     def j(self) -> int:
         return self.h.shape[1]
 
+    def row_sums(self) -> np.ndarray:
+        """Total transport into each outcome unit, sum_j H_ij."""
+        return self.h @ np.ones(self.j) if self.sparse else self.h.sum(axis=1)
+
     def zero_columns(self) -> np.ndarray:
         """Indices of intervention units with no transport to any outcome unit."""
+        if self.sparse:
+            reached = np.bincount(self.h.indices[self.h.data > 0], minlength=self.j)
+            return np.flatnonzero(reached == 0)
         return np.flatnonzero(~np.any(self.h > 0, axis=0))
+
+    def keep_columns(self, kept) -> InterferenceMap:
+        """The map of the intervention units ``kept`` alone."""
+        if self.sparse:
+            return InterferenceMap(self.h[:, kept])
+        # a column index comes out column-major; the copy is row-major, as
+        # every other dense map is
+        return InterferenceMap(self.h[:, kept].copy())
 
 
 @dataclass(frozen=True)

@@ -40,4 +40,4 @@ def exposure_row_mass(h: InterferenceMap) -> np.ndarray:
     Used as the weighting scalar in the doubly robust estimating
     equation for the treatment-effect coefficients.
     """
-    return h.h.sum(axis=1) / h.j
+    return h.row_sums() / h.j

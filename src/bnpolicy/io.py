@@ -47,27 +47,58 @@ def _cost_cell(text):
     return value
 
 
+def _is_row(line):
+    """Whether a line is read as a row: neither blank nor a '#' comment."""
+    return bool(line.strip()) and not line.startswith("#")
+
+
+def _parse(lines, header, dtype):
+    """Rows of ``lines`` by numpy's C reader; ``dtype`` None reads a float matrix."""
+    cost_cells = {k: _cost_cell for k, name in enumerate(header) if name == "cost"}
+    return np.loadtxt(lines, delimiter=",", comments=None,
+                      dtype=float if dtype is None else dtype,
+                      converters=cost_cells or None, ndmin=2 if dtype is None else 1)
+
+
 def _load(path, row_dtype):
     """Header and rows of a CSV file without blank or '#' lines, by numpy's C reader.
 
     ``row_dtype(header)`` is the dtype of the rows after the header, or None
-    when the first line is already a row of a float matrix.
+    when the first line is already a row of a float matrix.  When the file
+    opens with its header and a row, the reader takes the open file as it
+    is.  A file it rejects, and a file that opens otherwise, is read again
+    through a filter that drops blank and '#' lines and counts lines, so an
+    error names the line at fault.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        first = fh.readline()
+        if _is_row(first):
+            header = [c.strip() for c in first.split(",")]
+            dtype = row_dtype(header)
+            head = first if dtype is None else fh.readline()
+            if _is_row(head):
+                try:
+                    data = _parse(itertools.chain([head], fh), header, dtype)
+                except ValueError:
+                    pass
+                else:
+                    # blank lines are skipped by the reader as by the filter,
+                    # and a '#' line fails every numeric first column; only an
+                    # id column can hold one as a row
+                    if dtype is None or "id" not in dtype.names or not any(
+                            uid.startswith("#") for uid in data["id"].tolist()):
+                        return header, data
+        fh.seek(0)
         where = [0]  # number of the last line read, for error messages
-        lines = (line for where[0], line in enumerate(fh, start=1)
-                 if line.strip() and not line.startswith("#"))
+        lines = (line for where[0], line in enumerate(fh, start=1) if _is_row(line))
         first = next(lines, "")
         header = [c.strip() for c in first.split(",")]
         dtype = row_dtype(header)
         head = first if dtype is None else next(lines, "")
         if not head:
             raise DataValidationError(f"{path}: no data rows")
-        cost_cells = {k: _cost_cell for k, name in enumerate(header) if name == "cost"}
         try:
-            data = np.loadtxt(itertools.chain([head], lines), delimiter=",", comments=None,
-                              dtype=float if dtype is None else dtype,
-                              converters=cost_cells or None, ndmin=2 if dtype is None else 1)
+            data = _parse(itertools.chain([head], lines), header, dtype)
         except ValueError as exc:
             cause = exc.__cause__  # numpy wraps what a converter raises
             reason = (str(cause) if isinstance(cause, DataValidationError)
@@ -101,10 +132,18 @@ def _read_units(path, key, extra):
             np.ascontiguousarray(v[:, 1 + has_extra:]))
 
 
+def _build(path, cls, **arrays):
+    """``cls(**arrays)``, with the file named in a validation error."""
+    try:
+        return cls(**arrays)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc
+
+
 def read_outcome_csv(path):
     """Outcome units: header id,y[,person_years],x1..xp."""
     ids, y, py, x = _read_units(path, "y", "person_years")
-    return ids, OutcomeTable(x=x, y=y, person_years=py)
+    return ids, _build(path, OutcomeTable, x=x, y=y, person_years=py)
 
 
 def read_intervention_csv(path):
@@ -116,11 +155,15 @@ def read_intervention_csv(path):
     """
     ids, a, raw_cost, x = _read_units(path, "a", "cost")
     cost = raw_cost if raw_cost is not None and not np.any(np.isnan(raw_cost)) else None
-    return ids, InterventionTable(x=x, a=a, cost=cost), raw_cost
+    return ids, _build(path, InterventionTable, x=x, a=a, cost=cost), raw_cost
 
 
 def read_interference_csv(path, n=None, j=None):
-    """Dense (n rows x J numeric columns) or triplet (header i,j,value)."""
+    """Dense (n rows x J numeric columns) or triplet (header i,j,value).
+
+    A dense file is held as a numpy array, a triplet file as a
+    ``scipy.sparse.csr_array``.
+    """
     def row_dtype(header):
         if header[:3] != ["i", "j", "value"]:
             return None
@@ -132,20 +175,24 @@ def read_interference_csv(path, n=None, j=None):
     if data.dtype.names is None:
         if (n is not None and data.shape[0] != n) or (j is not None and data.shape[1] != j):
             raise DataValidationError(f"{path}: matrix shape {data.shape}, expected ({n}, {j})")
-        return InterferenceMap(data)
+        return _build(path, InterferenceMap, h=data)
+    from scipy.sparse import csr_array  # only a triplet file pays for the import
+
     rows, cols = data["i"], data["j"]
     outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= j)
     if outside.any():
         k = int(np.argmax(outside))
         raise DataValidationError(f"{path}: triplet ({rows[k]}, {cols[k]}) outside {n}x{j}")
-    h = np.zeros((n, j))
-    h[rows, cols] = 1.0  # mark and count: a repeated (i, j) marks one cell twice
-    if np.count_nonzero(h) < data.shape[0]:
-        keys = np.sort(rows * j + cols)
-        dup = divmod(int(keys[np.argmax(keys[1:] == keys[:-1])]), j)
+    keys = rows * j + cols
+    order = np.argsort(keys, kind="stable")  # row-major files are already sorted
+    keys = keys[order]
+    repeat = keys[1:] == keys[:-1]
+    if repeat.any():
+        dup = divmod(int(keys[np.argmax(repeat)]), j)
         raise DataValidationError(f"{path}: duplicate triplet (i, j) = {dup}")
-    h[rows, cols] = data["value"]
-    return InterferenceMap(h)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * j)
+    h = csr_array((data["value"][order], cols[order], indptr), shape=(n, j))
+    return _build(path, InterferenceMap, h=h)
 
 
 EFFECTS_COLUMNS = ("id", "total_effect", "se", "p_one_sided", "ci_low", "ci_high",

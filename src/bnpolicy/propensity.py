@@ -124,7 +124,7 @@ def apply_trim(h: InterferenceMap, intv: InterventionTable,
     """Subset H columns and intervention rows consistently after trimming."""
     kept = report.kept
     cost = None if intv.cost is None else intv.cost[kept]
-    return (InterferenceMap(h.h[:, kept].copy()),
+    return (h.keep_columns(kept),
             InterventionTable(x=intv.x[kept], a=intv.a[kept], cost=cost))
 
 

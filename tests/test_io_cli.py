@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bnpolicy import FeatureMap, cli, fit_propensity, trim_by_propensity
 from bnpolicy._blas import usable_cpus
 from bnpolicy.cli import main
 from bnpolicy.effects import EffectTable
+from bnpolicy.errors import DataValidationError
 from bnpolicy.io import (EFFECTS_COLUMNS, read_interference_csv, read_intervention_csv,
                          read_outcome_csv, write_effects_csv)
 
@@ -77,7 +79,7 @@ def test_outcome_and_intervention_readers(tmp_path):
 def test_interference_triplet_reader(tmp_path):
     path = _write(tmp_path / "h3.csv", "i,j,value\n0,0,1.5\n1,1,2.5\n")
     h = read_interference_csv(path, n=2, j=2)
-    assert np.array_equal(h.h, np.array([[1.5, 0.0], [0.0, 2.5]]))
+    assert np.array_equal(h.h.toarray(), np.array([[1.5, 0.0], [0.0, 2.5]]))
 
 
 def test_effects_round_trip(tmp_path, rng):
@@ -317,16 +319,38 @@ def test_repr_written_doubles_read_back_bit_exactly(tmp_path_factory, y, data):
     assert read_interference_csv(dense, n=n, j=3).h.tobytes() == np.array(h).tobytes()
     triplets = [f"{i},{k},{h[i][k]!r}" for i in range(n) for k in range(3)]
     sparse = _write(root / "h3.csv", "\n".join(["i,j,value", *triplets]) + "\n")
-    assert read_interference_csv(sparse, n=n, j=3).h.tobytes() == np.array(h).tobytes()
+    assert (read_interference_csv(sparse, n=n, j=3).h.toarray().tobytes()
+            == np.array(h).tobytes())
 
 
 def _replace(row, text):
     return lambda lines: lines[:row] + [text] + lines[row + 1:]
 
 
+def _as_triplets(lines):
+    """The i,j,value rows of a dense matrix file, row by row."""
+    return [f"{i},{k},{v}" for i, row in enumerate(lines) for k, v in enumerate(row.split(","))]
+
+
 def _triplets_with_a_repeat(lines):
-    cells = [f"{i},{k},{v}" for i, row in enumerate(lines) for k, v in enumerate(row.split(","))]
+    cells = _as_triplets(lines)
     return ["i,j,value", *cells, cells[5]]
+
+
+def _triplets_with_value(value):
+    """Edit into a triplet file whose entry (0, 5) is ``value``."""
+    def edit(lines):
+        cells = _as_triplets(lines)
+        cells[5] = f"0,5,{value}"
+        return ["i,j,value", *cells]
+    return edit
+
+
+def _person_years_with_a_zero(lines):
+    """A person_years column after y: 1000, but 0 in the third row."""
+    return [",".join([*cells[:2], "person_years" if r == 0 else "0" if r == 3 else "1000",
+                      *cells[2:]])
+            for r, cells in enumerate(line.split(",") for line in lines)]
 
 
 def _cost_column_last(lines):
@@ -344,6 +368,15 @@ MALFORMED = {
     "header_only": ("outcomes", lambda lines: lines[:1]),
     "cost_column_not_third": ("interventions", _cost_column_last),
     "person_years_column_not_third": ("outcomes", _replace(0, "id,y,x1,person_years")),
+    "negative_h_dense": ("h", _replace(2, "-1.0,1.0,1.0,1.0,1.0,1.0")),
+    "nan_h_dense": ("h", _replace(2, "nan,1.0,1.0,1.0,1.0,1.0")),
+    "inf_h_dense": ("h", _replace(2, "inf,1.0,1.0,1.0,1.0,1.0")),
+    "negative_h_triplet": ("h", _triplets_with_value("-1.0")),
+    "nan_h_triplet": ("h", _triplets_with_value("nan")),
+    "inf_h_triplet": ("h", _triplets_with_value("inf")),
+    "nan_y": ("outcomes", _replace(3, "o2,nan,0.5,0.5")),
+    "zero_person_years": ("outcomes", _person_years_with_a_zero),
+    "inf_treatment": ("interventions", _replace(2, "p1,inf,1.0,0.5")),
 }
 
 
@@ -362,6 +395,108 @@ def test_cli_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     assert code == 2
     assert paths[bad] in err
     assert "Traceback" not in err
+
+
+def _with_bom(path):
+    """A copy of the file at ``path`` that starts with a UTF-8 byte-order mark."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(f"{path}.bom", "w", encoding="utf-8-sig") as fh:
+        fh.write(text)
+    return f"{path}.bom"
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    paths, *_ = make_fixture(tmp_path, person_years=True)
+    _, plain = read_outcome_csv(paths["outcomes"])
+    _, marked = read_outcome_csv(_with_bom(paths["outcomes"]))
+    for name in ("x", "y", "person_years"):
+        assert getattr(marked, name).tobytes() == getattr(plain, name).tobytes()
+    triplets = _write(tmp_path / "h3.csv", "i,j,value\n0,0,1.5\n1,1,2.5\n")
+    h = read_interference_csv(_with_bom(triplets), n=2, j=2)
+    assert h.sparse
+    assert np.array_equal(h.h.toarray(), read_interference_csv(triplets, n=2, j=2).h.toarray())
+    config = _write(tmp_path / "cfg.json", json.dumps({"reps": 3}))
+    assert cli._load_sim_config(_with_bom(config)).reps == 3
+
+
+# edit that adds what a reader skips: '#' lines, blank lines and a
+# commented-out copy of a row, before the header or only after the first row
+NOTES = {
+    "notes_first": lambda lines: ["# a note", "", lines[0], "", *lines[1:3], "#" + lines[3],
+                                  "  ", *lines[3:6], "# another note", *lines[6:], ""],
+    "notes_after_a_row": lambda lines: [*lines[:2], "", *lines[2:4], "#" + lines[4], "",
+                                        *lines[4:], ""],
+}
+
+
+def _read_arrays(path, kind):
+    """Ids and arrays a reader makes of the file at ``path``."""
+    if kind == "outcomes":
+        ids, out = read_outcome_csv(path)
+        return ids, [out.x, out.y, out.person_years]
+    if kind == "interventions":
+        ids, intv, raw_cost = read_intervention_csv(path)
+        return ids, [intv.x, intv.a, raw_cost]
+    h = read_interference_csv(path, n=40, j=6)
+    assert h.sparse == (kind == "triplets")
+    return [], [h.h.toarray() if h.sparse else h.h]
+
+
+@pytest.mark.parametrize("notes", NOTES)
+@pytest.mark.parametrize("kind", ["outcomes", "interventions", "dense", "triplets"])
+def test_notes_and_blank_lines_read_the_same_bits(tmp_path, kind, notes):
+    paths, *_ = make_fixture(tmp_path, person_years=True)
+    source = {"outcomes": paths["outcomes"], "dense": paths["h"], "triplets": paths["h"],
+              "interventions": _plants_missing_costs(tmp_path, "4.5")}[kind]
+    with open(source, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if kind == "triplets":
+        lines = ["i,j,value", *_as_triplets(lines)]
+    plain = _write(tmp_path / "plain.csv", "\n".join(lines) + "\n")
+    noted = _write(tmp_path / "noted.csv", "\n".join(NOTES[notes](lines)) + "\n")
+    ids, arrays = _read_arrays(plain, kind)
+    noted_ids, noted_arrays = _read_arrays(noted, kind)
+    assert noted_ids == ids
+    assert [a.tobytes() for a in noted_arrays] == [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("tail", ["", "\n\n", "# a note\n"])
+@pytest.mark.parametrize("header", ["id,y,x1,x2", "i,j,value"])
+def test_a_header_alone_has_no_data_rows(tmp_path, header, tail):
+    path = _write(tmp_path / "empty.csv", header + "\n" + tail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataValidationError, match="no data rows"):
+            if header.startswith("id"):
+                read_outcome_csv(path)
+            else:
+                read_interference_csv(path, n=2, j=2)
+
+
+_ROWS = [f"o{i},{i}.5,{i}.25,-{i}.75" for i in range(8)]
+
+# malformed file: its kind, its lines and the number of the bad line, counting
+# every line of the file
+BAD_ROW_AT = {
+    "bad_cell": ("outcomes", ["id,y,x1,x2", *_ROWS[:3], "o9,1.0,abc,0.5", *_ROWS[3:]], 5),
+    "bad_cell_after_notes": ("outcomes", ["# note", "id,y,x1,x2", "", *_ROWS[:3], "# c", "",
+                                          "o9,1.0,abc,0.5", *_ROWS[3:]], 9),
+    "short_row": ("outcomes", ["id,y,x1,x2", *_ROWS[:5], "o9,1.0,0.5", *_ROWS[5:]], 7),
+    "bad_triplet_index": ("h", ["i,j,value", "0,0,1.5", "1,1,2.5", "x,0,1.0", "2,1,0.5"], 4),
+    "bad_dense_cell_after_notes": ("h", ["1.0,2.0", "", "# c", "3.0,-", "5.0,6.0"], 4),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROW_AT)
+def test_a_malformed_row_is_named_by_its_line(tmp_path, case):
+    kind, lines, line = BAD_ROW_AT[case]
+    path = _write(tmp_path / "bad.csv", "\n".join(lines) + "\n")
+    with pytest.raises(DataValidationError, match=f", line {line}: "):
+        if kind == "outcomes":
+            read_outcome_csv(path)
+        else:
+            read_interference_csv(path, n=3, j=2)
 
 
 # argument that the exit-code contract rejects -> text the message must contain
