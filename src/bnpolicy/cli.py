@@ -50,17 +50,7 @@ def _load_sim_config(path) -> SimConfig:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise DataValidationError(f"unknown config keys: {', '.join(unknown)}")
-    for key in ("theta0", "gamma0", "x_out", "x_int", "h_matrix"):
-        if doc.get(key) is not None:
-            try:
-                doc[key] = np.asarray(doc[key], dtype=float)
-            except (ValueError, TypeError):
-                raise DataValidationError(
-                    f"config key {key!r} must be a numeric array") from None
-    try:
-        return SimConfig(**doc)
-    except TypeError as exc:
-        raise DataValidationError(f"bad config value: {exc}") from exc
+    return SimConfig(**doc)
 
 
 # a fitted bundle: ids of the intervention units kept, the outcome and

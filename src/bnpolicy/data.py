@@ -1,7 +1,9 @@
 """Core data model: interference map, unit tables, basis expansions, scaling.
 
-Arrays are validated once at construction; every type is immutable after
-that, so instances can be shared freely across threads.
+Arrays are validated once at construction, and each table holds a
+read-only view of them, not a copy: writing to an array you passed in
+changes the table.  No table writes to its arrays, so instances can be
+shared freely across threads.
 """
 from __future__ import annotations
 
@@ -21,18 +23,18 @@ _BLOCKS = {"": lambda x: x, "^2": lambda x: x**2, "^3": lambda x: x**3,
 BASIS_KINDS = tuple(_BASIS_SUFFIXES)
 
 
-def _as_2d_float(x, name):
+def _as_float(x, name, ndim):
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        raise DataValidationError(f"{name} must be a 2-d array, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise DataValidationError(f"{name} must be a {ndim}-d array, got ndim={arr.ndim}")
     return arr
 
 
-def _as_1d_float(x, name):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise DataValidationError(f"{name} must be a 1-d array, got ndim={arr.ndim}")
-    return arr
+def _read_only(arr):
+    """A view of ``arr`` that cannot be written through; ``arr`` stays writable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -57,18 +59,16 @@ class InterferenceMap:
             if not h.has_canonical_format:  # sort a copy, not the caller's arrays
                 h = h.copy()
                 h.sum_duplicates()
-            values, frozen = h.data, (h.data, h.indices, h.indptr)
+            h.data, h.indices, h.indptr = map(_read_only, (h.data, h.indices, h.indptr))
+            values = h.data
         else:
-            h = values = _as_2d_float(self.h, "h")
-            frozen = (h,)
+            h = values = _read_only(_as_float(self.h, "h", 2))
         if h.shape[0] < 1 or h.shape[1] < 1:
             raise DataValidationError("interference map must have n >= 1 and J >= 1")
         if not np.all(np.isfinite(values)):
             raise DataValidationError("interference map contains non-finite entries")
         if np.any(values < 0):
             raise DataValidationError("interference map contains negative entries")
-        for arr in frozen:
-            arr.flags.writeable = False
         object.__setattr__(self, "h", h)
 
     @property
@@ -112,8 +112,8 @@ class OutcomeTable:
     person_years: np.ndarray | None = None
 
     def __post_init__(self):
-        x = _as_2d_float(self.x, "x")
-        y = _as_1d_float(self.y, "y")
+        x = _read_only(_as_float(self.x, "x", 2))
+        y = _read_only(_as_float(self.y, "y", 1))
         if x.shape[0] != y.shape[0]:
             raise DataValidationError(
                 f"outcome covariates have {x.shape[0]} rows but y has {y.shape[0]}")
@@ -121,14 +121,11 @@ class OutcomeTable:
             raise DataValidationError("outcome table contains non-finite entries")
         py = self.person_years
         if py is not None:
-            py = _as_1d_float(py, "person_years")
+            py = _read_only(_as_float(py, "person_years", 1))
             if py.shape[0] != y.shape[0]:
                 raise DataValidationError("person_years length does not match y")
             if not np.all(np.isfinite(py)) or np.any(py <= 0):
                 raise DataValidationError("person_years must be finite and > 0")
-            py.flags.writeable = False
-        x.flags.writeable = False
-        y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "person_years", py)
@@ -157,8 +154,8 @@ class InterventionTable:
     cost: np.ndarray | None = None
 
     def __post_init__(self):
-        x = _as_2d_float(self.x, "x")
-        a = _as_1d_float(self.a, "a")
+        x = _read_only(_as_float(self.x, "x", 2))
+        a = _read_only(_as_float(self.a, "a", 1))
         if x.shape[0] != a.shape[0]:
             raise DataValidationError(
                 f"intervention covariates have {x.shape[0]} rows but a has {a.shape[0]}")
@@ -166,14 +163,11 @@ class InterventionTable:
             raise DataValidationError("intervention table contains non-finite entries")
         cost = self.cost
         if cost is not None:
-            cost = _as_1d_float(cost, "cost")
+            cost = _read_only(_as_float(cost, "cost", 1))
             if cost.shape[0] != a.shape[0]:
                 raise DataValidationError("cost length does not match treatments")
             if not np.all(np.isfinite(cost)) or np.any(cost < 0):
                 raise DataValidationError("costs must be finite and >= 0")
-            cost.flags.writeable = False
-        x.flags.writeable = False
-        a.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "cost", cost)
@@ -217,7 +211,7 @@ class FeatureMap:
                                 for suffix in _BASIS_SUFFIXES[self.kind] for k in range(p)]
 
     def expand(self, x: np.ndarray) -> np.ndarray:
-        x = _as_2d_float(x, "x")
+        x = _as_float(x, "x", 2)
         return np.hstack([np.ones((x.shape[0], 1))]
                          + [_BLOCKS[suffix](x) for suffix in _BASIS_SUFFIXES[self.kind]])
 
@@ -235,14 +229,14 @@ class Standardizer:
     constant_columns: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = _as_2d_float(x, "x")
+        x = _as_float(x, "x", 2)
         if not np.all(np.isfinite(x)):
             raise DataValidationError("cannot standardize non-finite input")
         return (x - self.means) / self.sds
 
 
 def fit_standardizer(x: np.ndarray) -> Standardizer:
-    x = _as_2d_float(x, "x")
+    x = _as_float(x, "x", 2)
     if not np.all(np.isfinite(x)):
         raise DataValidationError("cannot standardize non-finite input")
     means = x.mean(axis=0)

@@ -13,10 +13,7 @@ from collections import Counter
 import numpy as np
 
 from .data import InterferenceMap, InterventionTable, OutcomeTable
-from .effects import EffectTable
 from .errors import DataValidationError
-from .policy import PolicySolution
-from .simlab import CELLS, SimReport
 
 FORMAT_PREFIX = "# bnpolicy-"
 
@@ -276,8 +273,7 @@ def write_sim_report(json_path, txt_path, report: SimReport) -> str:
     """Write the JSON report and the text table; the text of the table."""
     _write(json_path, [json.dumps(sim_report_to_dict(report), indent=2, sort_keys=True)])
     rows = [["Method", "BS", "PS", "Bias", "RMSE", "Coverage", "Failed"]]
-    for name in CELLS:
-        stats = report.cells[name]
+    for name, stats in report.cells.items():
         method, bs, ps = _CELL_DISPLAY[name]
         rows.append([method, bs, ps, _fmt_human(stats.mean_bias),
                      _fmt_human(stats.mean_rmse), _fmt_human(stats.mean_coverage),

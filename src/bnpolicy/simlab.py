@@ -25,8 +25,9 @@ failures, excluded from the means, and counted in the report.
 """
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -90,10 +91,14 @@ class SimConfig:
     h_matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("n", "j", "p", "q", "reps", "master_seed", "h_diffuse_degree"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataValidationError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):  # f.type is the annotation's text
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise DataValidationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(
+                    value, numbers.Real) or not math.isfinite(value)):
+                raise DataValidationError(f"{f.name} must be a finite number, got {value!r}")
         if self.snr <= 0:
             raise DataValidationError("snr must be positive")
         if self.reps < 1:
@@ -111,21 +116,48 @@ class SimConfig:
             raise DataValidationError(f"unknown h_source {self.h_source!r}")
         if not 0.0 <= self.h_local_frac < 1.0:
             raise DataValidationError("h_local_frac must lie in [0, 1)")
+        if self.h_kernel_bandwidth <= 0:
+            raise DataValidationError("h_kernel_bandwidth must be positive")
+        if self.h_entry_log_sd < 0:
+            raise DataValidationError("h_entry_log_sd must be >= 0")
         if self.se_fail_threshold <= 0:
             raise DataValidationError("se_fail_threshold must be positive")
-        for name, source in (("x_out", "covariate_source"), ("x_int", "covariate_source"),
-                             ("h_matrix", "h_source")):
-            kind = getattr(self, source)
-            if getattr(self, name) is not None and kind != "user_supplied":
+        n, j, p, q = self.n, self.j, self.p, self.q
+        shapes = {"theta0": (2 * (1 + 2 * p),), "gamma0": (1 + 2 * q,), "x_out": (n, p),
+                  "x_int": (j, q), "h_matrix": (n, j)}
+        # the source key under which each of these arrays is read when 'user_supplied'
+        sources = {"x_out": "covariate_source", "x_int": "covariate_source",
+                   "h_matrix": "h_source"}
+        # every array is coerced and its ndim checked before any shape is, so a
+        # malformed array is named before a mis-shaped one
+        for name, shape in shapes.items():
+            value, source = getattr(self, name), sources.get(name)
+            read = source is None or getattr(self, source) == "user_supplied"
+            if value is None:
+                if source is not None and read:
+                    raise DataValidationError(
+                        f"{source} is 'user_supplied' but {name} is not given")
+                continue
+            if not read:
                 raise DataValidationError(
-                    f"{name} is given but {source} is {kind!r}, which never reads it "
-                    f"(set {source} to 'user_supplied' to use it)")
-        for name, ndim in (("theta0", 1), ("gamma0", 1), ("x_out", 2), ("x_int", 2),
-                           ("h_matrix", 2)):
+                    f"{name} is given but {source} is {getattr(self, source)!r}, which "
+                    f"never reads it (set {source} to 'user_supplied' to use it)")
+            try:
+                value = np.asarray(value, dtype=float)
+            except (ValueError, TypeError):
+                raise DataValidationError(
+                    f"config key {name!r} must be a numeric array") from None
+            if value.ndim != len(shape):
+                raise DataValidationError(
+                    f"{name} must be a {len(shape)}-d array, got {value.ndim}-d")
+            if not np.all(np.isfinite(value)):
+                raise DataValidationError(f"{name} must hold finite numbers only")
+            object.__setattr__(self, name, value)
+        for name, shape in shapes.items():
             value = getattr(self, name)
-            if value is not None and np.ndim(value) != ndim:
-                raise DataValidationError(
-                    f"{name} must be a {ndim}-d array, got {np.ndim(value)}-d")
+            if value is not None and value.shape != shape:
+                raise DataValidationError(f"{name} must have shape {shape} for n={n}, "
+                                          f"j={j}, p={p}, q={q}, got {value.shape}")
 
 
 @dataclass(frozen=True)
@@ -195,21 +227,14 @@ def resolve_truth_coefficients(config: SimConfig):
     dim = 1 + 2 * config.p
     rng = np.random.default_rng(splitmix64(config.master_seed, 0x7183))
     if config.theta0 is not None:
-        theta0 = np.asarray(config.theta0, dtype=float)
-        if theta0.shape[0] != 2 * dim:
-            raise DataValidationError(
-                f"theta0 must have length {2 * dim} for p={config.p}")
+        theta0 = config.theta0
     elif 2 * dim == THETA0_REFERENCE.shape[0]:
         theta0 = THETA0_REFERENCE.copy()
     else:
         theta0 = rng.uniform(-0.05, 0.05, 2 * dim)
     gdim = 1 + 2 * config.q
     if config.gamma0 is not None:
-        gamma0 = np.asarray(config.gamma0, dtype=float)
-        if gamma0.shape[0] != gdim:
-            raise DataValidationError(
-                f"gamma0 must have length {gdim} for q={config.q}")
-        slopes = gamma0[1:]
+        slopes = config.gamma0[1:]
     elif gdim == GAMMA0_REFERENCE.shape[0]:
         slopes = GAMMA0_REFERENCE[1:]
     else:
@@ -220,9 +245,7 @@ def resolve_truth_coefficients(config: SimConfig):
 def _draw_h(rng, config: SimConfig, x_out) -> np.ndarray:
     n, j = config.n, config.j
     if config.h_source == "user_supplied":
-        if config.h_matrix is None:
-            raise DataValidationError("h_source is user_supplied but h_matrix is None")
-        return np.asarray(config.h_matrix, dtype=float)
+        return config.h_matrix
     if config.h_source == "synthetic_lognormal_iid":
         return rng.lognormal(0.0, config.h_entry_log_sd, (n, j))
     # structured default: lognormal-profile column masses, a localized
@@ -262,10 +285,7 @@ def generate_dgp(config: SimConfig, seed: int):
     alpha0, beta0, gamma_slopes = resolve_truth_coefficients(config)
 
     if config.covariate_source == "user_supplied":
-        if config.x_out is None or config.x_int is None:
-            raise DataValidationError("covariate_source is user_supplied but x_out/x_int are None")
-        x_out_raw = np.asarray(config.x_out, dtype=float)
-        x_int_raw = np.asarray(config.x_int, dtype=float)
+        x_out_raw, x_int_raw = config.x_out, config.x_int
     else:
         x_out_raw = rng.standard_normal((config.n, config.p))
         x_int_raw = rng.standard_normal((config.j, config.q))

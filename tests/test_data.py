@@ -53,6 +53,43 @@ def test_interference_map_rejects_negative_and_nonfinite():
         InterferenceMap(np.array([[1.0, np.nan]]))
 
 
+def _holds_a_read_only_view(held, given):
+    """``held`` is read-only and shares ``given``'s memory; ``given`` stays writable."""
+    assert not held.flags.writeable and given.flags.writeable
+    assert np.shares_memory(held, given)
+    given.flat[0] += 1.0
+    assert held.flat[0] == given.flat[0]
+
+
+def test_interference_map_leaves_a_dense_array_writable():
+    h = np.ones((3, 2))
+    _holds_a_read_only_view(InterferenceMap(h).h, h)
+
+
+def test_interference_map_leaves_csr_arrays_writable():
+    import scipy.sparse
+
+    given = scipy.sparse.csr_array(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]))
+    held = InterferenceMap(given).h
+    for name in ("data", "indices", "indptr"):
+        _holds_a_read_only_view(getattr(held, name), getattr(given, name))
+    assert held.has_canonical_format
+
+
+def test_outcome_table_leaves_its_arrays_writable():
+    x, y, py = np.zeros((2, 1)), np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    out = OutcomeTable(x=x, y=y, person_years=py)
+    for held, given in ((out.x, x), (out.y, y), (out.person_years, py)):
+        _holds_a_read_only_view(held, given)
+
+
+def test_intervention_table_leaves_its_arrays_writable():
+    x, a, cost = np.zeros((2, 1)), np.array([0.0, 1.0]), np.array([5.0, 6.0])
+    intv = InterventionTable(x=x, a=a, cost=cost)
+    for held, given in ((intv.x, x), (intv.a, a), (intv.cost, cost)):
+        _holds_a_read_only_view(held, given)
+
+
 def test_standardizer_two_point_column():
     s = fit_standardizer(np.array([[1.0], [3.0]]))
     assert np.allclose(s.means, [2.0])

@@ -619,6 +619,29 @@ BAD_CONFIG_SHAPES = {
     "unread_h_matrix": ({**_SMALL_STUDY, "h_source": "synthetic_lognormal_iid",
                          "h_matrix": [[1.0]]},
                         "h_matrix is given but h_source is 'synthetic_lognormal_iid'"),
+    "null_in_theta0": ({**_SMALL_STUDY, "theta0": [None] + [0.0] * 9},
+                       "theta0 must hold finite numbers only"),
+    "x_out_rows": ({**_SMALL_STUDY, "covariate_source": "user_supplied",
+                    "x_out": [[0.0, 1.0]] * 299, "x_int": [[0.0, 1.0]] * 30},
+                   "x_out must have shape (300, 2)"),
+    "x_out_columns": ({**_SMALL_STUDY, "covariate_source": "user_supplied",
+                       "x_out": [[0.0, 1.0, 2.0]] * 300, "x_int": [[0.0, 1.0]] * 30},
+                      "x_out must have shape (300, 2)"),
+    "x_int_shape": ({**_SMALL_STUDY, "covariate_source": "user_supplied",
+                     "x_out": [[0.0, 1.0]] * 300, "x_int": [[0.0, 1.0]] * 29},
+                    "x_int must have shape (30, 2)"),
+    "h_matrix_shape": ({**_SMALL_STUDY, "h_source": "user_supplied",
+                        "h_matrix": [[1, 2, 3], [4, 5, 6]]},
+                       "h_matrix must have shape (300, 30)"),
+    "missing_h_matrix": ({**_SMALL_STUDY, "h_source": "user_supplied"},
+                         "h_source is 'user_supplied' but h_matrix is not given"),
+    "negative_h_entry_log_sd": ({**_SMALL_STUDY, "h_entry_log_sd": -1},
+                                "h_entry_log_sd must be >= 0"),
+    "zero_h_kernel_bandwidth": ({**_SMALL_STUDY, "h_kernel_bandwidth": 0},
+                                "h_kernel_bandwidth must be positive"),
+    "text_target_mean_outcome": ({**_SMALL_STUDY, "target_mean_outcome": "x"},
+                                 "target_mean_outcome must be a finite number, got 'x'"),
+    "text_snr": ({**_SMALL_STUDY, "snr": "3"}, "snr must be a finite number, got '3'"),
 }
 
 

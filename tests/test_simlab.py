@@ -125,6 +125,24 @@ def test_user_supplied_h_and_covariates(rng):
     assert np.allclose(out.x.mean(axis=0), 0.0, atol=1e-12)
 
 
+def test_config_holds_nested_lists_as_float_arrays(rng):
+    n, j, p, q = 200, 20, 2, 2
+    arrays = {"x_out": rng.standard_normal((n, p)), "x_int": rng.standard_normal((j, q)),
+              "h_matrix": rng.lognormal(0.0, 0.5, (n, j)),
+              "theta0": rng.uniform(-0.05, 0.05, 2 * (1 + 2 * p)),
+              "gamma0": rng.uniform(-0.05, 0.05, 1 + 2 * q)}
+    common = dict(n=n, j=j, p=p, q=q, reps=1, master_seed=9,
+                  covariate_source="user_supplied", h_source="user_supplied")
+    from_lists = SimConfig(**common, **{k: v.tolist() for k, v in arrays.items()})
+    for name, value in arrays.items():
+        held = getattr(from_lists, name)
+        assert isinstance(held, np.ndarray) and held.dtype == float
+        assert np.array_equal(held, value)
+    drawn = [generate_dgp(config, 4) for config in (from_lists, SimConfig(**common, **arrays))]
+    assert drawn[0][0].y.tobytes() == drawn[1][0].y.tobytes()
+    assert np.array_equal(drawn[0][2].h, drawn[1][2].h)
+
+
 class _RecordingRng:
     """Generator proxy that keeps every array it draws, by method name."""
 
