@@ -35,7 +35,7 @@ from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable
 from .errors import DataValidationError, EstimationError, SingularSystemError
 from .exposure import expected_exposure, exposure_map, exposure_row_mass
 from .propensity import PropensityFit, fit_propensity
-from .qlearn import OutcomeModelSpec
+from .qlearn import OutcomeFit, OutcomeModelSpec
 
 COND_WARN = 1e10
 COND_FAIL = 1e14
@@ -43,26 +43,11 @@ EQ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class AFit:
-    alpha: np.ndarray
-    beta: np.ndarray
+class AFit(OutcomeFit):
     gamma_fit: PropensityFit | None
-    cov_alphabeta: np.ndarray
     omega_phi: np.ndarray
     omega_gamma: np.ndarray
     diagnostics: dict
-    spec: OutcomeModelSpec
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([self.alpha, self.beta])
-
-    def cov_beta(self) -> np.ndarray:
-        da = self.alpha.shape[0]
-        return self.cov_alphabeta[da:, da:]
-
-    def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov_alphabeta))
 
 
 def _iv_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
@@ -127,7 +112,7 @@ def gamma_sensitivity(h: InterferenceMap, e: np.ndarray,
 
 def _covariance(z, lam, r, m_inv, h: InterferenceMap, e, prop_basis_matrix,
                 cov_gamma):
-    """(cov_alphabeta, omega_phi, omega_gamma, sigma_gamma) at residual r."""
+    """(cov_theta, omega_phi, omega_gamma, sigma_gamma) at residual r."""
     n = r.shape[0]
     omega_phi = m_inv @ ((z.T * r**2) @ z / n) @ m_inv.T
     dth = m_inv.shape[0]
@@ -150,7 +135,7 @@ def a_covariance(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
                  e=None, prop_basis_matrix=None, cov_gamma=None):
     """Plug-in covariance blocks for a solved system.
 
-    Returns (cov_alphabeta, omega_phi, omega_gamma, sigma_gamma).  The
+    Returns (cov_theta, omega_phi, omega_gamma, sigma_gamma).  The
     propensity pieces may be omitted, in which case omega_gamma is zero
     (known-propensity analysis).
     """
@@ -220,5 +205,5 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
     cov, omega_phi, omega_gamma, _ = _covariance(
         z, lam, r, m_inv, h, e, bprop, cov_gamma)
     return AFit(alpha=theta[:da], beta=theta[da:], gamma_fit=gamma_fit,
-                cov_alphabeta=cov, omega_phi=omega_phi, omega_gamma=omega_gamma,
+                cov_theta=cov, omega_phi=omega_phi, omega_gamma=omega_gamma,
                 diagnostics=diagnostics, spec=spec)

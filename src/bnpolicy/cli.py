@@ -19,7 +19,7 @@ from . import io as bio
 from ._blas import one_blas_thread, usable_cpus
 from .alearn import fit_a
 from .data import FeatureMap, validate_bundle
-from .effects import effect_table
+from .effects import effect_table, total_effects
 from .errors import (BnpolicyError, DataValidationError, EstimationError,
                      RankDeficiencyError, SingularSystemError)
 from .exposure import exposure_map
@@ -54,8 +54,8 @@ def _load_sim_config(path) -> SimConfig:
 
 
 # a fitted bundle: ids of the intervention units kept, the outcome and
-# intervention tables, H, the QFit or AFit and its OutcomeModelSpec
-_Run = namedtuple("_Run", "ids out intv h fit spec")
+# intervention tables, H and the QFit or AFit
+_Run = namedtuple("_Run", "ids out intv h fit")
 
 
 def _fit_bundle(args, need_cost=False) -> _Run:
@@ -83,12 +83,7 @@ def _fit_bundle(args, need_cost=False) -> _Run:
         fit = fit_q(out, exposure_map(h, intv.a), spec)
     else:
         fit = fit_a(out, intv, h, spec, prop_basis=FeatureMap(args.prop_basis))
-    return _Run(ids, out, intv, h, fit, spec)
-
-
-def _effect_table(run, level):
-    return effect_table(run.h, run.out, run.fit.beta, run.fit.cov_beta(),
-                        run.spec.basis_fa, cost=run.intv.cost, level=level)
+    return _Run(ids, out, intv, h, fit)
 
 
 def _out_path(args, name) -> str:
@@ -136,12 +131,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     run = _fit_bundle(args)
-    fit, spec = run.fit, run.spec
-    names = ([f"f0:{n}" for n in spec.basis_f0.names(run.out.p, "x")]
-             + [f"fa:{n}" for n in spec.basis_fa.names(run.out.p, "x")])
-    cov = fit.cov_theta if args.estimator == "q" else fit.cov_alphabeta
-    _coef_report(_out_path(args, "outcome_coefficients.csv"), names, fit.theta, cov,
-                 args.level)
+    fit = run.fit
+    names = ([f"f0:{n}" for n in fit.spec.basis_f0.names(run.out.p, "x")]
+             + [f"fa:{n}" for n in fit.spec.basis_fa.names(run.out.p, "x")])
+    _coef_report(_out_path(args, "outcome_coefficients.csv"), names, fit.theta,
+                 fit.cov_theta, args.level)
     if args.estimator == "a" and fit.gamma_fit is not None:
         g = fit.gamma_fit
         _coef_report(_out_path(args, "propensity_coefficients.csv"),
@@ -153,28 +147,34 @@ def cmd_fit(args) -> int:
 
 def cmd_effects(args) -> int:
     run = _fit_bundle(args)
-    bio.write_effects_csv(_out_path(args, "effects.csv"), run.ids,
-                          _effect_table(run, args.level))
+    table = effect_table(run.h, run.out, run.fit.beta, run.fit.cov_beta(),
+                         run.fit.spec.basis_fa, cost=run.intv.cost, level=args.level)
+    bio.write_effects_csv(_out_path(args, "effects.csv"), run.ids, table)
     print(f"effects written to {args.out_dir}; note: one-sided p-values are "
           "exploratory and carry no multiplicity correction")
     return EXIT_OK
 
 
 def cmd_policy(args) -> int:
+    if args.budget_frac is None:
+        for flag, given in (("--method", args.method), ("--integral", args.integral)):
+            if given:
+                raise DataValidationError(f"{flag} needs --budget-frac")
     run = _fit_bundle(args, need_cost=True)
-    te, cost, n = _effect_table(run, args.level).total_effect, run.intv.cost, run.out.n
+    te = total_effects(run.h, run.out, run.fit.beta, run.fit.spec.basis_fa)
+    cost, n = run.intv.cost, run.out.n
     if args.budget_frac is None:
         sol = unconstrained_policy(te, n, cost=cost)
     else:
         budget = args.budget_frac * float(cost.sum())
-        make = knapsack_policy if args.method == "bc" else te_ranked_policy
+        make = te_ranked_policy if args.method == "te" else knapsack_policy
         sol = make(te, cost, budget, n)
         if args.integral:
             sol = truncate_fractional(sol, te, cost, n)
     if run.out.person_years is not None:
-        rate, count = policy_value(te, sol.pi, n, h=run.h, out=run.out, beta=run.fit.beta,
-                                   basis_fa=run.spec.basis_fa)
-        sol = replace(sol, value_rate=rate, value_count=count)
+        _, count = policy_value(te, sol.pi, n, h=run.h, out=run.out, beta=run.fit.beta,
+                                basis_fa=run.fit.spec.basis_fa)
+        sol = replace(sol, value_count=count)
     bio.write_policy_json(_out_path(args, "policy.json"), sol, run.ids)
     print(f"policy ({sol.method}) value_rate={sol.value_rate!r} spent={sol.spent!r}")
     return EXIT_OK
@@ -186,8 +186,8 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise DataValidationError(f"bad --fractions value: {exc}") from None
     run = _fit_bundle(args, need_cost=True)
-    pairs = budget_sweep(_effect_table(run, args.level).total_effect, run.intv.cost,
-                         fractions, run.out.n)
+    pairs = budget_sweep(total_effects(run.h, run.out, run.fit.beta, run.fit.spec.basis_fa),
+                         run.intv.cost, fractions, run.out.n)
     dominance = all(bc.value_rate <= te.value_rate + 1e-12 for bc, te in pairs)
     bio.write_sweep_csv(_out_path(args, "sweep.csv"), fractions, pairs, dominance)
     print(f"sweep written to {args.out_dir}; dominance_holds={dominance}")
@@ -229,7 +229,6 @@ def _add_bundle_args(sp):
     sp.add_argument("--prop-basis", default="linear", dest="prop_basis")
     sp.add_argument("--trim", type=float, default=None,
                     help="propensity trim quantile, e.g. 0.05")
-    sp.add_argument("--level", type=float, default=0.95)
     sp.add_argument("--out-dir", required=True, dest="out_dir")
 
 
@@ -248,16 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="fit outcome and propensity models")
     _add_bundle_args(sp)
+    sp.add_argument("--level", type=float, default=0.95)
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("effects", help="per-unit total effects with inference")
     _add_bundle_args(sp)
+    sp.add_argument("--level", type=float, default=0.95)
     sp.set_defaults(func=cmd_effects)
 
     sp = sub.add_parser("policy", help="budgeted or unconstrained allocation")
     _add_bundle_args(sp)
     sp.add_argument("--budget-frac", type=float, default=None, dest="budget_frac")
-    sp.add_argument("--method", choices=("bc", "te"), default="bc")
+    sp.add_argument("--method", choices=("bc", "te"), default=None,
+                    help="greedy ranking under --budget-frac (default bc)")
     sp.add_argument("--integral", action="store_true")
     sp.set_defaults(func=cmd_policy)
 

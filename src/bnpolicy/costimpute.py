@@ -247,6 +247,8 @@ def fit_cost_models(x, c, spec: SplitSpec, n_trees=500, n_workers=1):
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
+    if c.size == 0:
+        raise DataValidationError("no observed costs to train on")
     if np.all(c == c[0]):
         raise EstimationError("constant cost target: nothing to model")
     train, val = split_train_val(c.shape[0], spec)

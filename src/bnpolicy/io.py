@@ -196,7 +196,7 @@ EFFECTS_COLUMNS = ("id", "total_effect", "se", "p_one_sided", "ci_low", "ci_high
                    "benefit_cost", "structural_zero")
 
 
-def write_effects_csv(path, ids, table: EffectTable):
+def write_effects_csv(path, ids, table):
     lines = [f"{FORMAT_PREFIX}effects v1", ",".join(EFFECTS_COLUMNS)]
     bc = table.benefit_cost
     for k, uid in enumerate(ids):
@@ -215,7 +215,7 @@ def write_coefficients_csv(path, names, estimates, ses, ci_low, ci_high, p_value
     _write(path, lines)
 
 
-def write_policy_json(path, sol: PolicySolution, ids):
+def write_policy_json(path, sol, ids):
     doc = {
         "format": "bnpolicy-policy v1",
         "method": sol.method,
@@ -250,7 +250,7 @@ _CELL_DISPLAY = {
 }
 
 
-def sim_report_to_dict(report: SimReport) -> dict:
+def sim_report_to_dict(report) -> dict:
     return {
         "format": "bnpolicy-sim-report v1",
         "master_seed": report.master_seed,
@@ -269,7 +269,7 @@ def sim_report_to_dict(report: SimReport) -> dict:
     }
 
 
-def write_sim_report(json_path, txt_path, report: SimReport) -> str:
+def write_sim_report(json_path, txt_path, report) -> str:
     """Write the JSON report and the text table; the text of the table."""
     _write(json_path, [json.dumps(sim_report_to_dict(report), indent=2, sort_keys=True)])
     rows = [["Method", "BS", "PS", "Bias", "RMSE", "Coverage", "Failed"]]

@@ -31,11 +31,12 @@ class OutcomeModelSpec:
 
 
 @dataclass(frozen=True)
-class QFit:
+class OutcomeFit:
+    """theta = (alpha, beta) and its per-sample-scale covariance, from either route."""
+
     alpha: np.ndarray
     beta: np.ndarray
     cov_theta: np.ndarray
-    residuals: np.ndarray
     spec: OutcomeModelSpec
 
     @property
@@ -48,6 +49,11 @@ class QFit:
 
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(np.diag(self.cov_theta))
+
+
+@dataclass(frozen=True)
+class QFit(OutcomeFit):
+    residuals: np.ndarray
 
 
 def q_design(out: OutcomeTable, abar: np.ndarray, spec: OutcomeModelSpec) -> np.ndarray:

@@ -118,6 +118,8 @@ class SimConfig:
             raise DataValidationError("h_local_frac must lie in [0, 1)")
         if self.h_kernel_bandwidth <= 0:
             raise DataValidationError("h_kernel_bandwidth must be positive")
+        if self.h_diffuse_degree < 1:
+            raise DataValidationError("h_diffuse_degree must be at least 1")
         if self.h_entry_log_sd < 0:
             raise DataValidationError("h_entry_log_sd must be >= 0")
         if self.se_fail_threshold <= 0:
@@ -262,7 +264,7 @@ def _draw_h(rng, config: SimConfig, x_out) -> np.ndarray:
             -0.5 * ((u[:, None] - centers[None, :]) / config.h_kernel_bandwidth) ** 2)
     n_diff = j - j_loc
     deg = min(config.h_diffuse_degree, n_diff)
-    if n_diff > 0 and deg > 0:
+    if n_diff > 0:
         # only the set of the deg smallest keys per row matters, not their order
         pick = np.argpartition(rng.random((n, n_diff)), deg - 1, axis=1)[:, :deg]
         rows = np.repeat(np.arange(n), deg)

@@ -251,7 +251,7 @@ def test_fit_matches_the_stacked_block_formula(rng, make):
     theta, cov = _block_formula_fit(out, intv, h, spec, fit.gamma_fit.fitted,
                                     prop_basis.expand(intv.x), fit.gamma_fit.cov_gamma)
     assert np.max(np.abs(fit.theta - theta)) <= 1e-13 * np.max(np.abs(theta))
-    assert np.max(np.abs(fit.cov_alphabeta - cov)) <= 1e-12 * np.max(np.abs(cov))
+    assert np.max(np.abs(fit.cov_theta - cov)) <= 1e-12 * np.max(np.abs(cov))
 
 
 def test_public_wrappers_reproduce_the_fit(rng):
@@ -264,7 +264,7 @@ def test_public_wrappers_reproduce_the_fit(rng):
     cov, omega_phi, omega_gamma, _ = a_covariance(
         out, h, abar, abar_hat, LIN, fit.alpha, fit.beta, m, e=e,
         prop_basis_matrix=prop_basis.expand(intv.x), cov_gamma=fit.gamma_fit.cov_gamma)
-    assert np.array_equal(cov, fit.cov_alphabeta)
+    assert np.array_equal(cov, fit.cov_theta)
     assert np.array_equal(omega_phi, fit.omega_phi)
     assert np.array_equal(omega_gamma, fit.omega_gamma)
 

@@ -31,6 +31,11 @@ def test_split_too_few_rows():
         split_train_val(4, SplitSpec())
 
 
+def test_no_observed_cost_rejected():
+    with pytest.raises(DataValidationError, match="no observed costs"):
+        fit_cost_models(np.empty((0, 2)), np.empty(0), SplitSpec())
+
+
 def test_nmae_hand_example():
     assert nmae([10.0, 20.0], [8.0, 25.0]) == pytest.approx(0.225)
 

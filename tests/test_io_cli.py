@@ -1,7 +1,11 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 import warnings
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnpolicy
 from bnpolicy import FeatureMap, cli, fit_propensity, trim_by_propensity
 from bnpolicy._blas import usable_cpus
 from bnpolicy.cli import main
@@ -504,6 +509,10 @@ BAD_ARGS = {
     "fit_level_above_one": (["fit", "--level", "1.5"], "confidence level"),
     "sweep_non_numeric_fraction": (["sweep", "--fractions", "0.1,abc"], "'abc'"),
     "policy_nan_budget": (["policy", "--budget-frac", "nan"], "budget"),
+    "policy_integral_without_budget": (["policy", "--integral"],
+                                       "--integral needs --budget-frac"),
+    "policy_method_without_budget": (["policy", "--method", "te"],
+                                     "--method needs --budget-frac"),
 }
 
 
@@ -520,6 +529,19 @@ def test_cli_bad_arguments_exit_2_without_output(tmp_path, capsys, case):
     assert expected in err
     assert "Traceback" not in err
     assert not [p for p in out_dir.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("command", ["policy", "sweep"])
+def test_cli_level_is_not_an_option_of_policy_or_sweep(tmp_path, capsys, command):
+    paths, *_ = make_fixture(tmp_path)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--outcomes", paths["outcomes"], "--interventions",
+              paths["interventions"], "--h", paths["h"], "--level", "0.9",
+              "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --level 0.9" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["policy", "sweep"])
@@ -573,6 +595,17 @@ BAD_IMPUTE = {
     "nan_cost": ("nan", [], "'nan'"),
     "negative_seed": ("4.5", ["--seed", "-1"], "seed must be a non-negative integer"),
 }
+
+
+def test_cli_impute_costs_rejects_a_table_without_observed_costs(tmp_path, capsys):
+    lines = ["id,a,cost,z1,z2", *(f"p{k},{k % 2},,{k * 0.5!r},{1.0 - k!r}" for k in range(8))]
+    path = _write(tmp_path / "plants.csv", "\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    code = main(["impute-costs", "--interventions", path, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "validation failure: no observed costs to train on\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("case", BAD_IMPUTE)
@@ -639,6 +672,10 @@ BAD_CONFIG_SHAPES = {
                                 "h_entry_log_sd must be >= 0"),
     "zero_h_kernel_bandwidth": ({**_SMALL_STUDY, "h_kernel_bandwidth": 0},
                                 "h_kernel_bandwidth must be positive"),
+    "negative_h_diffuse_degree": ({**_SMALL_STUDY, "h_diffuse_degree": -3},
+                                  "h_diffuse_degree must be at least 1"),
+    "zero_h_diffuse_degree": ({**_SMALL_STUDY, "h_diffuse_degree": 0},
+                              "h_diffuse_degree must be at least 1"),
     "text_target_mean_outcome": ({**_SMALL_STUDY, "target_mean_outcome": "x"},
                                  "target_mean_outcome must be a finite number, got 'x'"),
     "text_snr": ({**_SMALL_STUDY, "snr": "3"}, "snr must be a finite number, got '3'"),
@@ -736,3 +773,17 @@ def test_each_command_has_its_own_default_worker_count(tmp_path, monkeypatch):
             with pytest.raises(_Stop):
                 main(argv)
         assert seen == expected
+
+
+def test_every_annotation_in_the_package_resolves():
+    unresolved = []
+    for info in pkgutil.iter_modules(bnpolicy.__path__):
+        module = importlib.import_module(f"bnpolicy.{info.name}")
+        for name, obj in vars(module).items():
+            if ((inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__):
+                try:
+                    typing.get_type_hints(obj)
+                except NameError as exc:
+                    unresolved.append(f"{module.__name__}.{name}: {exc}")
+    assert unresolved == []

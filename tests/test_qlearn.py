@@ -164,4 +164,4 @@ def test_both_fits_are_equivariant_to_the_scale_of_y(rng, k):
     assert np.array_equal(q_big.theta, c * q.theta)
     assert np.array_equal(q_big.cov_theta, c * c * q.cov_theta)
     assert np.array_equal(a_big.theta, c * a.theta)
-    assert np.array_equal(a_big.cov_alphabeta, c * c * a.cov_alphabeta)
+    assert np.array_equal(a_big.cov_theta, c * c * a.cov_theta)

@@ -69,7 +69,7 @@ def _fits(bundle):
 
 def _assert_fits_agree(dense, sparse):
     assert _close(sparse.theta, dense.theta)
-    for name in ("omega_phi", "omega_gamma", "cov_alphabeta"):
+    for name in ("omega_phi", "omega_gamma", "cov_theta"):
         assert _close(getattr(sparse, name), getattr(dense, name)), name
 
 
