@@ -5,13 +5,15 @@ the order in which partial sums are added, so the last digits of a fit
 depend on how many threads ran it.  Pinning every bundled OpenBLAS to one
 thread makes each report the same bits on any host; parallelism comes from
 worker processes instead (``map_in_order``: the Monte Carlo lab's
-replications and the cost forest's trees).  The libraries are found and
-driven through ctypes the way threadpoolctl does it.
+replications and the cost forest's trees).  The libraries are found next
+to their packages without importing them, and driven through ctypes the
+way threadpoolctl does it.
 """
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import multiprocessing
 import numbers
 import os
@@ -22,12 +24,17 @@ from .errors import DataValidationError
 
 
 def _library_dirs() -> list:
-    """The ``<package>.libs`` directories where wheels bundle OpenBLAS."""
+    """The ``<package>.libs`` directories where wheels bundle OpenBLAS.
+
+    Each package is located by its import spec, not imported, so pinning
+    BLAS does not load scipy into a command that never uses it.
+    """
     dirs = []
     for name in ("numpy", "scipy"):
-        mod = __import__(name)
-        dirs.append(os.path.join(os.path.dirname(os.path.dirname(mod.__file__)),
-                                 f"{name}.libs"))
+        spec = importlib.util.find_spec(name)
+        if spec is not None and spec.origin is not None:
+            dirs.append(os.path.join(os.path.dirname(os.path.dirname(spec.origin)),
+                                     f"{name}.libs"))
     return dirs
 
 

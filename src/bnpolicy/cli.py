@@ -2,6 +2,11 @@
 
 Subcommands: simulate, fit, effects, policy, sweep, impute-costs.
 Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 I/O.
+
+Each command imports the modules it runs inside its own body, so
+``impute-costs`` never loads scipy.  The imports stay local and are never
+bound to this module's globals: a profiler that swaps module attributes
+for a while must see every later call go through the current attribute.
 """
 from __future__ import annotations
 
@@ -13,22 +18,11 @@ from collections import namedtuple
 from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import io as bio
 from ._blas import one_blas_thread, usable_cpus
-from .alearn import fit_a
-from .data import FeatureMap, validate_bundle
-from .effects import effect_table, total_effects
 from .errors import (BnpolicyError, DataValidationError, EstimationError,
                      RankDeficiencyError, SingularSystemError)
-from .exposure import exposure_map
-from .costimpute import SplitSpec, fit_cost_models, predict_costs
-from .policy import (budget_sweep, knapsack_policy, policy_value, te_ranked_policy,
-                     truncate_fractional, unconstrained_policy)
-from .propensity import apply_trim, fit_propensity, trim_by_propensity
-from .qlearn import OutcomeModelSpec, fit_q
-from .simlab import SimConfig, run_monte_carlo
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,7 +30,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _load_sim_config(path) -> SimConfig:
+def _load_sim_config(path):
+    from .simlab import SimConfig
+
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
@@ -62,8 +58,19 @@ def _fit_bundle(args, need_cost=False) -> _Run:
     """Read and validate the bundle, trim it when ``--trim`` is given, and fit.
 
     ``need_cost`` rejects an intervention file without a complete cost
-    column before the transport file is read.
+    column before the transport file is read; ``--trim`` and ``--level``
+    are range-checked before any file is.
     """
+    from .alearn import fit_a
+    from .data import FeatureMap, validate_bundle
+    from .exposure import exposure_map
+    from .propensity import apply_trim, fit_propensity, trim_by_propensity
+    from .qlearn import OutcomeModelSpec, fit_q
+
+    if args.trim is not None and not 0.0 <= args.trim < 1.0:
+        raise DataValidationError("trim quantile must lie in [0, 1)")
+    if not 0.0 < getattr(args, "level", 0.5) < 1.0:
+        raise DataValidationError("confidence level must lie in (0, 1)")
     _, out = bio.read_outcome_csv(args.outcomes)
     ids, intv, _ = bio.read_intervention_csv(args.interventions)
     if need_cost and intv.cost is None:
@@ -93,8 +100,8 @@ def _out_path(args, name) -> str:
 
 
 def _coef_report(path, names, estimates, cov, level):
-    if not 0.0 < level < 1.0:
-        raise DataValidationError("confidence level must lie in (0, 1)")
+    from scipy.special import ndtr, ndtri
+
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     z = ndtri(0.5 + level / 2.0)
     safe = np.where(se > 0, se, 1.0)
@@ -122,6 +129,8 @@ def _worker_count(threads, default) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simlab import run_monte_carlo
+
     config = _load_sim_config(args.config)
     report = run_monte_carlo(config, n_workers=_worker_count(args.threads, 1))
     print(bio.write_sim_report(_out_path(args, "sim_report.json"),
@@ -146,6 +155,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_effects(args) -> int:
+    from .effects import effect_table
+
     run = _fit_bundle(args)
     table = effect_table(run.h, run.out, run.fit.beta, run.fit.cov_beta(),
                          run.fit.spec.basis_fa, cost=run.intv.cost, level=args.level)
@@ -156,6 +167,10 @@ def cmd_effects(args) -> int:
 
 
 def cmd_policy(args) -> int:
+    from .effects import total_effects
+    from .policy import (knapsack_policy, policy_value, te_ranked_policy,
+                         truncate_fractional, unconstrained_policy)
+
     if args.budget_frac is None:
         for flag, given in (("--method", args.method), ("--integral", args.integral)):
             if given:
@@ -181,6 +196,9 @@ def cmd_policy(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .effects import total_effects
+    from .policy import budget_sweep
+
     try:
         fractions = [float(v) for v in args.fractions.split(",")]
     except ValueError as exc:
@@ -195,6 +213,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_impute_costs(args) -> int:
+    from .costimpute import SplitSpec, fit_cost_models, predict_costs
+
     n_workers = _worker_count(None, usable_cpus())
     ids, intv, raw_cost = bio.read_intervention_csv(args.interventions)
     if raw_cost is None:

@@ -10,7 +10,12 @@ import importlib
 import os
 import sys
 
-import bnpolicy.cli  # noqa: F401  (every module whose names the tracer patches)
+# every module whose names the tracer patches; the CLI imports its commands'
+# modules only when they run
+import bnpolicy.cli  # noqa: F401
+import bnpolicy.costimpute  # noqa: F401
+import bnpolicy.policy  # noqa: F401
+import bnpolicy.simlab  # noqa: F401
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")

@@ -203,6 +203,18 @@ def test_forest_grown_in_a_pool_reproduces_the_recorded_bits():
     assert [v.hex() for v in (per_tree / 20).tolist()] == RECORDED_PREDICTIONS
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 7])
+def test_one_feature_draw_is_choice_as_a_scalar_integer(q):
+    """A tree that draws one feature per split calls ``integers(q)`` where it
+    used to call ``choice(q, 1, replace=False)``; the recorded forest bits hold
+    only while both return the same feature and consume the same stream."""
+    for seed in range(200):
+        scalar, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert scalar.integers(q) == chosen.choice(q, size=1, replace=False)[0]
+        assert scalar.random() == chosen.random()
+
+
 def _reference_predict(tree, x):
     """Row-by-row walk of a tree's node arrays: the loop the vectorised walk replaces."""
     feature, threshold, left, right, value = tree.nodes

@@ -257,6 +257,82 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def _run_python(*argv, **env):
+    """stdout of a fresh interpreter that imports the package from this checkout."""
+    src = os.path.dirname(os.path.dirname(bnpolicy.__file__))
+    done = subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+# a probe that runs impute-costs, then lists the scipy modules loaded in this
+# process and in each worker of a two-worker pool
+IMPUTE_PROBE = """
+import json, sys
+from bnpolicy._blas import map_in_order
+from bnpolicy.cli import main
+
+def scipy_modules(_=None):
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+code = main(["impute-costs", "--interventions", sys.argv[1], "--out-dir", sys.argv[2]])
+print(json.dumps([code, scipy_modules(), map_in_order(scipy_modules, range(2), 2)]))
+"""
+
+
+def test_cli_impute_costs_loads_no_scipy(tmp_path):
+    path = _plants_with_a_nonlinear_cost(tmp_path)
+    out = _run_python("-c", IMPUTE_PROBE, path, str(tmp_path / "out"), BNPOLICY_THREADS="2")
+    code, here, workers = json.loads(out.splitlines()[-1])
+    assert code == 0 and (tmp_path / "out" / "importance.csv").exists()
+    assert here == [] and workers == [[], []]
+
+
+# every public name of the package: its modules and what they export
+PUBLIC_NAMES = [
+    "AFit", "BnpolicyError", "CELLS", "CellResult", "CellSpec", "CellStats",
+    "CostModelFit", "DataValidationError", "EffectTable", "EstimationError",
+    "FeatureMap", "InterferenceMap", "InterventionTable", "OutcomeFit",
+    "OutcomeModelSpec", "OutcomeTable", "PolicySolution", "PropensityFit", "QFit",
+    "RankDeficiencyError", "RegressionForest", "RegressionTree", "SimConfig",
+    "SimReport", "SingularSystemError", "SplitSpec", "Standardizer", "TrimReport",
+    "Truth", "ValidationReport", "a_covariance", "a_equations", "a_system", "alearn",
+    "apply_trim", "benefit_cost", "budget_sweep", "calibrate_propensity_intercept",
+    "costimpute", "data", "effect_inference", "effect_table", "effect_weights",
+    "effects", "errors", "expected_exposure", "exposure", "exposure_map",
+    "exposure_row_mass", "fit_a", "fit_cost_models", "fit_propensity", "fit_q",
+    "fit_standardizer", "generate_dgp", "knapsack_policy", "nmae", "policy",
+    "policy_value", "predict_costs", "propensity", "qlearn", "run_cell",
+    "run_monte_carlo", "run_replication", "seeding", "simlab", "split_train_val",
+    "splitmix64", "te_ranked_policy", "total_effects", "trim_by_propensity",
+    "truncate_fractional", "unconstrained_policy", "validate_bundle"]
+
+
+def test_package_import_loads_no_submodule_and_unknown_names_import_nothing():
+    probe = ("import json, sys, bnpolicy\n"
+             "loaded = lambda: sorted(m for m in sys.modules if m.startswith('bnpolicy'))\n"
+             "first = loaded()\n"
+             "public = [name for name in dir(bnpolicy) if not name.startswith('_')]\n"
+             "missing = hasattr(bnpolicy, 'no_such_name')\n"
+             "print(json.dumps([first, public, missing, loaded()]))")
+    first, public, missing, after = json.loads(_run_python("-c", probe))
+    assert first == ["bnpolicy"] and public == PUBLIC_NAMES
+    assert not missing and after == ["bnpolicy"]
+
+
+def test_every_public_name_is_exported_and_bound_by_a_star_import():
+    assert sorted(bnpolicy.__all__) == PUBLIC_NAMES
+    namespace = {}
+    exec("from bnpolicy import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("bnpolicy.")]
+    for name in PUBLIC_NAMES:
+        value = namespace[name]
+        assert any(mod is value or vars(mod).get(name) is value for mod in modules), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bnpolicy.no_such_name
+
+
 def test_cli_bad_config_field_named(tmp_path, capsys):
     cfg = _write(tmp_path / "bad.json", json.dumps({"snr": 0}))
     code = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")])
@@ -531,6 +607,33 @@ def test_cli_bad_arguments_exit_2_without_output(tmp_path, capsys, case):
     assert not [p for p in out_dir.rglob("*") if p.is_file()]
 
 
+# option out of range -> text the message must contain; checked before any
+# file is read, so every input path below names a missing file
+BAD_RANGES = {
+    "effects_level_above_one": (["effects", "--level", "1.5"], "confidence level"),
+    "fit_level_zero": (["fit", "--level", "0"], "confidence level"),
+    "effects_level_nan": (["effects", "--level", "nan"], "confidence level"),
+    "effects_trim_above_one": (["effects", "--trim", "1.5"], "trim quantile"),
+    "fit_trim_negative": (["fit", "--trim", "-0.1"], "trim quantile"),
+    "policy_trim_one": (["policy", "--trim", "1"], "trim quantile"),
+    "sweep_trim_nan": (["sweep", "--trim", "nan"], "trim quantile"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RANGES)
+def test_cli_ranges_checked_before_any_file_is_read(tmp_path, capsys, case):
+    (command, *extra), expected = BAD_RANGES[case]
+    out_dir = tmp_path / "out"
+    code = main([command, "--outcomes", str(tmp_path / "missing_outcomes.csv"),
+                 "--interventions", str(tmp_path / "missing_interventions.csv"),
+                 "--h", str(tmp_path / "missing_h.csv"), *extra,
+                 "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and expected in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["policy", "sweep"])
 def test_cli_level_is_not_an_option_of_policy_or_sweep(tmp_path, capsys, command):
     paths, *_ = make_fixture(tmp_path)
@@ -757,8 +860,8 @@ def test_each_command_has_its_own_default_worker_count(tmp_path, monkeypatch):
             raise _Stop
         return fake
 
-    monkeypatch.setattr(cli, "run_monte_carlo", record("simulate"))
-    monkeypatch.setattr(cli, "fit_cost_models", record("impute-costs"))
+    monkeypatch.setattr(bnpolicy.simlab, "run_monte_carlo", record("simulate"))
+    monkeypatch.setattr(bnpolicy.costimpute, "fit_cost_models", record("impute-costs"))
     cfg = _write(tmp_path / "cfg.json", json.dumps({"reps": 2}))
     plants = _plants_with_a_nonlinear_cost(tmp_path)
     commands = (["simulate", "--config", cfg, "--out-dir", str(tmp_path / "s")],
