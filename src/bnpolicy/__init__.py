@@ -19,7 +19,6 @@ _EXPORTS = {
                 "effect_weights", "total_effects"),
     "errors": ("BnpolicyError", "DataValidationError", "EstimationError",
                "RankDeficiencyError", "SingularSystemError"),
-    "exposure": ("expected_exposure", "exposure_map", "exposure_row_mass"),
     "policy": ("PolicySolution", "budget_sweep", "knapsack_policy", "policy_value",
                "te_ranked_policy", "truncate_fractional", "unconstrained_policy"),
     "propensity": ("PropensityFit", "TrimReport", "apply_trim",

@@ -33,7 +33,6 @@ import numpy as np
 
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable
 from .errors import DataValidationError, EstimationError, SingularSystemError
-from .exposure import expected_exposure, exposure_map, exposure_row_mass
 from .propensity import PropensityFit, fit_propensity
 from .qlearn import OutcomeFit, OutcomeModelSpec
 
@@ -55,7 +54,7 @@ def _iv_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
     """Regressors D, instruments Z and lam = c * FA, each basis expanded once."""
     f0 = spec.basis_f0.expand(out.x)
     fa = spec.basis_fa.expand(out.x)
-    c = exposure_row_mass(h)
+    c = h.row_mass()
     da = f0.shape[1]
     d = np.empty((out.n, da + fa.shape[1]))
     z = np.empty_like(d)
@@ -107,7 +106,7 @@ def gamma_sensitivity(h: InterferenceMap, e: np.ndarray,
     The weights e(1 - e) scale the (J, dim gamma) basis, not H, so no
     n x J temporary is built.
     """
-    return h.h @ ((e * (1.0 - e))[:, None] * prop_basis_matrix) / h.j
+    return h.exposure((e * (1.0 - e))[:, None] * prop_basis_matrix)
 
 
 def _covariance(z, lam, r, m_inv, h: InterferenceMap, e, prop_basis_matrix,
@@ -167,16 +166,17 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
     cov_gamma = None
     if propensities is not None:
         e = np.asarray(propensities, dtype=float)
-        if e.shape != (intv.j,) or np.any(e <= 0.0) or np.any(e >= 1.0):
-            raise DataValidationError("propensities must lie strictly in (0, 1)")
     else:
         gamma_fit = fit_propensity(intv.x, intv.a, prop_basis)
         e = gamma_fit.fitted
         bprop = prop_basis.expand(intv.x)
         cov_gamma = gamma_fit.cov_gamma
+    # a fitted propensity can round to 0 or 1 under separation
+    if e.shape != (intv.j,) or not np.all((e > 0.0) & (e < 1.0)):
+        raise DataValidationError("propensities must lie strictly in (0, 1)")
 
-    abar = exposure_map(h, intv.a)
-    abar_hat = expected_exposure(h, e)
+    abar = h.exposure(intv.a)
+    abar_hat = h.exposure(e)
     if np.max(np.abs(abar - abar_hat)) < 1e-14:
         raise SingularSystemError(
             "no treatment variation beyond the propensity model: "

@@ -63,7 +63,6 @@ def _fit_bundle(args, need_cost=False) -> _Run:
     """
     from .alearn import fit_a
     from .data import FeatureMap, validate_bundle
-    from .exposure import exposure_map
     from .propensity import apply_trim, fit_propensity, trim_by_propensity
     from .qlearn import OutcomeModelSpec, fit_q
 
@@ -87,7 +86,7 @@ def _fit_bundle(args, need_cost=False) -> _Run:
         h, intv = apply_trim(h, intv, trim)
         ids = [ids[k] for k in trim.kept]
     if args.estimator == "q":
-        fit = fit_q(out, exposure_map(h, intv.a), spec)
+        fit = fit_q(out, h.exposure(intv.a), spec)
     else:
         fit = fit_a(out, intv, h, spec, prop_basis=FeatureMap(args.prop_basis))
     return _Run(ids, out, intv, h, fit)
@@ -175,6 +174,8 @@ def cmd_policy(args) -> int:
         for flag, given in (("--method", args.method), ("--integral", args.integral)):
             if given:
                 raise DataValidationError(f"{flag} needs --budget-frac")
+    elif not 0.0 <= args.budget_frac < np.inf:
+        raise DataValidationError("budget fraction must be finite and >= 0")
     run = _fit_bundle(args, need_cost=True)
     te = total_effects(run.h, run.out, run.fit.beta, run.fit.spec.basis_fa)
     cost, n = run.intv.cost, run.out.n

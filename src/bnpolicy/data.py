@@ -1,5 +1,10 @@
 """Core data model: interference map, unit tables, basis expansions, scaling.
 
+The interference map owns the one convention by which units meet: the
+exposure of the outcome units is (1/J) H v and the aggregate over them
+is (1/J) H^T w, so ``InterferenceMap.exposure`` and ``aggregate`` are
+the only products with H in the package.
+
 Arrays are validated once at construction, and each table holds a
 read-only view of them, not a copy: writing to an array you passed in
 changes the table.  No table writes to its arrays, so instances can be
@@ -42,11 +47,11 @@ class InterferenceMap:
     """Nonnegative n x J matrix of transport weights.
 
     ``h`` is a numpy array, or a ``scipy.sparse.csr_array`` when it is
-    built from a scipy sparse array or matrix; ``h @ v`` and ``h.T @ v``
-    are numpy arrays either way.  Rows index outcome units, columns index
-    intervention units.  Columns with no transport at all are legal here
-    but flagged by ``validate_bundle`` and rejected by per-unit effect
-    estimation.
+    built from a scipy sparse array or matrix; ``exposure``, ``aggregate``
+    and ``row_mass`` return numpy arrays either way.  Rows index outcome
+    units, columns index intervention units.  Columns with no transport at
+    all are legal here but flagged by ``validate_bundle`` and rejected by
+    per-unit effect estimation.
     """
 
     h: np.ndarray
@@ -83,9 +88,31 @@ class InterferenceMap:
     def j(self) -> int:
         return self.h.shape[1]
 
-    def row_sums(self) -> np.ndarray:
-        """Total transport into each outcome unit, sum_j H_ij."""
-        return self.h @ np.ones(self.j) if self.sparse else self.h.sum(axis=1)
+    def _rows(self, v, size, name) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape[:1] != (size,):
+            raise DataValidationError(f"{name} operand must have {size} rows to match "
+                                      f"the interference map, got shape {v.shape}")
+        return v
+
+    def exposure(self, v) -> np.ndarray:
+        """(1/J) H v: what each outcome unit receives from the intervention units.
+
+        ``v`` is a J-vector (treatments or propensities) or a (J, k) matrix,
+        whose columns are mapped one by one.
+        """
+        return self.h @ self._rows(v, self.j, "exposure") / self.j
+
+    def aggregate(self, w) -> np.ndarray:
+        """(1/J) H^T w: what each intervention unit delivers, summed over outcome units.
+
+        ``w`` is an n-vector (per-unit effects) or an (n, k) matrix.
+        """
+        return self.h.T @ self._rows(w, self.n, "aggregate") / self.j
+
+    def row_mass(self) -> np.ndarray:
+        """Per-unit transport mass c_i = (1/J) sum_j H_ij."""
+        return (self.h @ np.ones(self.j) if self.sparse else self.h.sum(axis=1)) / self.j
 
     def zero_columns(self) -> np.ndarray:
         """Indices of intervention units with no transport to any outcome unit."""

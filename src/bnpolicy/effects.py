@@ -40,14 +40,13 @@ def total_effects(h: InterferenceMap, out: OutcomeTable, beta,
     if fa.shape[1] != beta.shape[0]:
         raise DataValidationError(
             f"beta has {beta.shape[0]} entries but the basis produces {fa.shape[1]}")
-    return h.h.T @ (fa @ beta) / h.j
+    return h.aggregate(fa @ beta)
 
 
 def effect_weights(h: InterferenceMap, out: OutcomeTable,
                    basis_fa: FeatureMap) -> np.ndarray:
     """Rows w_j = (1/J) sum_i H_ij fa(x_i); total effects are W beta."""
-    fa = basis_fa.expand(out.x)
-    return h.h.T @ fa / h.j
+    return h.aggregate(basis_fa.expand(out.x))
 
 
 def effect_inference(te_weights: np.ndarray, cov_beta: np.ndarray):

@@ -14,7 +14,6 @@ import numpy as np
 
 from .data import FeatureMap, InterferenceMap, OutcomeTable
 from .errors import DataValidationError
-from .exposure import exposure_map
 
 
 @dataclass(frozen=True)
@@ -31,23 +30,34 @@ def _value_rate(te, pi, n_out) -> float:
     return float(pi @ te / n_out)
 
 
+def _effects_and_costs(te, cost=None):
+    """``te`` and ``cost`` as float arrays, each finite, of equal length."""
+    te = np.asarray(te, dtype=float)
+    if not np.all(np.isfinite(te)):
+        raise DataValidationError("total effects must be finite")
+    if cost is not None:
+        cost = np.asarray(cost, dtype=float)
+        if te.shape != cost.shape:
+            raise DataValidationError("total effects and costs must have equal length")
+        if not np.all(np.isfinite(cost)):
+            raise DataValidationError("costs must be finite")
+    return te, cost
+
+
 def unconstrained_policy(te, n_out: int, cost=None) -> PolicySolution:
     """Treat exactly the units with strictly negative total effect."""
-    te = np.asarray(te, dtype=float)
+    te, cost = _effects_and_costs(te, cost)
     pi = (te < 0).astype(float)
-    spent = float(pi @ np.asarray(cost, dtype=float)) if cost is not None else 0.0
+    spent = float(pi @ cost) if cost is not None else 0.0
     return PolicySolution(pi=pi, spent=spent, budget=np.inf,
                           value_rate=_value_rate(te, pi, n_out),
                           value_count=None, method="unconstrained")
 
 
 def _greedy(te, cost, budget, n_out, order_key, method):
-    te = np.asarray(te, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    if te.shape != cost.shape:
-        raise DataValidationError("total effects and costs must have equal length")
-    if not budget >= 0:
-        raise DataValidationError("budget must be nonnegative")
+    """The greedy over ``order_key``; ``te`` and ``cost`` come checked."""
+    if not 0.0 <= budget < np.inf:
+        raise DataValidationError("budget must be finite and nonnegative")
     candidates = np.flatnonzero(te < 0)
     if np.any(cost[candidates] <= 0):
         bad = candidates[cost[candidates] <= 0][0]
@@ -76,8 +86,7 @@ def _greedy(te, cost, budget, n_out, order_key, method):
 
 def knapsack_policy(te, cost, budget: float, n_out: int) -> PolicySolution:
     """Budgeted allocation ranked by effect-to-cost ratio (most negative first)."""
-    te = np.asarray(te, dtype=float)
-    cost = np.asarray(cost, dtype=float)
+    te, cost = _effects_and_costs(te, cost)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(cost > 0, te / np.where(cost > 0, cost, 1.0), np.inf)
     return _greedy(te, cost, budget, n_out, ratio, "bc_greedy")
@@ -85,8 +94,8 @@ def knapsack_policy(te, cost, budget: float, n_out: int) -> PolicySolution:
 
 def te_ranked_policy(te, cost, budget: float, n_out: int) -> PolicySolution:
     """Naive comparator: same greedy, ranked by raw total effect."""
-    te = np.asarray(te, dtype=float)
-    return _greedy(te, np.asarray(cost, dtype=float), budget, n_out, te, "te_greedy")
+    te, cost = _effects_and_costs(te, cost)
+    return _greedy(te, cost, budget, n_out, te, "te_greedy")
 
 
 def truncate_fractional(sol: PolicySolution, te, cost, n_out: int) -> PolicySolution:
@@ -94,13 +103,12 @@ def truncate_fractional(sol: PolicySolution, te, cost, n_out: int) -> PolicySolu
 
     Keeps the original budget and reports the lower spend.
     """
+    te, cost = _effects_and_costs(te, cost)
     pi = sol.pi.copy()
     frac = np.flatnonzero((pi > 0.0) & (pi < 1.0))
     pi[frac] = 0.0
-    cost = np.asarray(cost, dtype=float)
     return replace(sol, pi=pi, spent=float(pi @ cost),
-                   value_rate=_value_rate(np.asarray(te, dtype=float), pi, n_out),
-                   method=sol.method + "_integral")
+                   value_rate=_value_rate(te, pi, n_out), method=sol.method + "_integral")
 
 
 def policy_value(te, pi, n_out: int, h: InterferenceMap | None = None,
@@ -112,12 +120,12 @@ def policy_value(te, pi, n_out: int, h: InterferenceMap | None = None,
     full effect context plus person-years: it converts each unit's rate
     change to counts via delta_i * person_years_i / 10000.
     """
-    te = np.asarray(te, dtype=float)
+    te, _ = _effects_and_costs(te)
     pi = np.asarray(pi, dtype=float)
     if te.shape != pi.shape:
         raise DataValidationError("pi and total effects must have equal length")
-    if np.any(pi < 0) or np.any(pi > 1):
-        raise DataValidationError("allocations must lie in [0, 1]")
+    if not np.all((pi >= 0.0) & (pi <= 1.0)):
+        raise DataValidationError("allocations must be finite and lie in [0, 1]")
     rate = _value_rate(te, pi, n_out)
     count = None
     if h is not None:
@@ -126,7 +134,7 @@ def policy_value(te, pi, n_out: int, h: InterferenceMap | None = None,
                 "count-scale value needs h, outcome table with person_years, "
                 "beta and the effect basis")
         fa_vals = basis_fa.expand(out.x) @ np.asarray(beta, dtype=float)
-        delta = exposure_map(h, pi) * fa_vals
+        delta = h.exposure(pi) * fa_vals
         count = float(delta @ out.person_years / 1e4)
     return rate, count
 

@@ -37,7 +37,6 @@ from ._blas import map_in_order, one_blas_thread
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, fit_standardizer
 from .effects import total_effects
 from .errors import BnpolicyError, DataValidationError, EstimationError
-from .exposure import exposure_map
 from .propensity import calibrate_propensity_intercept, logistic
 from .qlearn import OutcomeModelSpec, fit_q
 from .seeding import splitmix64
@@ -306,8 +305,8 @@ def generate_dgp(config: SimConfig, seed: int):
         raise EstimationError("propensity calibration postcondition violated")
 
     a = (rng.random(config.j) < e).astype(float)
-    abar = h.h @ a / config.j
-    abar_exp = h.h @ e / config.j
+    abar = h.exposure(a)
+    abar_exp = h.exposure(e)
 
     out_basis = FeatureMap("quadratic")
     bx = out_basis.expand(x_out)
@@ -338,7 +337,7 @@ def generate_dgp(config: SimConfig, seed: int):
 
 def run_cell(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
              truth: Truth, cell: CellSpec,
-             se_fail_threshold: float = 2.0) -> CellResult:
+             se_fail_threshold: float = SimConfig.se_fail_threshold) -> CellResult:
     """Fit one estimator cell and score it against the ground truth.
 
     Coverage compares each effect coefficient's 95% CI against the truth;
@@ -349,7 +348,7 @@ def run_cell(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
                             basis_fa=FeatureMap("quadratic"))
     try:
         if cell.estimator == "q":
-            fit = fit_q(out, exposure_map(h, intv.a), spec)
+            fit = fit_q(out, h.exposure(intv.a), spec)
         else:
             fit = fit_a(out, intv, h, spec, prop_basis=FeatureMap(cell.prop_kind))
         beta = fit.beta

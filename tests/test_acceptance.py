@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from bnpolicy import (FeatureMap, InterferenceMap, InterventionTable,
-                      OutcomeModelSpec, OutcomeTable, SimConfig, exposure_map,
-                      fit_a, fit_q, generate_dgp, knapsack_policy, nmae,
+                      OutcomeModelSpec, OutcomeTable, SimConfig, fit_a,
+                      fit_q, generate_dgp, knapsack_policy, nmae,
                       run_monte_carlo, splitmix64, split_train_val,
                       te_ranked_policy, total_effects)
 from bnpolicy.alearn import a_covariance, a_equations, a_system
 from bnpolicy.cli import main
 from bnpolicy.costimpute import SplitSpec, fit_cost_models
-from bnpolicy.exposure import expected_exposure
 from bnpolicy.propensity import logistic
 from bnpolicy.qlearn import q_design, q_score_norm
 
@@ -40,7 +39,7 @@ def test_criterion_01_exposure_and_effect_oracles():
         p = int(rng.integers(1, 4))
         h = InterferenceMap(rng.random((n, j)))
         a = rng.random(j)
-        abar = exposure_map(h, a)
+        abar = h.exposure(a)
         brute_abar = np.array([sum(h.h[i, k] * a[k] for k in range(j)) / j
                                for i in range(n)])
         assert np.max(np.abs(abar - brute_abar)) <= 1e-12
@@ -99,8 +98,8 @@ def test_criterion_03_a_learning_root_and_equivariance():
     rng = np.random.default_rng(303)
     out, intv, h = _a_fixture(rng)
     fit = fit_a(out, intv, h, LIN, prop_basis=FeatureMap("linear"))
-    abar = exposure_map(h, intv.a)
-    abar_hat = expected_exposure(h, fit.gamma_fit.fitted)
+    abar = h.exposure(intv.a)
+    abar_hat = h.exposure(fit.gamma_fit.fitted)
     eq = a_equations(out, h, abar, abar_hat, LIN, fit.alpha, fit.beta)
     scale = max(1.0, float(np.max(np.abs(out.y))))
     assert np.max(np.abs(eq)) <= 1e-8 * scale
@@ -118,7 +117,7 @@ def test_criterion_04_jacobians_match_finite_differences():
         n = int(rng.integers(150, 400))
         j = int(rng.integers(15, 40))
         out, intv, h = _a_fixture(rng, n=n, j=j, noise=0.4)
-        abar = exposure_map(h, intv.a)
+        abar = h.exposure(intv.a)
 
         # Q bread vs FD of the mean estimating function
         qfit = fit_q(out, abar, LIN)
@@ -142,11 +141,11 @@ def test_criterion_04_jacobians_match_finite_differences():
 
         def eq_at(theta_v, g):
             e = logistic(bprop @ g)
-            ah = expected_exposure(h, e)
+            ah = h.exposure(e)
             return a_equations(out, h, abar, ah, LIN, theta_v[:3], theta_v[3:])
 
         e = logistic(bprop @ gamma)
-        abar_hat = expected_exposure(h, e)
+        abar_hat = h.exposure(e)
         m, _ = a_system(out, h, abar, abar_hat, LIN)
         th = afit.theta
         fd_m = np.zeros_like(m)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bnpolicy import (FeatureMap, InterferenceMap, InterventionTable,
+from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap, InterventionTable,
                       OutcomeModelSpec, OutcomeTable, SimConfig, SingularSystemError,
-                      exposure_map, exposure_row_mass, expected_exposure, fit_a, fit_q,
-                      generate_dgp, splitmix64)
+                      fit_a, fit_q, generate_dgp, splitmix64)
+from bnpolicy import alearn
 from bnpolicy.alearn import a_covariance, a_equations, a_system, gamma_sensitivity
 from bnpolicy.propensity import logistic
 
@@ -38,8 +40,8 @@ def test_noiseless_recovery_any_propensity_basis(rng):
 def test_exact_root_of_both_blocks(rng):
     out, intv, h, *_ = _make_data(rng, noise=0.3)
     fit = fit_a(out, intv, h, LIN, prop_basis=FeatureMap("linear"))
-    abar = exposure_map(h, intv.a)
-    abar_hat = expected_exposure(h, fit.gamma_fit.fitted)
+    abar = h.exposure(intv.a)
+    abar_hat = h.exposure(fit.gamma_fit.fitted)
     eq = a_equations(out, h, abar, abar_hat, LIN, fit.alpha, fit.beta)
     scale = max(1.0, float(np.max(np.abs(out.y))))
     assert np.max(np.abs(eq)) <= 1e-8 * scale
@@ -68,6 +70,39 @@ def test_known_propensities_zero_gamma_term(rng):
     fit = fit_a(out, intv, h, LIN, propensities=e)
     assert fit.gamma_fit is None
     assert np.allclose(fit.omega_gamma, 0.0)
+
+
+def test_fit_a_rejects_a_treatment_outside_zero_one(rng):
+    out, intv, h, *_ = _make_data(rng)
+    a = intv.a.copy()
+    a[0] = 1.5
+    with pytest.raises(DataValidationError, match="exactly 0 or 1"):
+        fit_a(out, InterventionTable(x=intv.x, a=a), h, LIN, prop_basis=FeatureMap("linear"))
+
+
+@pytest.mark.parametrize("edge", [0.0, 1.0, np.nan])
+def test_fit_a_rejects_known_propensities_outside_the_open_interval(rng, edge):
+    out, intv, h, *_ = _make_data(rng)
+    e = np.full(intv.j, 0.4)
+    e[3] = edge
+    with pytest.raises(DataValidationError, match=r"strictly in \(0, 1\)"):
+        fit_a(out, intv, h, LIN, propensities=e)
+
+
+@pytest.mark.parametrize("edge", [0.0, 1.0])
+def test_fit_a_rejects_a_fitted_propensity_rounded_to_zero_or_one(rng, monkeypatch, edge):
+    out, intv, h, *_ = _make_data(rng)
+    fit_propensity = alearn.fit_propensity
+
+    def rounded(*args, **kwargs):
+        fit = fit_propensity(*args, **kwargs)
+        fitted = fit.fitted.copy()
+        fitted[2] = edge
+        return dataclasses.replace(fit, fitted=fitted)
+
+    monkeypatch.setattr(alearn, "fit_propensity", rounded)
+    with pytest.raises(DataValidationError, match=r"strictly in \(0, 1\)"):
+        fit_a(out, intv, h, LIN, prop_basis=FeatureMap("linear"))
 
 
 def test_gamma_sensitivity_zero_for_zero_map(rng):
@@ -120,7 +155,7 @@ def test_fixed_gamma_matches_q_learning_se_at_scale():
     out = OutcomeTable(x=x_out, y=y)
     intv = InterventionTable(x=x_int, a=a)
     afit = fit_a(out, intv, h, LIN, propensities=e_true)
-    qfit = fit_q(out, exposure_map(h, intv.a), LIN)
+    qfit = fit_q(out, h.exposure(intv.a), LIN)
     a_se = np.sqrt(np.diag(afit.cov_beta()))
     q_se = np.sqrt(np.diag(qfit.cov_beta()))
     assert np.all(np.abs(a_se / q_se - 1.0) <= 0.25)
@@ -133,18 +168,18 @@ def test_jacobian_blocks_match_finite_differences(rng):
         fit = fit_a(out, intv, h, LIN, prop_basis=prop_basis)
         gamma = fit.gamma_fit.gamma
         bprop = prop_basis.expand(intv.x)
-        abar = exposure_map(h, intv.a)
+        abar = h.exposure(intv.a)
 
         def eq_at(theta, g):
             e = logistic(bprop @ g)
-            abar_hat = expected_exposure(h, e)
+            abar_hat = h.exposure(e)
             da = LIN.basis_f0.dim(out.p)
             return a_equations(out, h, abar, abar_hat, LIN, theta[:da], theta[da:])
 
         theta = fit.theta
         k = theta.shape[0]
         e = logistic(bprop @ gamma)
-        abar_hat = expected_exposure(h, e)
+        abar_hat = h.exposure(e)
         m, _ = a_system(out, h, abar, abar_hat, LIN)
         fd_theta = np.zeros((k, k))
         for col in range(k):
@@ -207,10 +242,10 @@ def _block_formula_fit(out, intv, h, spec, e, bprop, cov_gamma):
     n = out.n
     f0 = spec.basis_f0.expand(out.x)
     fa = spec.basis_fa.expand(out.x)
-    c = exposure_row_mass(h)
+    c = h.row_mass()
     lam = c[:, None] * fa
-    abar = exposure_map(h, intv.a)
-    delta = abar - expected_exposure(h, e)
+    abar = h.exposure(intv.a)
+    delta = abar - h.exposure(e)
     w = c * delta
     ta = abar[:, None] * fa
     wfa = w[:, None] * fa
@@ -259,7 +294,7 @@ def test_public_wrappers_reproduce_the_fit(rng):
     prop_basis = FeatureMap("linear")
     fit = fit_a(out, intv, h, LIN, prop_basis=prop_basis)
     e = fit.gamma_fit.fitted
-    abar, abar_hat = exposure_map(h, intv.a), expected_exposure(h, e)
+    abar, abar_hat = h.exposure(intv.a), h.exposure(e)
     m, _ = a_system(out, h, abar, abar_hat, LIN)
     cov, omega_phi, omega_gamma, _ = a_covariance(
         out, h, abar, abar_hat, LIN, fit.alpha, fit.beta, m, e=e,

@@ -3,9 +3,9 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
-from bnpolicy import (EstimationError, FeatureMap, InterferenceMap, OutcomeTable,
-                      benefit_cost, effect_inference, effect_table, effect_weights,
-                      total_effects)
+from bnpolicy import (DataValidationError, EstimationError, FeatureMap, InterferenceMap,
+                      OutcomeTable, benefit_cost, effect_inference, effect_table,
+                      effect_weights, total_effects)
 
 FA = FeatureMap("linear")
 
@@ -46,6 +46,12 @@ def test_total_effects_brute_force_oracle(rng):
                 brute[jj] += h.h[i, jj] * fa_vals[i]
         brute /= j
         assert np.max(np.abs(te - brute)) <= 1e-12
+
+
+def test_effect_weights_reject_an_outcome_table_of_another_size(rng):
+    h = InterferenceMap(rng.random((4, 3)))
+    with pytest.raises(DataValidationError, match="aggregate operand must have 4 rows"):
+        effect_weights(h, _out(5, p=1, rng=rng), FA)
 
 
 def test_effect_se_closed_form(rng):

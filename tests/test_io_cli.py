@@ -299,8 +299,7 @@ PUBLIC_NAMES = [
     "Truth", "ValidationReport", "a_covariance", "a_equations", "a_system", "alearn",
     "apply_trim", "benefit_cost", "budget_sweep", "calibrate_propensity_intercept",
     "costimpute", "data", "effect_inference", "effect_table", "effect_weights",
-    "effects", "errors", "expected_exposure", "exposure", "exposure_map",
-    "exposure_row_mass", "fit_a", "fit_cost_models", "fit_propensity", "fit_q",
+    "effects", "errors", "fit_a", "fit_cost_models", "fit_propensity", "fit_q",
     "fit_standardizer", "generate_dgp", "knapsack_policy", "nmae", "policy",
     "policy_value", "predict_costs", "propensity", "qlearn", "run_cell",
     "run_monte_carlo", "run_replication", "seeding", "simlab", "split_train_val",
@@ -585,6 +584,7 @@ BAD_ARGS = {
     "fit_level_above_one": (["fit", "--level", "1.5"], "confidence level"),
     "sweep_non_numeric_fraction": (["sweep", "--fractions", "0.1,abc"], "'abc'"),
     "policy_nan_budget": (["policy", "--budget-frac", "nan"], "budget"),
+    "policy_inf_budget": (["policy", "--budget-frac", "inf"], "budget fraction"),
     "policy_integral_without_budget": (["policy", "--integral"],
                                        "--integral needs --budget-frac"),
     "policy_method_without_budget": (["policy", "--method", "te"],
@@ -617,6 +617,9 @@ BAD_RANGES = {
     "fit_trim_negative": (["fit", "--trim", "-0.1"], "trim quantile"),
     "policy_trim_one": (["policy", "--trim", "1"], "trim quantile"),
     "sweep_trim_nan": (["sweep", "--trim", "nan"], "trim quantile"),
+    "policy_budget_inf": (["policy", "--budget-frac", "inf"], "budget fraction"),
+    "policy_budget_negative": (["policy", "--budget-frac", "-0.1"], "budget fraction"),
+    "policy_budget_nan": (["policy", "--budget-frac", "nan"], "budget fraction"),
 }
 
 

@@ -89,6 +89,48 @@ def test_nonpositive_candidate_cost_rejected():
         knapsack_policy(np.array([-1.0]), np.array([1.0]), -0.5, 1)
 
 
+GREEDY = [knapsack_policy, te_ranked_policy]
+
+
+@pytest.mark.parametrize("policy", GREEDY)
+@pytest.mark.parametrize("cost", [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf]])
+def test_greedy_rejects_a_cost_that_is_not_finite(policy, cost):
+    with pytest.raises(DataValidationError, match="costs must be finite"):
+        policy(np.array([-1.0, 0.5]), np.array(cost), 1.0, 2)
+
+
+@pytest.mark.parametrize("policy", GREEDY)
+def test_greedy_rejects_an_effect_that_is_not_finite(policy):
+    with pytest.raises(DataValidationError, match="total effects must be finite"):
+        policy(np.array([np.nan, -1.0]), np.ones(2), 1.0, 2)
+
+
+@pytest.mark.parametrize("policy", GREEDY)
+@pytest.mark.parametrize("budget", [np.inf, np.nan])
+def test_greedy_rejects_a_budget_that_is_not_finite(policy, budget):
+    with pytest.raises(DataValidationError, match="budget must be finite"):
+        policy(np.array([-1.0, -2.0]), np.ones(2), budget, 2)
+
+
+def test_unconstrained_policy_checks_the_cost_length():
+    with pytest.raises(DataValidationError, match="equal length"):
+        unconstrained_policy(np.array([-1.0, 0.5, -0.2]), 3, cost=np.ones(2))
+
+
+@pytest.mark.parametrize("cost", [[np.nan, 1.0], [1.0, 1.0, 1.0]])
+def test_truncate_fractional_checks_the_costs(cost):
+    te = np.array([-1.0, -2.0])
+    sol = knapsack_policy(te, np.ones(2), 1.5, 2)
+    with pytest.raises(DataValidationError, match="finite|equal length"):
+        truncate_fractional(sol, te, np.array(cost), 2)
+
+
+@pytest.mark.parametrize("pi", [[np.nan, 1.0], [np.inf, 0.0]])
+def test_policy_value_rejects_an_allocation_that_is_not_finite(pi):
+    with pytest.raises(DataValidationError, match="allocations must be finite"):
+        policy_value(np.array([-1.0, -0.5]), np.array(pi), 2)
+
+
 def test_positive_effect_units_never_treated(rng):
     for _ in range(20):
         te = rng.uniform(-1, 1, 12)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bnpolicy import (EstimationError, FeatureMap, InterferenceMap, InterventionTable,
-                      OutcomeModelSpec, OutcomeTable, RankDeficiencyError, exposure_map,
-                      fit_a, fit_q)
+                      OutcomeModelSpec, OutcomeTable, RankDeficiencyError, fit_a,
+                      fit_q)
 from bnpolicy.qlearn import q_design, q_score_norm
 
 LIN = OutcomeModelSpec(basis_f0=FeatureMap("linear"), basis_fa=FeatureMap("linear"))
@@ -158,7 +158,7 @@ def test_both_fits_are_equivariant_to_the_scale_of_y(rng, k):
     y = rng.standard_normal(n)
     c = 2.0**k
     out, scaled = OutcomeTable(x=x, y=y), OutcomeTable(x=x, y=c * y)
-    q, q_big = (fit_q(o, exposure_map(h, intv.a), LIN) for o in (out, scaled))
+    q, q_big = (fit_q(o, h.exposure(intv.a), LIN) for o in (out, scaled))
     a, a_big = (fit_a(o, intv, h, LIN, prop_basis=FeatureMap("linear"))
                 for o in (out, scaled))
     assert np.array_equal(q_big.theta, c * q.theta)
