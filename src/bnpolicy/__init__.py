@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "alearn": ("AFit", "a_covariance", "a_equations", "a_system", "fit_a"),
     "data": ("FeatureMap", "InterferenceMap", "InterventionTable", "OutcomeTable",
-             "Standardizer", "ValidationReport", "fit_standardizer", "validate_bundle"),
+             "standardize", "validate_bundle"),
     "effects": ("EffectTable", "benefit_cost", "effect_inference", "effect_table",
                 "effect_weights", "total_effects"),
     "errors": ("BnpolicyError", "DataValidationError", "EstimationError",
@@ -23,7 +23,7 @@ _EXPORTS = {
                "te_ranked_policy", "truncate_fractional", "unconstrained_policy"),
     "propensity": ("PropensityFit", "TrimReport", "apply_trim",
                    "calibrate_propensity_intercept", "fit_propensity", "trim_by_propensity"),
-    "qlearn": ("OutcomeFit", "OutcomeModelSpec", "QFit", "fit_q"),
+    "qlearn": ("OutcomeFit", "OutcomeModelSpec", "fit_q"),
     "costimpute": ("CostModelFit", "RegressionForest", "RegressionTree", "SplitSpec",
                    "fit_cost_models", "nmae", "predict_costs", "split_train_val"),
     "seeding": ("splitmix64",),

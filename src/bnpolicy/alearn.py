@@ -52,6 +52,11 @@ class AFit(OutcomeFit):
 def _iv_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
                spec: OutcomeModelSpec):
     """Regressors D, instruments Z and lam = c * FA, each basis expanded once."""
+    abar, abar_hat = np.asarray(abar, dtype=float), np.asarray(abar_hat, dtype=float)
+    for name, v in (("abar", abar), ("abar_hat", abar_hat)):
+        if v.shape != (out.n,):
+            raise DataValidationError(f"{name} must have shape ({out.n},) to match the "
+                                      f"outcome table, got {v.shape}")
     f0 = spec.basis_f0.expand(out.x)
     fa = spec.basis_fa.expand(out.x)
     c = h.row_mass()
@@ -106,6 +111,10 @@ def gamma_sensitivity(h: InterferenceMap, e: np.ndarray,
     The weights e(1 - e) scale the (J, dim gamma) basis, not H, so no
     n x J temporary is built.
     """
+    e = np.asarray(e, dtype=float)
+    if e.shape != np.shape(prop_basis_matrix)[:1]:
+        raise DataValidationError(f"propensities of shape {e.shape} do not match the "
+                                  f"basis matrix of shape {np.shape(prop_basis_matrix)}")
     return h.exposure((e * (1.0 - e))[:, None] * prop_basis_matrix)
 
 

@@ -13,7 +13,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,9 +207,6 @@ class InterventionTable:
     def q(self) -> int:
         return self.x.shape[1]
 
-    def nonbinary_indices(self) -> np.ndarray:
-        return np.flatnonzero((self.a != 0.0) & (self.a != 1.0))
-
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -243,55 +240,20 @@ class FeatureMap:
                          + [_BLOCKS[suffix](x) for suffix in _BASIS_SUFFIXES[self.kind]])
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Column-wise centering and scaling with the n-1 divisor.
-
-    Constant columns get sd 1 so the transform stays invertible; their
-    indices are kept for reporting.
-    """
-
-    means: np.ndarray
-    sds: np.ndarray
-    constant_columns: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = _as_float(x, "x", 2)
-        if not np.all(np.isfinite(x)):
-            raise DataValidationError("cannot standardize non-finite input")
-        return (x - self.means) / self.sds
-
-
-def fit_standardizer(x: np.ndarray) -> Standardizer:
+def standardize(x: np.ndarray) -> np.ndarray:
+    """Column-wise (x - mean) / sd with the n-1 divisor; a constant column gets sd 1."""
     x = _as_float(x, "x", 2)
     if not np.all(np.isfinite(x)):
         raise DataValidationError("cannot standardize non-finite input")
-    means = x.mean(axis=0)
-    if x.shape[0] > 1:
-        sds = x.std(axis=0, ddof=1)
-    else:
-        sds = np.zeros(x.shape[1])
-    constant = np.flatnonzero(sds == 0.0)
-    sds = np.where(sds == 0.0, 1.0, sds)
-    return Standardizer(means=means, sds=sds, constant_columns=constant)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of ``validate_bundle``; empty issue list means usable."""
-
-    issues: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
+    sds = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1])
+    return (x - x.mean(axis=0)) / np.where(sds == 0.0, 1.0, sds)
 
 
 def validate_bundle(h: InterferenceMap, out: OutcomeTable,
-                    intv: InterventionTable) -> ValidationReport:
-    """Cross-check a data bundle and report every problem found.
+                    intv: InterventionTable) -> tuple[str, ...]:
+    """Cross-check a data bundle: every problem found, none when it is usable.
 
-    Pure reporting: the same inputs always give the same report, and
+    Pure reporting: the same inputs always give the same issues, and
     nothing is raised here; downstream operations reject bad bundles.
     """
     issues: list[str] = []
@@ -302,6 +264,6 @@ def validate_bundle(h: InterferenceMap, out: OutcomeTable,
             f"interference map has {h.j} columns but intervention table has {intv.j}")
     for col in h.zero_columns():
         issues.append(f"column {col} has no transport")
-    for idx in intv.nonbinary_indices():
+    for idx in np.flatnonzero((intv.a != 0.0) & (intv.a != 1.0)):
         issues.append(f"non-binary treatment at index {idx}")
-    return ValidationReport(issues=tuple(issues))
+    return tuple(issues)

@@ -155,7 +155,7 @@ def read_intervention_csv(path):
     return ids, _build(path, InterventionTable, x=x, a=a, cost=cost), raw_cost
 
 
-def read_interference_csv(path, n=None, j=None):
+def read_interference_csv(path, n, j):
     """Dense (n rows x J numeric columns) or triplet (header i,j,value).
 
     A dense file is held as a numpy array, a triplet file as a
@@ -164,13 +164,11 @@ def read_interference_csv(path, n=None, j=None):
     def row_dtype(header):
         if header[:3] != ["i", "j", "value"]:
             return None
-        if n is None or j is None:
-            raise DataValidationError("triplet interference file needs n and J")
         return np.dtype([("i", np.int64), ("j", np.int64), ("value", float)])
 
     _, data = _load(path, row_dtype)
     if data.dtype.names is None:
-        if (n is not None and data.shape[0] != n) or (j is not None and data.shape[1] != j):
+        if data.shape != (n, j):
             raise DataValidationError(f"{path}: matrix shape {data.shape}, expected ({n}, {j})")
         return _build(path, InterferenceMap, h=data)
     from scipy.sparse import csr_array  # only a triplet file pays for the import
@@ -215,28 +213,29 @@ def write_coefficients_csv(path, names, estimates, ses, ci_low, ci_high, p_value
     _write(path, lines)
 
 
-def write_policy_json(path, sol, ids):
+def write_policy_json(path, sol, ids, value_count):
+    """``sol`` by unit id, with its count-scale value ``value_count`` (or None)."""
     doc = {
         "format": "bnpolicy-policy v1",
         "method": sol.method,
         "budget": None if np.isinf(sol.budget) else sol.budget,
         "spent": sol.spent,
         "value_rate": sol.value_rate,
-        "value_count": sol.value_count,
+        "value_count": value_count,
         "allocation": {str(uid): float(sol.pi[k]) for k, uid in enumerate(ids)},
     }
     _write(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
-def write_sweep_csv(path, fractions, pairs, dominance_ok: bool):
+def write_sweep_csv(path, fractions, pairs, bc_leq_te):
+    """A row per fraction with its flag in ``bc_leq_te``; the footer is all of them."""
     lines = [f"{FORMAT_PREFIX}sweep v1",
              "fraction,bc_value_rate,bc_spent,te_value_rate,te_spent,bc_leq_te"]
-    for f, (bc_sol, te_sol) in zip(fractions, pairs):
+    for f, (bc_sol, te_sol), flag in zip(fractions, pairs, bc_leq_te):
         lines.append(",".join([
             _fmt(f), _fmt(bc_sol.value_rate), _fmt(bc_sol.spent),
-            _fmt(te_sol.value_rate), _fmt(te_sol.spent),
-            str(int(bc_sol.value_rate <= te_sol.value_rate))]))
-    lines.append(f"# dominance_holds={int(dominance_ok)}")
+            _fmt(te_sol.value_rate), _fmt(te_sol.spent), str(int(flag))]))
+    lines.append(f"# dominance_holds={int(all(bc_leq_te))}")
     _write(path, lines)
 
 

@@ -22,7 +22,6 @@ class PolicySolution:
     spent: float
     budget: float
     value_rate: float
-    value_count: float | None
     method: str
 
 
@@ -50,8 +49,7 @@ def unconstrained_policy(te, n_out: int, cost=None) -> PolicySolution:
     pi = (te < 0).astype(float)
     spent = float(pi @ cost) if cost is not None else 0.0
     return PolicySolution(pi=pi, spent=spent, budget=np.inf,
-                          value_rate=_value_rate(te, pi, n_out),
-                          value_count=None, method="unconstrained")
+                          value_rate=_value_rate(te, pi, n_out), method="unconstrained")
 
 
 def _greedy(te, cost, budget, n_out, order_key, method):
@@ -80,8 +78,7 @@ def _greedy(te, cost, budget, n_out, order_key, method):
             break
     spent = float(pi @ cost)
     return PolicySolution(pi=pi, spent=spent, budget=float(budget),
-                          value_rate=_value_rate(te, pi, n_out),
-                          value_count=None, method=method)
+                          value_rate=_value_rate(te, pi, n_out), method=method)
 
 
 def knapsack_policy(te, cost, budget: float, n_out: int) -> PolicySolution:
@@ -139,16 +136,22 @@ def policy_value(te, pi, n_out: int, h: InterferenceMap | None = None,
     return rate, count
 
 
-def budget_sweep(te, cost, fractions, n_out: int):
-    """Paired (ratio-ranked, effect-ranked) solutions per budget fraction.
-
-    Budgets are fractions of the total cost of treating every unit.
-    """
+def budget_fractions(fractions) -> list:
+    """``fractions`` as a list, checked to lie in (0, 1] and to ascend."""
     fractions = list(fractions)
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise DataValidationError("budget fractions must lie in (0, 1]")
     if sorted(fractions) != fractions:
         raise DataValidationError("budget fractions must be sorted ascending")
+    return fractions
+
+
+def budget_sweep(te, cost, fractions, n_out: int):
+    """Paired (ratio-ranked, effect-ranked) solutions per budget fraction.
+
+    Budgets are fractions of the total cost of treating every unit.
+    """
+    fractions = budget_fractions(fractions)
     cost = np.asarray(cost, dtype=float)
     total = float(cost.sum())
     pairs = []

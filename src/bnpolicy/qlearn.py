@@ -51,11 +51,6 @@ class OutcomeFit:
         return np.sqrt(np.diag(self.cov_theta))
 
 
-@dataclass(frozen=True)
-class QFit(OutcomeFit):
-    residuals: np.ndarray
-
-
 def q_design(out: OutcomeTable, abar: np.ndarray, spec: OutcomeModelSpec) -> np.ndarray:
     abar = np.asarray(abar, dtype=float)
     if abar.shape != (out.n,):
@@ -65,7 +60,7 @@ def q_design(out: OutcomeTable, abar: np.ndarray, spec: OutcomeModelSpec) -> np.
     return np.hstack([f0, abar[:, None] * fa])
 
 
-def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> QFit:
+def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
     """Least-squares fit of the linear-exposure outcome model.
 
     Solved through one pivoted QR, D[:, piv] = Q R, rather than normal
@@ -97,11 +92,11 @@ def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> QFit:
     cov = np.empty((k, k))
     cov[np.ix_(piv, piv)] = half @ half.T
     cov = 0.5 * (cov + cov.T)
-    return QFit(alpha=theta[:d_alpha], beta=theta[d_alpha:], cov_theta=cov,
-                residuals=resid, spec=spec)
+    return OutcomeFit(alpha=theta[:d_alpha], beta=theta[d_alpha:], cov_theta=cov,
+                      spec=spec)
 
 
-def q_score_norm(fit: QFit, out: OutcomeTable, abar) -> float:
+def q_score_norm(fit: OutcomeFit, out: OutcomeTable, abar) -> float:
     """Max-norm of design' residuals; small at any proper least-squares solution."""
     design = q_design(out, np.asarray(abar, dtype=float), fit.spec)
-    return float(np.max(np.abs(design.T @ fit.residuals)))
+    return float(np.max(np.abs(design.T @ (out.y - design @ fit.theta))))

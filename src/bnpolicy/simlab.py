@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._blas import map_in_order, one_blas_thread
-from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, fit_standardizer
+from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, standardize
 from .effects import total_effects
 from .errors import BnpolicyError, DataValidationError, EstimationError
 from .propensity import calibrate_propensity_intercept, logistic
@@ -44,9 +44,9 @@ from .alearn import fit_a
 
 Z95 = float(ndtri(0.975))
 
-# Built-in reference coefficient vectors for the 13-outcome-covariate
-# configuration (27+27 entries; intervention-model vector of 12).  Used
-# verbatim when the configured widths allow, seeded-uniform otherwise.
+# Built-in reference outcome truth theta0 = (alpha0, beta0) for p = 13 outcome
+# covariates: 27 + 27 coefficients of the quadratic basis.  Used when p = 13
+# and the config gives no theta0.
 THETA0_REFERENCE = np.array([
     -0.000955, 0.0288, 0.0382, -0.000148, -0.00227, 0.0167, -0.0199,
     0.0396, 0.0152, 0.0173, -0.0119, 0.0161, 0.0329, 0.0365,
@@ -56,9 +56,6 @@ THETA0_REFERENCE = np.array([
     0.00120, -0.000423, -0.000867, 0.000361, -0.00135, -0.001362, 5.567e-05,
     0.000982, -0.000606, 0.000586, -0.00121, -0.000864, -0.000517,
     -0.00135, -0.000558, 0.00103, 0.00106, 0.00117, -0.000676])
-GAMMA0_REFERENCE = np.array([
-    -0.681, 0.131, -0.704, 0.386, 0.334, 0.424,
-    0.00141, -0.00471, 0.010, -0.0140, -0.0107, -1.449])
 
 
 @dataclass(frozen=True)
@@ -196,8 +193,7 @@ class CellResult:
     bias: float | None
     rmse: float | None
     coverage: float | None
-    failed: bool
-    fail_reason: str | None = None
+    fail_reason: str | None = None  # None when the fit was scored
 
 
 @dataclass(frozen=True)
@@ -221,9 +217,11 @@ class SimReport:
 def resolve_truth_coefficients(config: SimConfig):
     """Fixed (alpha0, beta0, gamma0 slopes) for a run.
 
-    Reference vectors are used when the configured widths match them;
-    otherwise coefficients are drawn uniform(-0.05, 0.05) from a seed
-    derived from the master seed, so the run header can record them.
+    A configured theta0 or gamma0 is used as given, but for gamma0's
+    intercept, which generate_dgp calibrates.  Without one, theta0 is the
+    built-in reference when p = 13, and any other vector is drawn
+    uniform(-0.05, 0.05) from a seed derived from the master seed, so the
+    run header can record them.
     """
     dim = 1 + 2 * config.p
     rng = np.random.default_rng(splitmix64(config.master_seed, 0x7183))
@@ -233,13 +231,10 @@ def resolve_truth_coefficients(config: SimConfig):
         theta0 = THETA0_REFERENCE.copy()
     else:
         theta0 = rng.uniform(-0.05, 0.05, 2 * dim)
-    gdim = 1 + 2 * config.q
     if config.gamma0 is not None:
         slopes = config.gamma0[1:]
-    elif gdim == GAMMA0_REFERENCE.shape[0]:
-        slopes = GAMMA0_REFERENCE[1:]
     else:
-        slopes = rng.uniform(-0.05, 0.05, gdim - 1)
+        slopes = rng.uniform(-0.05, 0.05, 2 * config.q)
     return theta0[:dim], theta0[dim:], slopes
 
 
@@ -290,8 +285,8 @@ def generate_dgp(config: SimConfig, seed: int):
     else:
         x_out_raw = rng.standard_normal((config.n, config.p))
         x_int_raw = rng.standard_normal((config.j, config.q))
-    x_out = fit_standardizer(x_out_raw).apply(x_out_raw)
-    x_int = fit_standardizer(x_int_raw).apply(x_int_raw)
+    x_out = standardize(x_out_raw)
+    x_int = standardize(x_int_raw)
 
     h = InterferenceMap(_draw_h(rng, config, x_out))
 
@@ -354,13 +349,13 @@ def run_cell(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
         beta = fit.beta
         cov_beta = fit.cov_beta()
     except BnpolicyError as exc:
-        return CellResult(None, None, None, True, f"fit failed: {exc}")
+        return CellResult(None, None, None, f"fit failed: {exc}")
     except np.linalg.LinAlgError as exc:
-        return CellResult(None, None, None, True, f"linear algebra failure: {exc}")
+        return CellResult(None, None, None, f"linear algebra failure: {exc}")
 
     se = np.sqrt(np.clip(np.diag(cov_beta), 0.0, None))
     if float(np.median(se)) > se_fail_threshold:
-        return CellResult(None, None, None, True,
+        return CellResult(None, None, None,
                           "uninformative fit: median effect-coefficient standard "
                           f"error {float(np.median(se)):.3g} exceeds "
                           f"{se_fail_threshold}")
@@ -373,7 +368,7 @@ def run_cell(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
     coverage = float(np.mean(covered) * 100.0)
     te_hat = total_effects(h, out, beta, spec.basis_fa)
     rmse = float(np.sqrt(np.mean((te_hat - truth.te_true) ** 2)))
-    return CellResult(bias=bias, rmse=rmse, coverage=coverage, failed=False)
+    return CellResult(bias=bias, rmse=rmse, coverage=coverage)
 
 
 def run_replication(config: SimConfig, rep: int) -> dict[str, CellResult]:
@@ -403,7 +398,7 @@ def run_monte_carlo(config: SimConfig, n_workers: int = 1) -> SimReport:
         n_failed = 0
         for rep_result in per_rep:
             res = rep_result[name]
-            if res.failed:
+            if res.fail_reason is not None:
                 n_failed += 1
             else:
                 biases.append(res.bias)

@@ -123,6 +123,26 @@ def test_gamma_sensitivity_matches_the_weighted_map_product(rng):
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def test_gamma_sensitivity_checks_the_propensity_length(rng):
+    h = InterferenceMap(rng.random((4, 3)))
+    bprop = FeatureMap("linear").expand(rng.standard_normal((3, 1)))
+    with pytest.raises(DataValidationError, match=r"shape \(2,\) do not match the basis matrix of shape \(3, 2\)"):
+        gamma_sensitivity(h, np.array([0.2, 0.5]), bprop)
+
+
+@pytest.mark.parametrize("wrong", ["abar", "abar_hat"])
+def test_public_systems_check_the_exposure_lengths(rng, wrong):
+    out, intv, h, *_ = _make_data(rng, n=20, j=5)
+    given = {"abar": h.exposure(intv.a), "abar_hat": h.exposure(np.full(5, 0.4))}
+    given[wrong] = given[wrong][:-1]
+    args = (out, h, given["abar"], given["abar_hat"], LIN)
+    alpha, beta = np.zeros(3), np.zeros(3)
+    for call in (lambda: a_system(*args), lambda: a_equations(*args, alpha, beta),
+                 lambda: a_covariance(*args, alpha, beta, np.eye(6))):
+        with pytest.raises(DataValidationError, match=rf"^{wrong} must have shape \(20,\)"):
+            call()
+
+
 def test_zero_map_fit_raises_singular(rng):
     h = InterferenceMap(np.zeros((50, 4)))
     out = OutcomeTable(x=rng.standard_normal((50, 1)), y=rng.standard_normal(50))

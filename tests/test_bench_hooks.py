@@ -1,14 +1,18 @@
-"""The benchmark's tracer patches names in the package; a rename must fail here.
+"""The benchmark's tracer and child call names in the package; a rename must fail here.
 
-``perfbench/tracer.py`` wraps the functions it times by module attribute.
-This test installs it in-process and removes it again, so a refactor that
-renames or moves a traced function fails the tests instead of the traced
-benchmark run.  The harness is imported without writing bytecode, so its
-directory is only read.
+``perfbench/tracer.py`` wraps the functions it times by module attribute,
+and ``perfbench/child.py`` calls ``fit_a``, ``generate_dgp``, ``CELLS`` and
+the three readers directly.  These tests install the tracer in-process and
+remove it again, and run the child's ``fit_a`` probe on the smoke-size
+inputs, so a refactor that renames, moves or re-signs one of these
+functions fails the tests instead of the traced benchmark run.  The harness
+is imported without writing bytecode, so its directory is only read.
 """
 import importlib
 import os
 import sys
+
+import pytest
 
 # every module whose names the tracer patches; the CLI imports its commands'
 # modules only when they run
@@ -19,6 +23,22 @@ import bnpolicy.simlab  # noqa: F401
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
+HARNESS = ("child", "inputs", "oracle", "tracer", "workloads")
+
+
+def _harness(monkeypatch, *names):
+    """The harness modules ``names``, imported afresh without writing bytecode.
+
+    They leave no entry in ``sys.modules``, so each test imports its own.
+    """
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    for name in HARNESS:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    modules = [importlib.import_module(name) for name in names]
+    for name in HARNESS:
+        sys.modules.pop(name, None)
+    return modules
 
 
 def _attributes(tracer):
@@ -31,11 +51,7 @@ def _attributes(tracer):
 
 
 def test_tracer_installs_on_every_layer_and_restores_every_attribute(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(PERFBENCH)
-    monkeypatch.delitem(sys.modules, "tracer", raising=False)
-    tracer = importlib.import_module("tracer")
-    monkeypatch.delitem(sys.modules, "tracer")
+    tracer, = _harness(monkeypatch, "tracer")
     before = _attributes(tracer)
     hooks = tracer.Tracer()
     try:
@@ -49,3 +65,16 @@ def test_tracer_installs_on_every_layer_and_restores_every_attribute(monkeypatch
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed
+
+
+@pytest.mark.parametrize("workload", ["mc_study", "cli_session"])
+def test_child_fit_a_probe_runs_on_smoke_inputs(monkeypatch, tmp_path, workload):
+    child, inputs, workloads = _harness(monkeypatch, "child", "inputs", "workloads")
+    smoke = workloads.SIZES["smoke"]
+    spec = {"workload": workload}
+    if workload == "mc_study":
+        spec["mc"] = {"reps": smoke["mc_reps"], "size": smoke["mc_size"],
+                      "master_seed": workloads.mc_master_seed(0)}
+    else:
+        spec["inputs"] = inputs.write_bundle(str(tmp_path), 0, smoke["bundle"])
+    assert child.fit_a_peak_mb(spec) > 0.0

@@ -20,6 +20,13 @@ def test_split_10_rows_gives_8_2():
     assert train.size == 8 and val.size == 2
 
 
+def test_split_leaves_one_row_to_validate():
+    # ceil(0.9 * 5) = 5 would train on every row
+    train, val = split_train_val(5, SplitSpec(train_fraction=0.9, seed=0))
+    assert train.size == 4 and val.size == 1
+    assert np.union1d(train, val).size == 5
+
+
 def test_split_deterministic():
     a = split_train_val(50, SplitSpec(seed=9))
     b = split_train_val(50, SplitSpec(seed=9))

@@ -293,18 +293,18 @@ PUBLIC_NAMES = [
     "AFit", "BnpolicyError", "CELLS", "CellResult", "CellSpec", "CellStats",
     "CostModelFit", "DataValidationError", "EffectTable", "EstimationError",
     "FeatureMap", "InterferenceMap", "InterventionTable", "OutcomeFit",
-    "OutcomeModelSpec", "OutcomeTable", "PolicySolution", "PropensityFit", "QFit",
+    "OutcomeModelSpec", "OutcomeTable", "PolicySolution", "PropensityFit",
     "RankDeficiencyError", "RegressionForest", "RegressionTree", "SimConfig",
-    "SimReport", "SingularSystemError", "SplitSpec", "Standardizer", "TrimReport",
-    "Truth", "ValidationReport", "a_covariance", "a_equations", "a_system", "alearn",
-    "apply_trim", "benefit_cost", "budget_sweep", "calibrate_propensity_intercept",
-    "costimpute", "data", "effect_inference", "effect_table", "effect_weights",
-    "effects", "errors", "fit_a", "fit_cost_models", "fit_propensity", "fit_q",
-    "fit_standardizer", "generate_dgp", "knapsack_policy", "nmae", "policy",
-    "policy_value", "predict_costs", "propensity", "qlearn", "run_cell",
-    "run_monte_carlo", "run_replication", "seeding", "simlab", "split_train_val",
-    "splitmix64", "te_ranked_policy", "total_effects", "trim_by_propensity",
-    "truncate_fractional", "unconstrained_policy", "validate_bundle"]
+    "SimReport", "SingularSystemError", "SplitSpec", "TrimReport", "Truth",
+    "a_covariance", "a_equations", "a_system", "alearn", "apply_trim", "benefit_cost",
+    "budget_sweep", "calibrate_propensity_intercept", "costimpute", "data",
+    "effect_inference", "effect_table", "effect_weights", "effects", "errors", "fit_a",
+    "fit_cost_models", "fit_propensity", "fit_q", "generate_dgp", "knapsack_policy",
+    "nmae", "policy", "policy_value", "predict_costs", "propensity", "qlearn",
+    "run_cell", "run_monte_carlo", "run_replication", "seeding", "simlab",
+    "split_train_val", "splitmix64", "standardize", "te_ranked_policy", "total_effects",
+    "trim_by_propensity", "truncate_fractional", "unconstrained_policy",
+    "validate_bundle"]
 
 
 def test_package_import_loads_no_submodule_and_unknown_names_import_nothing():
@@ -620,6 +620,12 @@ BAD_RANGES = {
     "policy_budget_inf": (["policy", "--budget-frac", "inf"], "budget fraction"),
     "policy_budget_negative": (["policy", "--budget-frac", "-0.1"], "budget fraction"),
     "policy_budget_nan": (["policy", "--budget-frac", "nan"], "budget fraction"),
+    "fit_f0_basis_unknown": (["fit", "--f0-basis", "spline"], "unknown basis kind 'spline'"),
+    "effects_fa_basis_unknown": (["effects", "--fa-basis", "x"], "unknown basis kind 'x'"),
+    "policy_prop_basis_unknown": (["policy", "--prop-basis", "x"], "unknown basis kind 'x'"),
+    "sweep_fraction_zero": (["sweep", "--fractions", "0,0.5"], "must lie in (0, 1]"),
+    "sweep_fraction_above_one": (["sweep", "--fractions", "0.5,1.5"], "must lie in (0, 1]"),
+    "sweep_fractions_descending": (["sweep", "--fractions", "0.5,0.2"], "sorted ascending"),
 }
 
 
@@ -635,6 +641,57 @@ def test_cli_ranges_checked_before_any_file_is_read(tmp_path, capsys, case):
     assert code == 2
     assert err.count("\n") == 1 and expected in err
     assert not out_dir.exists()
+
+
+# impute-costs or simulate argument out of range: argv before --out-dir, the
+# BNPOLICY_THREADS value or None, text the message must contain; checked
+# before the (missing) input file is read
+BAD_RANGES_ONE_INPUT = {
+    "impute_negative_seed": (["impute-costs", "--seed", "-1"], None,
+                             "seed must be a non-negative integer"),
+    "impute_train_fraction": (["impute-costs", "--train-fraction", "1.5"], None,
+                              "train_fraction must lie in (0, 1)"),
+    "impute_bad_threads_variable": (["impute-costs"], "abc", "BNPOLICY_THREADS"),
+    "simulate_zero_threads": (["simulate", "--threads", "0"], None, "--threads"),
+    "simulate_bad_threads_variable": (["simulate"], "0", "BNPOLICY_THREADS"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RANGES_ONE_INPUT)
+def test_cli_impute_and_simulate_ranges_checked_before_the_file_is_read(
+        tmp_path, capsys, monkeypatch, case):
+    (command, *extra), threads, expected = BAD_RANGES_ONE_INPUT[case]
+    if threads is None:
+        monkeypatch.delenv("BNPOLICY_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("BNPOLICY_THREADS", threads)
+    given = "--interventions" if command == "impute-costs" else "--config"
+    out_dir = tmp_path / "out"
+    code = main([command, given, str(tmp_path / "missing.csv"), *extra,
+                 "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and expected in err
+    assert not out_dir.exists()
+
+
+def test_cli_sweep_row_flags_and_footer_use_one_dominance_rule(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from bnpolicy import policy
+
+    base = policy.unconstrained_policy(np.zeros(6), 40)
+    # the ratio ranking above the naive one by less than the 1e-12 slack
+    tied = [(replace(base, value_rate=-0.5 + 1e-13), replace(base, value_rate=-0.5))]
+    monkeypatch.setattr(policy, "budget_sweep", lambda *args: tied)
+    paths, *_ = make_fixture(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--outcomes", paths["outcomes"],
+                 "--interventions", paths["interventions"], "--h", paths["h"],
+                 "--estimator", "q", "--fractions", "0.5", "--out-dir", str(out_dir)]) == 0
+    lines = (out_dir / "sweep.csv").read_text().splitlines()
+    assert lines[2].endswith(",1")
+    assert lines[3] == "# dominance_holds=1"
 
 
 @pytest.mark.parametrize("command", ["policy", "sweep"])
@@ -785,6 +842,15 @@ BAD_CONFIG_SHAPES = {
     "text_target_mean_outcome": ({**_SMALL_STUDY, "target_mean_outcome": "x"},
                                  "target_mean_outcome must be a finite number, got 'x'"),
     "text_snr": ({**_SMALL_STUDY, "snr": "3"}, "snr must be a finite number, got '3'"),
+    "zero_propensity_tol": ({**_SMALL_STUDY, "propensity_tol": 0},
+                            "calibration tolerances must be positive"),
+    "n_below_ten": ({**_SMALL_STUDY, "n": 9}, "n, j, p, q out of range"),
+    "unknown_covariate_source": ({**_SMALL_STUDY, "covariate_source": "survey"},
+                                 "unknown covariate_source 'survey'"),
+    "h_local_frac_one": ({**_SMALL_STUDY, "h_local_frac": 1},
+                         "h_local_frac must lie in [0, 1)"),
+    "zero_se_fail_threshold": ({**_SMALL_STUDY, "se_fail_threshold": 0},
+                               "se_fail_threshold must be positive"),
 }
 
 

@@ -162,6 +162,17 @@ def test_calibrate_tight_tolerance(rng):
     assert dn <= achieved <= up
 
 
+@pytest.mark.parametrize("target", [0.001, 0.999])
+def test_calibrate_widens_the_bracket_for_an_extreme_target(rng, target):
+    x = rng.standard_normal((60, 2))
+    slopes = rng.uniform(-0.5, 0.5, 2)
+    tol = 1e-6
+    c = calibrate_propensity_intercept(x, FeatureMap("linear"), slopes, target, tol)
+    assert abs(c) > 2.0  # outside the starting bracket [-2, 2]
+    achieved = float(np.mean(logistic(c + x @ slopes)))
+    assert abs(achieved - target) <= tol
+
+
 def test_calibrate_rejects_bad_targets():
     with pytest.raises(DataValidationError):
         calibrate_propensity_intercept(np.zeros((5, 1)), FeatureMap("linear"),

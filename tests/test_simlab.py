@@ -66,7 +66,7 @@ def test_noiseless_q_correct_cell_recovers_truth():
     config = SimConfig(n=1500, j=50, p=2, q=2, reps=1, master_seed=5, snr=1e9)
     out, intv, h, truth = generate_dgp(config, 9)
     res = run_cell(out, intv, h, truth, CELLS["q_correct"])
-    assert not res.failed
+    assert res.fail_reason is None
     assert res.bias <= 1e-8
     assert res.rmse <= 1e-8
 
@@ -96,7 +96,7 @@ def test_run_monte_carlo_single_rep_matches_run_replication():
     single = run_replication(config, 0)
     for name, stats in report.cells.items():
         res = single[name]
-        if res.failed:
+        if res.fail_reason is not None:
             assert stats.n_failed == 1
         else:
             assert stats.mean_bias == pytest.approx(res.bias)
