@@ -1,10 +1,10 @@
 """Doubly robust policy learning over bipartite interference networks.
 
 Every public name is imported from its module on first use (PEP 562), so
-``import bnpolicy`` loads no submodule and a command that needs only the
-cost forest never loads scipy.  The value is looked up on each access and
-never stored here: a name bound in this namespace while a module attribute
-is temporarily replaced (as a profiler does) would keep the replacement.
+``import bnpolicy`` loads no submodule and a command loads only the modules
+it runs.  The value is looked up on each access and never stored here: a
+name bound in this namespace while a module attribute is temporarily
+replaced (as a profiler does) would keep the replacement.
 """
 from importlib import import_module as _import_module
 

@@ -8,10 +8,16 @@ worker processes instead (``map_in_order``: the Monte Carlo lab's
 replications and the cost forest's trees).  The libraries are found next
 to their packages without importing them, and driven through ctypes the
 way threadpoolctl does it.
+
+The pivoted QR and triangular solves of the least-squares fit call LAPACK
+in the OpenBLAS bundled with scipy the same way (``pivoted_qr``,
+``solve_upper``), with the arguments and memory layouts ``scipy.linalg``
+passes, so they return scipy's bits without importing scipy.
 """
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import importlib.util
 import multiprocessing
@@ -20,17 +26,19 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
+import numpy as np
+
 from .errors import DataValidationError
 
 
-def _library_dirs() -> list:
+def _library_dirs(packages=("numpy", "scipy")) -> list:
     """The ``<package>.libs`` directories where wheels bundle OpenBLAS.
 
     Each package is located by its import spec, not imported, so pinning
     BLAS does not load scipy into a command that never uses it.
     """
     dirs = []
-    for name in ("numpy", "scipy"):
+    for name in packages:
         spec = importlib.util.find_spec(name)
         if spec is not None and spec.origin is not None:
             dirs.append(os.path.join(os.path.dirname(os.path.dirname(spec.origin)),
@@ -79,6 +87,89 @@ def one_blas_thread():
     finally:
         for (_, _, put), (_, count) in zip(libs, saved):
             put(count)
+
+
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR
+
+
+@functools.cache
+def _lapack():
+    """(dgeqp3, dorgqr, dtrtrs) of the OpenBLAS bundled with scipy, or None.
+
+    These are the LAPACKE entry points of the library that ``scipy.linalg``
+    itself calls, so the results carry scipy's bits; ``cli.main`` has
+    already loaded that library to pin its threads.  None when no scipy
+    library exports all three with 32-bit integers.
+    """
+    c_int, c_char, ptr = ctypes.c_int, ctypes.c_char, ctypes.c_void_p
+    signatures = {"dgeqp3": [c_int, c_int, c_int, ptr, c_int, ptr, ptr],
+                  "dorgqr": [c_int, c_int, c_int, c_int, ptr, c_int, ptr],
+                  "dtrtrs": [c_int, c_char, c_char, c_char, c_int, c_int, ptr, c_int, ptr,
+                             c_int]}
+    for libdir in _library_dirs(("scipy",)):
+        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
+            lib = ctypes.CDLL(path)
+            funcs = [getattr(lib, f"scipy_LAPACKE_{name}", None) for name in signatures]
+            if all(funcs):
+                for fn, argtypes in zip(funcs, signatures.values()):
+                    fn.argtypes, fn.restype = argtypes, c_int
+                return tuple(funcs)
+    return None
+
+
+def _lapack_call(fn, *args) -> None:
+    info = fn(_COL_MAJOR, *args)
+    if info != 0:  # every argument is checked first, and R has no zero pivot
+        raise ValueError(f"LAPACK {fn.__name__} failed with info={info}")
+
+
+def pivoted_qr(a):
+    """(q, r, piv) with a[:, piv] = q r, as ``scipy.linalg.qr(a, "economic", pivoting=True)``.
+
+    ``a`` is an (m, k) array of finite values with m >= k.  The same LAPACK
+    calls on the same memory layouts as scipy's give the same bits; scipy
+    is imported only where its OpenBLAS lacks the LAPACKE symbols.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        import scipy.linalg
+        return scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
+    geqp3, orgqr, _ = lapack
+    qr = np.array(a, dtype=float, order="F")
+    if qr.ndim != 2 or qr.shape[0] < qr.shape[1]:
+        raise ValueError(f"pivoted_qr needs an (m, k) array with m >= k, got {qr.shape}")
+    m, k = qr.shape
+    piv, tau = np.zeros(k, dtype=np.int32), np.zeros(k)
+    _lapack_call(geqp3, m, k, qr.ctypes.data, m, piv.ctypes.data, tau.ctypes.data)
+    r = np.triu(qr[:k, :])
+    _lapack_call(orgqr, m, k, k, qr.ctypes.data, m, tau.ctypes.data)
+    return qr, r, piv - 1
+
+
+def solve_upper(r, b):
+    """x with r x = b for an upper-triangular r, as ``scipy.linalg.solve_triangular(r, b)``.
+
+    ``r`` is (k, k) and ``b`` (k,) or (k, m), both finite.  A C-ordered
+    ``r`` is handed to LAPACK as the lower-triangular r^T, solving the
+    transposed system, as scipy does: the same bits.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        import scipy.linalg
+        return scipy.linalg.solve_triangular(r, b, check_finite=False)
+    r = np.asarray(r, dtype=float)
+    x = np.array(b, dtype=float, order="F")
+    k = r.shape[0]
+    if r.shape != (k, k) or x.ndim not in (1, 2) or x.shape[0] != k:
+        raise ValueError(f"solve_upper needs a (k, k) and a (k,) or (k, m) array, "
+                         f"got {r.shape} and {x.shape}")
+    if r.flags.f_contiguous:
+        a, uplo, trans = r, b"U", b"N"
+    else:
+        a, uplo, trans = np.asfortranarray(r.T), b"L", b"T"
+    nrhs = 1 if x.ndim == 1 else x.shape[1]
+    _lapack_call(lapack[2], uplo, trans, b"N", k, nrhs, a.ctypes.data, k, x.ctypes.data, k)
+    return x
 
 
 def usable_cpus() -> int:

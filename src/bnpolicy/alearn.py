@@ -34,7 +34,7 @@ import numpy as np
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable
 from .errors import DataValidationError, EstimationError, SingularSystemError
 from .propensity import PropensityFit, fit_propensity
-from .qlearn import OutcomeFit, OutcomeModelSpec
+from .qlearn import OutcomeFit, OutcomeModelSpec, _finite
 
 COND_WARN = 1e10
 COND_FAIL = 1e14
@@ -52,6 +52,9 @@ class AFit(OutcomeFit):
 def _iv_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
                spec: OutcomeModelSpec):
     """Regressors D, instruments Z and lam = c * FA, each basis expanded once."""
+    if h.n != out.n:
+        raise DataValidationError(f"interference map has {h.n} rows but the outcome "
+                                  f"table has {out.n}")
     abar, abar_hat = np.asarray(abar, dtype=float), np.asarray(abar_hat, dtype=float)
     for name, v in (("abar", abar), ("abar_hat", abar_hat)):
         if v.shape != (out.n,):
@@ -77,7 +80,7 @@ def _factor(m):
     than the baseline block); one Newton step X + X (I - M X) restores the
     accuracy of an LU inverse.
     """
-    u, s, vt = np.linalg.svd(m)
+    u, s, vt = np.linalg.svd(_finite(m, "estimating system"))
     cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
     if not cond <= COND_FAIL:
         raise SingularSystemError(
@@ -152,6 +155,7 @@ def a_covariance(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
                        _factor(m)[1], h, e, prop_basis_matrix, cov_gamma)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
           spec: OutcomeModelSpec, prop_basis: FeatureMap | None = None,
           propensities=None) -> AFit:
@@ -194,7 +198,7 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
     d, z, lam = _iv_system(out, h, abar, abar_hat, spec)
     n = out.n
     cond, m_inv = _factor(z.T @ d / n)
-    theta = m_inv @ (z.T @ out.y / n)
+    theta = _finite(m_inv @ (z.T @ out.y / n), "A-learning coefficient vector")
     r = out.y - d @ theta
     eq = z.T @ r / n
     da = spec.basis_f0.dim(out.p)
@@ -205,14 +209,16 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
         "effect_block_norm": float(np.max(np.abs(eq[da:]))),
         "equation_scale": scale,
     }
-    if diagnostics["baseline_block_norm"] > EQ_TOL * scale or \
-            diagnostics["effect_block_norm"] > EQ_TOL * scale:
+    # NaN-safe: a norm that overflowed fails the test as well
+    if not (diagnostics["baseline_block_norm"] <= EQ_TOL * scale
+            and diagnostics["effect_block_norm"] <= EQ_TOL * scale):
         raise EstimationError(
             "estimating equations not solved to tolerance; system is too "
             f"ill-conditioned (condition {cond:.3e})")
 
     cov, omega_phi, omega_gamma, _ = _covariance(
         z, lam, r, m_inv, h, e, bprop, cov_gamma)
+    _finite(cov, "A-learning covariance")
     return AFit(alpha=theta[:da], beta=theta[da:], gamma_fit=gamma_fit,
                 cov_theta=cov, omega_phi=omega_phi, omega_gamma=omega_gamma,
                 diagnostics=diagnostics, spec=spec)

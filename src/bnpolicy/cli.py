@@ -3,10 +3,11 @@
 Subcommands: simulate, fit, effects, policy, sweep, impute-costs.
 Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 I/O.
 
-Each command imports the modules it runs inside its own body, so
-``impute-costs`` never loads scipy.  The imports stay local and are never
-bound to this module's globals: a profiler that swaps module attributes
-for a while must see every later call go through the current attribute.
+Each command imports the modules it runs inside its own body, so it loads
+no other module of the package, and none of them loads scipy.  The imports
+stay local and are never bound to this module's globals: a profiler that
+swaps module attributes for a while must see every later call go through
+the current attribute.
 """
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ def _out_path(args, name) -> str:
 
 
 def _coef_report(path, names, estimates, cov, level):
-    from scipy.special import ndtr, ndtri
+    from ._normal import ndtr, ndtri
 
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     z = ndtri(0.5 + level / 2.0)

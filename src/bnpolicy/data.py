@@ -12,8 +12,7 @@ shared freely across threads.
 """
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,56 +43,95 @@ def _read_only(arr):
 
 @dataclass(frozen=True)
 class InterferenceMap:
-    """Nonnegative n x J matrix of transport weights.
+    """Nonnegative n x J matrix of transport weights, dense or sparse.
 
-    ``h`` is a numpy array, or a ``scipy.sparse.csr_array`` when it is
-    built from a scipy sparse array or matrix; ``exposure``, ``aggregate``
-    and ``row_mass`` return numpy arrays either way.  Rows index outcome
-    units, columns index intervention units.  Columns with no transport at
-    all are legal here but flagged by ``validate_bundle`` and rejected by
+    A dense map holds H in ``h``, a numpy array.  A sparse map holds
+    ``h`` = None and H in compressed sparse row form: row i stores the
+    values ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, which ascend strictly, and
+    ``shape`` is (n, J).  It is built from those four, or from ``h`` given
+    as anything with a ``tocsr()`` method (a scipy sparse array or matrix),
+    which is converted once.  ``exposure``, ``aggregate`` and ``row_mass``
+    return numpy arrays either way; on a sparse map they add the stored
+    products in storage order, as scipy's CSR products do, so they give
+    scipy's bits without importing scipy.  Rows index outcome units,
+    columns index intervention units.  Columns with no transport at all
+    are legal here but flagged by ``validate_bundle`` and rejected by
     per-unit effect estimation.
     """
 
-    h: np.ndarray
+    h: np.ndarray | None = None
+    indptr: np.ndarray | None = None
+    indices: np.ndarray | None = None
+    data: np.ndarray | None = None
+    shape: tuple[int, int] | None = None
+    # row of each stored value of a sparse map, for the products
+    _row: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # scipy.sparse is loaded only by callers that build a sparse map
-        scipy_sparse = sys.modules.get("scipy.sparse")
-        if scipy_sparse is not None and scipy_sparse.issparse(self.h):
-            h = scipy_sparse.csr_array(self.h, dtype=float)
+        h, csr, shape = self.h, (self.indptr, self.indices, self.data), self.shape
+        csr_given = [arr is not None for arr in (*csr, shape)]
+        if any(csr_given) if h is not None else not all(csr_given):
+            raise DataValidationError("give h, or indptr, indices, data and shape")
+        if hasattr(h, "tocsr"):  # a scipy sparse array or matrix
+            h = h.tocsr().astype(float, copy=False)
             if not h.has_canonical_format:  # sort a copy, not the caller's arrays
                 h = h.copy()
                 h.sum_duplicates()
-            h.data, h.indices, h.indptr = map(_read_only, (h.data, h.indices, h.indptr))
-            values = h.data
-        else:
-            h = values = _read_only(_as_float(self.h, "h", 2))
-        if h.shape[0] < 1 or h.shape[1] < 1:
+            h, csr, shape = None, (h.indptr, h.indices, h.data), h.shape
+        if h is not None:
+            h = _read_only(_as_float(h, "h", 2))
+            shape = h.shape
+        shape = tuple(int(d) for d in shape)
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
             raise DataValidationError("interference map must have n >= 1 and J >= 1")
+        if h is None:
+            row, csr = _check_csr(shape, *csr)
+            for name, arr in zip(("_row", "indptr", "indices", "data"), (row, *csr)):
+                object.__setattr__(self, name, arr)
+        values = self.data if h is None else h
         if not np.all(np.isfinite(values)):
             raise DataValidationError("interference map contains non-finite entries")
         if np.any(values < 0):
             raise DataValidationError("interference map contains negative entries")
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "shape", shape)
 
     @property
     def sparse(self) -> bool:
-        return not isinstance(self.h, np.ndarray)
+        return self.h is None
 
     @property
     def n(self) -> int:
-        return self.h.shape[0]
+        return self.shape[0]
 
     @property
     def j(self) -> int:
-        return self.h.shape[1]
+        return self.shape[1]
 
-    def _rows(self, v, size, name) -> np.ndarray:
+    def toarray(self) -> np.ndarray:
+        """H as a dense array: ``h`` itself for a dense map, a new array for a sparse one."""
+        if not self.sparse:
+            return self.h
+        dense = np.zeros(self.shape)
+        dense[self._row, self.indices] = self.data
+        return dense
+
+    def _operand(self, v, size, name) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape[:1] != (size,):
+        if v.ndim not in (1, 2) or v.shape[0] != size:
             raise DataValidationError(f"{name} operand must have {size} rows to match "
                                       f"the interference map, got shape {v.shape}")
         return v
+
+    def _sum_into(self, target, size, source, v) -> np.ndarray:
+        """sum over stored (t, s) of H[t, s] v[s], per column of v, in storage order."""
+        if v.ndim == 1:
+            return np.bincount(target, weights=self.data * v[source], minlength=size)
+        out = np.empty((size, v.shape[1]))
+        for k in range(v.shape[1]):
+            out[:, k] = np.bincount(target, weights=self.data * v[source, k], minlength=size)
+        return out
 
     def exposure(self, v) -> np.ndarray:
         """(1/J) H v: what each outcome unit receives from the intervention units.
@@ -101,33 +139,71 @@ class InterferenceMap:
         ``v`` is a J-vector (treatments or propensities) or a (J, k) matrix,
         whose columns are mapped one by one.
         """
-        return self.h @ self._rows(v, self.j, "exposure") / self.j
+        v = self._operand(v, self.j, "exposure")
+        if self.sparse:
+            return self._sum_into(self._row, self.n, self.indices, v) / self.j
+        return self.h @ v / self.j
 
     def aggregate(self, w) -> np.ndarray:
         """(1/J) H^T w: what each intervention unit delivers, summed over outcome units.
 
         ``w`` is an n-vector (per-unit effects) or an (n, k) matrix.
         """
-        return self.h.T @ self._rows(w, self.n, "aggregate") / self.j
+        w = self._operand(w, self.n, "aggregate")
+        if self.sparse:
+            return self._sum_into(self.indices, self.j, self._row, w) / self.j
+        return self.h.T @ w / self.j
 
     def row_mass(self) -> np.ndarray:
         """Per-unit transport mass c_i = (1/J) sum_j H_ij."""
-        return (self.h @ np.ones(self.j) if self.sparse else self.h.sum(axis=1)) / self.j
+        if self.sparse:
+            return np.bincount(self._row, weights=self.data, minlength=self.n) / self.j
+        return self.h.sum(axis=1) / self.j
 
     def zero_columns(self) -> np.ndarray:
         """Indices of intervention units with no transport to any outcome unit."""
         if self.sparse:
-            reached = np.bincount(self.h.indices[self.h.data > 0], minlength=self.j)
+            reached = np.bincount(self.indices[self.data > 0], minlength=self.j)
             return np.flatnonzero(reached == 0)
         return np.flatnonzero(~np.any(self.h > 0, axis=0))
 
     def keep_columns(self, kept) -> InterferenceMap:
-        """The map of the intervention units ``kept`` alone."""
-        if self.sparse:
-            return InterferenceMap(self.h[:, kept])
-        # a column index comes out column-major; the copy is row-major, as
-        # every other dense map is
-        return InterferenceMap(self.h[:, kept].copy())
+        """The map of the intervention units ``kept`` alone, in ascending order."""
+        kept = np.arange(self.j)[kept]
+        if kept.ndim != 1 or np.any(kept[1:] <= kept[:-1]):
+            raise DataValidationError("kept columns must be distinct and ascending")
+        if not self.sparse:
+            # a column index comes out column-major; the copy is row-major, as
+            # every other dense map is
+            return InterferenceMap(self.h[:, kept].copy())
+        new_col = np.full(self.j, -1)
+        new_col[kept] = np.arange(kept.size)
+        col = new_col[self.indices]
+        stays = col >= 0
+        per_row = np.bincount(self._row[stays], minlength=self.n)
+        return InterferenceMap(indptr=np.concatenate([[0], np.cumsum(per_row)]),
+                               indices=col[stays], data=self.data[stays],
+                               shape=(self.n, kept.size))
+
+
+def _check_csr(shape, indptr, indices, data):
+    """(row of each stored value, read-only views of the arrays) of a canonical CSR map."""
+    n, j = shape
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
+    data = _as_float(data, "data", 1)
+    for name, arr in (("indptr", indptr), ("indices", indices)):
+        if arr.ndim != 1 or not (arr.size == 0 or np.issubdtype(arr.dtype, np.integer)):
+            raise DataValidationError(f"{name} must be a 1-d integer array")
+    if (indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+            or indptr[-1] != indices.size or indices.size != data.size):
+        raise DataValidationError("indptr must have n + 1 entries, ascending from 0 "
+                                  "to the number of stored values")
+    if indices.size and (indices.min() < 0 or indices.max() >= j):
+        raise DataValidationError(f"a column index lies outside 0..{j - 1}")
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    if np.any(np.diff(row * j + indices) <= 0):
+        raise DataValidationError("column indices must ascend strictly within each row")
+    return _read_only(row), tuple(map(_read_only, (indptr, indices, data)))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .data import FeatureMap, InterferenceMap, OutcomeTable
 from .errors import DataValidationError, EstimationError
 
@@ -65,6 +65,7 @@ def effect_inference(te_weights: np.ndarray, cov_beta: np.ndarray):
     return np.sqrt(variances)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def effect_table(h: InterferenceMap, out: OutcomeTable, beta,
                  cov_beta: np.ndarray, basis_fa: FeatureMap,
                  cost=None, level: float = 0.95) -> EffectTable:
@@ -74,6 +75,9 @@ def effect_table(h: InterferenceMap, out: OutcomeTable, beta,
     te = total_effects(h, out, beta, basis_fa)
     w = effect_weights(h, out, basis_fa)
     se = effect_inference(w, cov_beta)
+    if not (np.all(np.isfinite(te)) and np.all(np.isfinite(se))):
+        raise EstimationError("a total effect or its standard error overflows to a "
+                              "non-finite value")
     z = ndtri(0.5 + level / 2.0)
     # degenerate se = 0: the one-sided p collapses to an indicator
     safe = np.where(se > 0, se, 1.0)

@@ -158,8 +158,9 @@ def read_intervention_csv(path):
 def read_interference_csv(path, n, j):
     """Dense (n rows x J numeric columns) or triplet (header i,j,value).
 
-    A dense file is held as a numpy array, a triplet file as a
-    ``scipy.sparse.csr_array``.
+    A dense file is held as a numpy array, a triplet file as the CSR arrays
+    of a sparse ``InterferenceMap``: the triplets sorted by row and column,
+    with no scipy import.
     """
     def row_dtype(header):
         if header[:3] != ["i", "j", "value"]:
@@ -171,8 +172,6 @@ def read_interference_csv(path, n, j):
         if data.shape != (n, j):
             raise DataValidationError(f"{path}: matrix shape {data.shape}, expected ({n}, {j})")
         return _build(path, InterferenceMap, h=data)
-    from scipy.sparse import csr_array  # only a triplet file pays for the import
-
     rows, cols = data["i"], data["j"]
     outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= j)
     if outside.any():
@@ -186,8 +185,8 @@ def read_interference_csv(path, n, j):
         dup = divmod(int(keys[np.argmax(repeat)]), j)
         raise DataValidationError(f"{path}: duplicate triplet (i, j) = {dup}")
     indptr = np.searchsorted(keys, np.arange(n + 1) * j)
-    h = csr_array((data["value"][order], cols[order], indptr), shape=(n, j))
-    return _build(path, InterferenceMap, h=h)
+    return _build(path, InterferenceMap, indptr=indptr, indices=cols[order],
+                  data=data["value"][order], shape=(n, j))
 
 
 EFFECTS_COLUMNS = ("id", "total_effect", "se", "p_one_sided", "ci_low", "ci_high",

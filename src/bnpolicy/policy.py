@@ -130,6 +130,9 @@ def policy_value(te, pi, n_out: int, h: InterferenceMap | None = None,
             raise DataValidationError(
                 "count-scale value needs h, outcome table with person_years, "
                 "beta and the effect basis")
+        if h.n != out.n:
+            raise DataValidationError(f"interference map has {h.n} rows but the outcome "
+                                      f"table has {out.n}")
         fa_vals = basis_fa.expand(out.x) @ np.asarray(beta, dtype=float)
         delta = h.exposure(pi) * fa_vals
         count = float(delta @ out.person_years / 1e4)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._blas import pivoted_qr, solve_upper
 from .data import FeatureMap, OutcomeTable
 from .errors import DataValidationError, EstimationError, RankDeficiencyError
 
@@ -60,6 +60,15 @@ def q_design(out: OutcomeTable, abar: np.ndarray, spec: OutcomeModelSpec) -> np.
     return np.hstack([f0, abar[:, None] * fa])
 
 
+def _finite(arr, what):
+    """``arr``, checked to hold finite values only; LAPACK itself would not check."""
+    if not np.all(np.isfinite(arr)):
+        raise EstimationError(f"the {what} overflows to a non-finite value; rescale the "
+                              "outcomes, covariates or transport weights")
+    return arr
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
     """Least-squares fit of the linear-exposure outcome model.
 
@@ -72,7 +81,8 @@ def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
     if n <= k:
         raise EstimationError(f"need more outcome units ({n}) than parameters ({k})")
     d_alpha = spec.basis_f0.dim(out.p)
-    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    q, r, piv = pivoted_qr(_finite(design, "design matrix"))
+    _finite(r, "R factor of the design")
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0:
         raise RankDeficiencyError("design matrix is identically zero", column=int(piv[0]))
@@ -84,14 +94,14 @@ def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
             f"rank-deficient design: {block} column {col} is linearly dependent",
             column=col)
     theta = np.empty(k)
-    theta[piv] = scipy.linalg.solve_triangular(r, q.T @ out.y)
-    resid = out.y - design @ theta
+    theta[piv] = solve_upper(r, _finite(q.T @ out.y, "projected outcome Q'y"))
+    resid = _finite(out.y - design @ theta, "residual")
 
     # (D'D)^{-1} D' diag(r^2) D (D'D)^{-1} = P (R^{-1} Q' diag(r)) (...)' P'
-    half = scipy.linalg.solve_triangular(r, (q * resid[:, None]).T)
+    half = solve_upper(r, (q * resid[:, None]).T)
     cov = np.empty((k, k))
     cov[np.ix_(piv, piv)] = half @ half.T
-    cov = 0.5 * (cov + cov.T)
+    cov = _finite(0.5 * (cov + cov.T), "sandwich covariance")
     return OutcomeFit(alpha=theta[:d_alpha], beta=theta[d_alpha:], cov_theta=cov,
                       spec=spec)
 

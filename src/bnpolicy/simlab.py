@@ -31,9 +31,9 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._blas import map_in_order, one_blas_thread
+from ._normal import ndtri
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, standardize
 from .effects import total_effects
 from .errors import BnpolicyError, DataValidationError, EstimationError

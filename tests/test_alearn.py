@@ -143,6 +143,19 @@ def test_public_systems_check_the_exposure_lengths(rng, wrong):
             call()
 
 
+def test_public_systems_check_the_map_rows(rng):
+    out, intv, h, *_ = _make_data(rng, n=20, j=5)
+    h = InterferenceMap(np.vstack([h.h, np.ones((1, 5))]))  # 21 rows for 20 outcomes
+    abar = np.full(20, 0.5)
+    args = (out, h, abar, abar - 0.1, LIN)
+    alpha, beta = np.zeros(3), np.zeros(3)
+    for call in (lambda: a_system(*args), lambda: a_equations(*args, alpha, beta),
+                 lambda: a_covariance(*args, alpha, beta, np.eye(6))):
+        with pytest.raises(DataValidationError,
+                           match="interference map has 21 rows but the outcome table has 20"):
+            call()
+
+
 def test_zero_map_fit_raises_singular(rng):
     h = InterferenceMap(np.zeros((50, 4)))
     out = OutcomeTable(x=rng.standard_normal((50, 1)), y=rng.standard_normal(50))

@@ -66,10 +66,10 @@ def test_interference_map_leaves_csr_arrays_writable():
     import scipy.sparse
 
     given = scipy.sparse.csr_array(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]))
-    held = InterferenceMap(given).h
+    held = InterferenceMap(given)
     for name in ("data", "indices", "indptr"):
         _holds_a_read_only_view(getattr(held, name), getattr(given, name))
-    assert held.has_canonical_format
+    assert held.sparse and held.h is None
 
 
 def test_outcome_table_leaves_its_arrays_writable():

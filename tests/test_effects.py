@@ -111,6 +111,13 @@ def test_non_psd_covariance_rejected(rng):
         effect_inference(effect_weights(h, out, FA), np.array([[-1.0]]))
 
 
+@pytest.mark.parametrize("beta, cov", [([1e308], [[0.1]]), ([-1.0], [[1e308]])])
+def test_an_overflowing_effect_or_se_is_rejected(beta, cov):
+    h = InterferenceMap(np.array([[4.0, 1.0], [3.0, 0.0]]))
+    with pytest.raises(EstimationError, match="overflows to a non-finite value"):
+        effect_table(h, _out(2), np.array(beta), np.array(cov), FA)
+
+
 def test_benefit_cost_examples():
     assert np.allclose(benefit_cost([-2.0, -3.0], [1.0, 4.0]), [-2.0, -0.75])
     te = np.array([-1.5, 2.0, 0.0])

@@ -84,7 +84,7 @@ def test_outcome_and_intervention_readers(tmp_path):
 def test_interference_triplet_reader(tmp_path):
     path = _write(tmp_path / "h3.csv", "i,j,value\n0,0,1.5\n1,1,2.5\n")
     h = read_interference_csv(path, n=2, j=2)
-    assert np.array_equal(h.h.toarray(), np.array([[1.5, 0.0], [0.0, 2.5]]))
+    assert np.array_equal(h.toarray(), np.array([[1.5, 0.0], [0.0, 2.5]]))
 
 
 def test_effects_round_trip(tmp_path, rng):
@@ -380,6 +380,55 @@ def test_cli_rank_deficiency_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def _column_set_to(col, value):
+    """Edit that sets column ``col`` of every row after the header to ``value``."""
+    return lambda lines: [lines[0]] + [",".join([*cells[:col], value, *cells[col + 1:]])
+                                       for cells in (line.split(",") for line in lines[1:])]
+
+
+def _first_cell_of_row_set_to(row, value):
+    return lambda lines: [*lines[:row], value + lines[row][lines[row].index(","):],
+                          *lines[row + 1:]]
+
+
+QUADRATIC = ["--f0-basis", "quadratic", "--fa-basis", "quadratic"]
+HUGE_Y = ("outcomes", _column_set_to(1, "1e308"))
+HUGE_X = ("outcomes", _column_set_to(2, "1e300"))
+HUGE_H = ("h", _first_cell_of_row_set_to(2, "1e308"))
+
+# finite input whose fit overflows: command line, the file edited and the edit.
+# Each exits 2 with one line, where it raised a traceback or wrote NaN cells.
+OVERFLOWS = {
+    "fit_q_huge_y": (["fit", "--estimator", "q"], *HUGE_Y),
+    "policy_q_huge_y": (["policy", "--estimator", "q", "--budget-frac", "0.2"], *HUGE_Y),
+    "fit_q_huge_x": (["fit", "--estimator", "q", *QUADRATIC], *HUGE_X),
+    "policy_q_huge_x": (["policy", "--estimator", "q", *QUADRATIC], *HUGE_X),
+    "effects_a_huge_y": (["effects", "--estimator", "a"], *HUGE_Y),
+    "effects_a_huge_x": (["effects", "--estimator", "a"], *HUGE_X),
+    "sweep_a_huge_x": (["sweep", "--estimator", "a"], *HUGE_X),
+    "policy_a_huge_x": (["policy", "--estimator", "a"], *HUGE_X),
+    "effects_a_huge_h": (["effects", "--estimator", "a"], *HUGE_H),
+    "sweep_a_huge_h": (["sweep", "--estimator", "a"], *HUGE_H),
+    "policy_a_huge_h": (["policy", "--estimator", "a"], *HUGE_H),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWS)
+def test_cli_an_overflowing_fit_exits_2_with_one_line(tmp_path, capsys, case):
+    argv, bad, edit = OVERFLOWS[case]
+    paths, *_ = make_fixture(tmp_path, noise=0.05)
+    with open(paths[bad], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    paths[bad] = _write(tmp_path / "bad.csv", "\n".join(edit(lines)) + "\n")
+    out_dir = tmp_path / "out"
+    code = main([*argv, "--outcomes", paths["outcomes"], "--interventions",
+                 paths["interventions"], "--h", paths["h"], "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("\n") == 1 and "overflows to a non-finite value" in err
+    assert not out_dir.exists()
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -399,7 +448,7 @@ def test_repr_written_doubles_read_back_bit_exactly(tmp_path_factory, y, data):
     assert read_interference_csv(dense, n=n, j=3).h.tobytes() == np.array(h).tobytes()
     triplets = [f"{i},{k},{h[i][k]!r}" for i in range(n) for k in range(3)]
     sparse = _write(root / "h3.csv", "\n".join(["i,j,value", *triplets]) + "\n")
-    assert (read_interference_csv(sparse, n=n, j=3).h.toarray().tobytes()
+    assert (read_interference_csv(sparse, n=n, j=3).toarray().tobytes()
             == np.array(h).tobytes())
 
 
@@ -495,7 +544,7 @@ def test_byte_order_mark_is_skipped(tmp_path):
     triplets = _write(tmp_path / "h3.csv", "i,j,value\n0,0,1.5\n1,1,2.5\n")
     h = read_interference_csv(_with_bom(triplets), n=2, j=2)
     assert h.sparse
-    assert np.array_equal(h.h.toarray(), read_interference_csv(triplets, n=2, j=2).h.toarray())
+    assert np.array_equal(h.toarray(), read_interference_csv(triplets, n=2, j=2).toarray())
     config = _write(tmp_path / "cfg.json", json.dumps({"reps": 3}))
     assert cli._load_sim_config(_with_bom(config)).reps == 3
 
@@ -520,7 +569,7 @@ def _read_arrays(path, kind):
         return ids, [intv.x, intv.a, raw_cost]
     h = read_interference_csv(path, n=40, j=6)
     assert h.sparse == (kind == "triplets")
-    return [], [h.h.toarray() if h.sparse else h.h]
+    return [], [h.toarray()]
 
 
 @pytest.mark.parametrize("notes", NOTES)

@@ -239,6 +239,16 @@ def test_policy_value_basics(rng):
     assert half == pytest.approx(0.5 * full)
 
 
+def test_policy_value_checks_the_map_rows(rng):
+    x = rng.standard_normal((20, 2))
+    out = OutcomeTable(x=x, y=np.zeros(20), person_years=np.full(20, 1000.0))
+    h = InterferenceMap(rng.random((21, 4)))  # 21 rows for 20 outcomes
+    with pytest.raises(DataValidationError,
+                       match="interference map has 21 rows but the outcome table has 20"):
+        policy_value(-np.ones(4), np.ones(4), 20, h=h, out=out, beta=np.zeros(3),
+                     basis_fa=FeatureMap("linear"))
+
+
 def test_policy_value_count_scale(rng):
     n, j = 6, 3
     h = InterferenceMap(rng.random((n, j)) + 0.1)

@@ -1,13 +1,16 @@
 """A transport map read from a triplet file (CSR) against the same map read dense."""
+import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from bnpolicy import (FeatureMap, InterferenceMap, OutcomeModelSpec, apply_trim, effect_table,
-                      fit_a, knapsack_policy, policy_value, trim_by_propensity)
+from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap, OutcomeModelSpec,
+                      apply_trim, effect_table, fit_a, knapsack_policy, policy_value,
+                      trim_by_propensity)
 from bnpolicy.io import read_interference_csv, read_intervention_csv, read_outcome_csv
 
 N, J, DEG = 400, 30, 5
@@ -73,15 +76,23 @@ def _assert_fits_agree(dense, sparse):
         assert _close(getattr(sparse, name), getattr(dense, name)), name
 
 
+def _assert_canonical_csr(h):
+    """The map holds CSR arrays whose column indices ascend strictly within each row."""
+    assert h.indptr.shape == (h.n + 1,) and h.indptr[0] == 0
+    assert h.indptr[-1] == h.indices.size == h.data.size
+    for i in range(h.n):
+        assert np.all(np.diff(h.indices[h.indptr[i]:h.indptr[i + 1]]) > 0)
+
+
 def test_a_triplet_file_is_held_sparse_and_matches_the_dense_file(bundle):
     dense = read_interference_csv(bundle["dense"], n=N, j=J)
     sparse = read_interference_csv(bundle["triplets"], n=N, j=J)
-    assert not dense.sparse and sparse.sparse
-    assert sparse.h.format == "csr" and sparse.h.has_canonical_format
-    assert np.array_equal(sparse.h.toarray(), dense.h)
+    assert not dense.sparse and sparse.sparse and sparse.h is None
+    _assert_canonical_csr(sparse)
+    assert np.array_equal(sparse.toarray(), dense.h)
     assert np.array_equal(sparse.zero_columns(), dense.zero_columns())
     assert sparse.zero_columns().tolist() == [J - 1]
-    assert not sparse.h.data.flags.writeable
+    assert not any(arr.flags.writeable for arr in (sparse.data, sparse.indices, sparse.indptr))
 
 
 def test_fit_effects_and_policy_value_agree(bundle):
@@ -106,7 +117,8 @@ def test_trimmed_fit_agrees(bundle):
     trim = trim_by_propensity(fits[0].gamma_fit, 0.2)
     trimmed = [apply_trim(h, intv, trim) for h in maps]
     assert 0 < trimmed[0][0].j < J and trimmed[1][0].sparse
-    assert np.array_equal(trimmed[1][0].h.toarray(), trimmed[0][0].h)
+    _assert_canonical_csr(trimmed[1][0])
+    assert np.array_equal(trimmed[1][0].toarray(), trimmed[0][0].h)
     _assert_fits_agree(*[fit_a(out, kept, h, SPEC, prop_basis=PROP) for h, kept in trimmed])
 
 
@@ -115,21 +127,114 @@ def test_a_scipy_sparse_input_becomes_a_frozen_csr_array():
 
     coo = scipy.sparse.coo_matrix(([1.0, 2.0, 0.5], ([0, 2, 0], [1, 0, 1])), shape=(3, 2))
     h = InterferenceMap(coo)
-    assert isinstance(h.h, scipy.sparse.csr_array) and h.sparse
-    assert np.array_equal(h.h.toarray(), [[0.0, 1.5], [0.0, 0.0], [2.0, 0.0]])
-    assert all(not arr.flags.writeable for arr in (h.h.data, h.h.indices, h.h.indptr))
+    assert h.sparse and h.h is None and h.shape == (3, 2)
+    _assert_canonical_csr(h)
+    assert np.array_equal(h.toarray(), [[0.0, 1.5], [0.0, 0.0], [2.0, 0.0]])
+    assert all(not arr.flags.writeable for arr in (h.data, h.indices, h.indptr))
     indices = np.array([1, 0, 0])
     unsorted = scipy.sparse.csr_array(([1.0, 2.0, 3.0], indices, [0, 2, 3]), shape=(2, 2))
     h = InterferenceMap(unsorted)
-    assert h.h.has_canonical_format and indices.tolist() == [1, 0, 0]
-    assert np.array_equal(h.h.toarray(), [[2.0, 1.0], [3.0, 0.0]])
+    _assert_canonical_csr(h)
+    assert indices.tolist() == [1, 0, 0]
+    assert np.array_equal(h.toarray(), [[2.0, 1.0], [3.0, 0.0]])
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
+# CSR arrays of a 2 x 3 map that break one rule each, and the error they raise
+BAD_CSR = {
+    "short_indptr": (dict(indptr=[0, 1], indices=[0], data=[1.0]), "indptr must have n \\+ 1"),
+    "indptr_not_from_zero": (dict(indptr=[1, 1, 2], indices=[0, 1], data=[1.0, 1.0]),
+                             "indptr must have n \\+ 1"),
+    "descending_indptr": (dict(indptr=[0, 2, 1], indices=[0, 1], data=[1.0, 1.0]),
+                          "indptr must have n \\+ 1"),
+    "fewer_values": (dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0]),
+                     "indptr must have n \\+ 1"),
+    "column_outside": (dict(indptr=[0, 1, 2], indices=[0, 3], data=[1.0, 1.0]),
+                       "outside 0..2"),
+    "unsorted_row": (dict(indptr=[0, 2, 2], indices=[2, 0], data=[1.0, 1.0]),
+                     "ascend strictly"),
+    "repeated_column": (dict(indptr=[0, 2, 2], indices=[1, 1], data=[1.0, 1.0]),
+                        "ascend strictly"),
+    "float_indices": (dict(indptr=[0, 1, 2], indices=[0.0, 1.0], data=[1.0, 1.0]),
+                      "indices must be a 1-d integer array"),
+    "negative_value": (dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0, -1.0]),
+                       "negative entries"),
+    "nan_value": (dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0, np.nan]),
+                  "non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CSR)
+def test_a_csr_map_checks_its_arrays(case):
+    arrays, message = BAD_CSR[case]
+    with pytest.raises(DataValidationError, match=message):
+        InterferenceMap(shape=(2, 3), **arrays)
+
+
+def test_a_map_takes_a_matrix_or_csr_arrays_not_both():
+    arrays = dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0, 2.0])
+    h = InterferenceMap(shape=(2, 3), **arrays)
+    assert np.array_equal(h.toarray(), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    for bad in (dict(h=np.ones((2, 3)), **arrays), dict(arrays), dict(shape=(2, 3))):
+        with pytest.raises(DataValidationError, match="give h, or indptr, indices, data"):
+            InterferenceMap(**bad)
+
+
+def test_keep_columns_takes_distinct_ascending_columns():
+    import scipy.sparse
+
+    dense = np.arange(6.0).reshape(2, 3)
+    for h in (InterferenceMap(dense), InterferenceMap(scipy.sparse.csr_array(dense))):
+        assert np.array_equal(h.keep_columns(np.array([0, 2])).toarray(), dense[:, [0, 2]])
+        for kept in ([2, 0], [1, 1]):
+            with pytest.raises(DataValidationError, match="distinct and ascending"):
+                h.keep_columns(np.array(kept))
+
+
+# a probe that writes the benchmark's smoke bundle (n=600, J=40, H as triplets),
+# runs each bundle command and simulate in this process, and lists the scipy
+# modules loaded after the import and after each command
+BUNDLE_PROBE = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from inputs import SMOKE, write_bundle
+from bnpolicy.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[2]
+seen = [["import", 0, scipy_modules()]]
+paths = write_bundle(out, 0, SMOKE)
+bundle = ["--outcomes", paths["outcomes"], "--interventions", paths["interventions"],
+          "--h", paths["h"], "--f0-basis", "quadratic", "--fa-basis", "quadratic",
+          "--prop-basis", "quadratic"]
+config = os.path.join(out, "sim.json")
+with open(config, "w") as fh:
+    json.dump({"reps": 2, "n": 300, "j": 30}, fh)
+commands = {
+    "effects": ["effects", *bundle],
+    "policy": ["policy", *bundle, "--budget-frac", "0.2"],
+    "sweep": ["sweep", *bundle],
+    "fit_a": ["fit", *bundle, "--estimator", "a"],
+    "fit_q": ["fit", *bundle, "--estimator", "q"],
+    "simulate": ["simulate", "--config", config, "--threads", "1"],
+}
+for name, argv in commands.items():
+    code = main([*argv, "--out-dir", os.path.join(out, name)])
+    seen.append([name, code, scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
+    """No bundle command, nor simulate, loads any scipy module."""
     import bnpolicy
     src = os.path.dirname(os.path.dirname(bnpolicy.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, bnpolicy.cli; print('scipy.sparse' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    done = subprocess.run([sys.executable, "-B", "-c", BUNDLE_PROBE, str(perfbench),
+                           str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert [name for name, _, _ in seen] == ["import", "effects", "policy", "sweep", "fit_a",
+                                             "fit_q", "simulate"]
+    assert all(code == 0 and modules == [] for _, code, modules in seen), seen
