@@ -149,9 +149,10 @@ def pivoted_qr(a):
 def solve_upper(r, b):
     """x with r x = b for an upper-triangular r, as ``scipy.linalg.solve_triangular(r, b)``.
 
-    ``r`` is (k, k) and ``b`` (k,) or (k, m), both finite.  A C-ordered
-    ``r`` is handed to LAPACK as the lower-triangular r^T, solving the
-    transposed system, as scipy does: the same bits.
+    ``r`` is the C-ordered (k, k) R of ``pivoted_qr`` and ``b`` (k,) or
+    (k, m), both finite.  R's buffer is handed to LAPACK as the
+    lower-triangular R^T, solving the transposed system, as scipy does for
+    a C-ordered R: the same bits.
     """
     lapack = _lapack()
     if lapack is None:
@@ -163,12 +164,9 @@ def solve_upper(r, b):
     if r.shape != (k, k) or x.ndim not in (1, 2) or x.shape[0] != k:
         raise ValueError(f"solve_upper needs a (k, k) and a (k,) or (k, m) array, "
                          f"got {r.shape} and {x.shape}")
-    if r.flags.f_contiguous:
-        a, uplo, trans = r, b"U", b"N"
-    else:
-        a, uplo, trans = np.asfortranarray(r.T), b"L", b"T"
+    lower = np.asfortranarray(r.T)  # R's own buffer, read column-major
     nrhs = 1 if x.ndim == 1 else x.shape[1]
-    _lapack_call(lapack[2], uplo, trans, b"N", k, nrhs, a.ctypes.data, k, x.ctypes.data, k)
+    _lapack_call(lapack[2], b"L", b"T", b"N", k, nrhs, lower.ctypes.data, k, x.ctypes.data, k)
     return x
 
 

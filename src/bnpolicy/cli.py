@@ -81,7 +81,7 @@ def _fit_bundle(args, need_cost=False) -> _Run:
     h = bio.read_interference_csv(args.h, n=out.n, j=intv.j)
     issues = validate_bundle(h, out, intv)
     if issues:
-        raise DataValidationError("invalid bundle:\n  " + "\n  ".join(issues))
+        raise DataValidationError("invalid bundle: " + "; ".join(issues))
     if args.trim is not None:
         trim = trim_by_propensity(fit_propensity(intv.x, intv.a, prop_basis), args.trim)
         h, intv = apply_trim(h, intv, trim)

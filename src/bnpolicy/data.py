@@ -7,12 +7,13 @@ the only products with H in the package.
 
 Arrays are validated once at construction, and each table holds a
 read-only view of them, not a copy: writing to an array you passed in
-changes the table.  No table writes to its arrays, so instances can be
-shared freely across threads.
+changes the table.  A sparse interference map is the exception: it holds
+sorted copies of its triplets.  No table writes to its arrays, so
+instances can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,39 +47,29 @@ class InterferenceMap:
     """Nonnegative n x J matrix of transport weights, dense or sparse.
 
     A dense map holds H in ``h``, a numpy array.  A sparse map holds
-    ``h`` = None and H in compressed sparse row form: row i stores the
-    values ``data[indptr[i]:indptr[i + 1]]`` in the columns
-    ``indices[indptr[i]:indptr[i + 1]]``, which ascend strictly, and
-    ``shape`` is (n, J).  It is built from those four, or from ``h`` given
-    as anything with a ``tocsr()`` method (a scipy sparse array or matrix),
-    which is converted once.  ``exposure``, ``aggregate`` and ``row_mass``
-    return numpy arrays either way; on a sparse map they add the stored
-    products in storage order, as scipy's CSR products do, so they give
-    scipy's bits without importing scipy.  Rows index outcome units,
-    columns index intervention units.  Columns with no transport at all
-    are legal here but flagged by ``validate_bundle`` and rejected by
-    per-unit effect estimation.
+    ``h`` = None and the triplets H[rows[k], cols[k]] = data[k] of its
+    stored values, with ``shape`` = (n, J).  The triplets may be given in
+    any order; the map holds them sorted by row, then column, and rejects
+    a pair that is outside n x J or given twice.  ``exposure``,
+    ``aggregate`` and ``row_mass`` return numpy arrays either way; on a
+    sparse map they add the stored products in that order, as scipy's CSR
+    products do, so they give scipy's bits without importing scipy.  Rows
+    index outcome units, columns index intervention units.  Columns with
+    no transport at all are legal here but flagged by ``validate_bundle``
+    and rejected by per-unit effect estimation.
     """
 
     h: np.ndarray | None = None
-    indptr: np.ndarray | None = None
-    indices: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
     data: np.ndarray | None = None
     shape: tuple[int, int] | None = None
-    # row of each stored value of a sparse map, for the products
-    _row: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h, csr, shape = self.h, (self.indptr, self.indices, self.data), self.shape
-        csr_given = [arr is not None for arr in (*csr, shape)]
-        if any(csr_given) if h is not None else not all(csr_given):
-            raise DataValidationError("give h, or indptr, indices, data and shape")
-        if hasattr(h, "tocsr"):  # a scipy sparse array or matrix
-            h = h.tocsr().astype(float, copy=False)
-            if not h.has_canonical_format:  # sort a copy, not the caller's arrays
-                h = h.copy()
-                h.sum_duplicates()
-            h, csr, shape = None, (h.indptr, h.indices, h.data), h.shape
+        h, triplets, shape = self.h, (self.rows, self.cols, self.data), self.shape
+        given = [arr is not None for arr in (*triplets, shape)]
+        if any(given) if h is not None else not all(given):
+            raise DataValidationError("give h, or rows, cols, data and shape")
         if h is not None:
             h = _read_only(_as_float(h, "h", 2))
             shape = h.shape
@@ -86,8 +77,7 @@ class InterferenceMap:
         if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
             raise DataValidationError("interference map must have n >= 1 and J >= 1")
         if h is None:
-            row, csr = _check_csr(shape, *csr)
-            for name, arr in zip(("_row", "indptr", "indices", "data"), (row, *csr)):
+            for name, arr in zip(("rows", "cols", "data"), _sorted_triplets(shape, *triplets)):
                 object.__setattr__(self, name, arr)
         values = self.data if h is None else h
         if not np.all(np.isfinite(values)):
@@ -114,7 +104,7 @@ class InterferenceMap:
         if not self.sparse:
             return self.h
         dense = np.zeros(self.shape)
-        dense[self._row, self.indices] = self.data
+        dense[self.rows, self.cols] = self.data
         return dense
 
     def _operand(self, v, size, name) -> np.ndarray:
@@ -141,7 +131,7 @@ class InterferenceMap:
         """
         v = self._operand(v, self.j, "exposure")
         if self.sparse:
-            return self._sum_into(self._row, self.n, self.indices, v) / self.j
+            return self._sum_into(self.rows, self.n, self.cols, v) / self.j
         return self.h @ v / self.j
 
     def aggregate(self, w) -> np.ndarray:
@@ -151,19 +141,19 @@ class InterferenceMap:
         """
         w = self._operand(w, self.n, "aggregate")
         if self.sparse:
-            return self._sum_into(self.indices, self.j, self._row, w) / self.j
+            return self._sum_into(self.cols, self.j, self.rows, w) / self.j
         return self.h.T @ w / self.j
 
     def row_mass(self) -> np.ndarray:
         """Per-unit transport mass c_i = (1/J) sum_j H_ij."""
         if self.sparse:
-            return np.bincount(self._row, weights=self.data, minlength=self.n) / self.j
+            return np.bincount(self.rows, weights=self.data, minlength=self.n) / self.j
         return self.h.sum(axis=1) / self.j
 
     def zero_columns(self) -> np.ndarray:
         """Indices of intervention units with no transport to any outcome unit."""
         if self.sparse:
-            reached = np.bincount(self.indices[self.data > 0], minlength=self.j)
+            reached = np.bincount(self.cols[self.data > 0], minlength=self.j)
             return np.flatnonzero(reached == 0)
         return np.flatnonzero(~np.any(self.h > 0, axis=0))
 
@@ -178,32 +168,35 @@ class InterferenceMap:
             return InterferenceMap(self.h[:, kept].copy())
         new_col = np.full(self.j, -1)
         new_col[kept] = np.arange(kept.size)
-        col = new_col[self.indices]
-        stays = col >= 0
-        per_row = np.bincount(self._row[stays], minlength=self.n)
-        return InterferenceMap(indptr=np.concatenate([[0], np.cumsum(per_row)]),
-                               indices=col[stays], data=self.data[stays],
+        cols = new_col[self.cols]
+        stays = cols >= 0
+        return InterferenceMap(rows=self.rows[stays], cols=cols[stays], data=self.data[stays],
                                shape=(self.n, kept.size))
 
 
-def _check_csr(shape, indptr, indices, data):
-    """(row of each stored value, read-only views of the arrays) of a canonical CSR map."""
+def _sorted_triplets(shape, rows, cols, data):
+    """Read-only copies of the triplets, sorted by row, then column; pairs checked."""
     n, j = shape
-    indptr, indices = np.asarray(indptr), np.asarray(indices)
-    data = _as_float(data, "data", 1)
-    for name, arr in (("indptr", indptr), ("indices", indices)):
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    for name, arr in (("rows", rows), ("cols", cols)):
         if arr.ndim != 1 or not (arr.size == 0 or np.issubdtype(arr.dtype, np.integer)):
             raise DataValidationError(f"{name} must be a 1-d integer array")
-    if (indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
-            or indptr[-1] != indices.size or indices.size != data.size):
-        raise DataValidationError("indptr must have n + 1 entries, ascending from 0 "
-                                  "to the number of stored values")
-    if indices.size and (indices.min() < 0 or indices.max() >= j):
-        raise DataValidationError(f"a column index lies outside 0..{j - 1}")
-    row = np.repeat(np.arange(n), np.diff(indptr))
-    if np.any(np.diff(row * j + indices) <= 0):
-        raise DataValidationError("column indices must ascend strictly within each row")
-    return _read_only(row), tuple(map(_read_only, (indptr, indices, data)))
+    data = _as_float(data, "data", 1)
+    if not rows.size == cols.size == data.size:
+        raise DataValidationError("rows, cols and data must have the same length")
+    outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= j)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise DataValidationError(f"triplet ({rows[k]}, {cols[k]}) outside {n}x{j}")
+    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+    keys = rows * j + cols
+    order = np.argsort(keys, kind="stable")  # row-major input is already sorted
+    keys = keys[order]
+    repeat = keys[1:] == keys[:-1]
+    if repeat.any():
+        dup = divmod(int(keys[np.argmax(repeat)]), j)
+        raise DataValidationError(f"duplicate triplet (i, j) = {dup}")
+    return tuple(_read_only(arr[order]) for arr in (rows, cols, data))
 
 
 @dataclass(frozen=True)

@@ -158,9 +158,9 @@ def read_intervention_csv(path):
 def read_interference_csv(path, n, j):
     """Dense (n rows x J numeric columns) or triplet (header i,j,value).
 
-    A dense file is held as a numpy array, a triplet file as the CSR arrays
-    of a sparse ``InterferenceMap``: the triplets sorted by row and column,
-    with no scipy import.
+    A dense file is held as a numpy array, a triplet file, its rows in any
+    order, as a sparse ``InterferenceMap``, which sorts and checks the
+    triplets; neither imports scipy.
     """
     def row_dtype(header):
         if header[:3] != ["i", "j", "value"]:
@@ -172,21 +172,8 @@ def read_interference_csv(path, n, j):
         if data.shape != (n, j):
             raise DataValidationError(f"{path}: matrix shape {data.shape}, expected ({n}, {j})")
         return _build(path, InterferenceMap, h=data)
-    rows, cols = data["i"], data["j"]
-    outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= j)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise DataValidationError(f"{path}: triplet ({rows[k]}, {cols[k]}) outside {n}x{j}")
-    keys = rows * j + cols
-    order = np.argsort(keys, kind="stable")  # row-major files are already sorted
-    keys = keys[order]
-    repeat = keys[1:] == keys[:-1]
-    if repeat.any():
-        dup = divmod(int(keys[np.argmax(repeat)]), j)
-        raise DataValidationError(f"{path}: duplicate triplet (i, j) = {dup}")
-    indptr = np.searchsorted(keys, np.arange(n + 1) * j)
-    return _build(path, InterferenceMap, indptr=indptr, indices=cols[order],
-                  data=data["value"][order], shape=(n, j))
+    return _build(path, InterferenceMap, rows=data["i"], cols=data["j"], data=data["value"],
+                  shape=(n, j))
 
 
 EFFECTS_COLUMNS = ("id", "total_effect", "se", "p_one_sided", "ci_low", "ci_high",

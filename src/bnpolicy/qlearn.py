@@ -68,13 +68,33 @@ def _finite(arr, what):
     return arr
 
 
+def _block(col, d_alpha):
+    return "baseline" if col < d_alpha else "treatment"
+
+
+def _check_scales(design, d_alpha):
+    """Reject a design whose nonzero columns differ in scale by more than 1/RANK_RTOL.
+
+    The rank test compares each diagonal entry of R with the largest, so
+    beyond that span it cannot tell a small column from a dependent one.
+    """
+    scale = np.max(np.abs(design), axis=0)
+    big = int(np.argmax(scale))
+    if scale[big] * RANK_RTOL > np.min(scale[scale > 0]):
+        raise EstimationError(
+            f"{_block(big, d_alpha)} column {big} of the design is over {1 / RANK_RTOL:.0e} "
+            "times the scale of another column, too wide a span to judge the rank; "
+            "rescale the covariates or transport weights")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
     """Least-squares fit of the linear-exposure outcome model.
 
     Solved through one pivoted QR, D[:, piv] = Q R, rather than normal
     equations; a diagonal entry of R at or below RANK_RTOL times the
-    largest declares rank deficiency and names the dependent column.
+    largest declares rank deficiency and names the dependent column, unless
+    the design's column scales alone span more than 1/RANK_RTOL.
     """
     design = q_design(out, np.asarray(abar, dtype=float), spec)
     n, k = design.shape
@@ -88,11 +108,11 @@ def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
         raise RankDeficiencyError("design matrix is identically zero", column=int(piv[0]))
     deficient = np.flatnonzero(diag <= RANK_RTOL * diag[0])
     if deficient.size:
+        _check_scales(design, d_alpha)
         col = int(piv[deficient[0]])
-        block = "baseline" if col < d_alpha else "treatment"
         raise RankDeficiencyError(
-            f"rank-deficient design: {block} column {col} is linearly dependent",
-            column=col)
+            f"rank-deficient design: {_block(col, d_alpha)} column {col} is linearly "
+            "dependent", column=col)
     theta = np.empty(k)
     theta[piv] = solve_upper(r, _finite(q.T @ out.y, "projected outcome Q'y"))
     resid = _finite(out.y - design @ theta, "residual")

@@ -63,12 +63,16 @@ def test_interference_map_leaves_a_dense_array_writable():
 
 
 def test_interference_map_leaves_csr_arrays_writable():
-    import scipy.sparse
-
-    given = scipy.sparse.csr_array(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]))
-    held = InterferenceMap(given)
-    for name in ("data", "indices", "indptr"):
-        _holds_a_read_only_view(getattr(held, name), getattr(given, name))
+    """A sparse map holds read-only sorted copies; the triplets given stay as they were."""
+    given = {"rows": np.array([2, 0, 1, 2]), "cols": np.array([1, 0, 1, 0]),
+             "data": np.array([4.0, 1.0, 2.0, 3.0])}
+    held = InterferenceMap(shape=(3, 2), **given)
+    for name, arr in given.items():
+        kept = getattr(held, name)
+        assert not kept.flags.writeable and arr.flags.writeable
+        assert not np.shares_memory(kept, arr)
+    given["data"][0] = 9.0
+    assert np.array_equal(held.toarray(), [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
     assert held.sparse and held.h is None
 
 

@@ -1,0 +1,157 @@
+"""The exit-code contract of the bundle commands, on generated malformed input.
+
+Each example mutates one file of the benchmark's smoke bundle (n=600, J=40,
+H as triplets): a cell, a row, a column, a unit id or a triplet index.  It
+then runs one bundle command in process.  Whatever the input:
+
+- the exit code is 0, 2, 3 or 4, and no exception escapes ``main``;
+- a nonzero exit prints one line and writes no output file;
+- a zero exit writes finite numbers only, apart from the documented NaN
+  ``benefit_cost`` of a unit whose cost is not positive.
+"""
+import contextlib
+import io
+import json
+import math
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bnpolicy.cli import main
+from bnpolicy.io import read_intervention_csv
+
+# writes the benchmark's smoke bundle without leaving bytecode next to it
+WRITE_SMOKE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from inputs import SMOKE, write_bundle
+write_bundle(sys.argv[2], 0, SMOKE)
+"""
+
+
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """The directory of the smoke bundle's outcomes.csv, interventions.csv and h.csv."""
+    root = tmp_path_factory.mktemp("contract")
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    subprocess.run([sys.executable, "-B", "-c", WRITE_SMOKE, str(perfbench), str(root)],
+                   check=True)
+    return root
+
+
+CELLS = ["1e308", "-1e308", "1e300", "1e-300", "5e-324", "0", "-1", "nan", "inf", "-inf",
+         "abc", ""]
+ROW = st.integers(1, 10**6)  # taken modulo the number of data rows
+FILES = st.sampled_from(["outcomes", "interventions", "h"])
+MUTATIONS = st.one_of(
+    st.tuples(st.just("cell"), FILES, ROW, st.integers(0, 10), st.sampled_from(CELLS)),
+    st.tuples(st.just("drop"), FILES, ROW),
+    st.tuples(st.just("repeat"), FILES, ROW),
+    st.tuples(st.just("same_id"), st.sampled_from(["outcomes", "interventions"]), ROW, ROW),
+    st.tuples(st.just("index"), st.just("h"), ROW, st.sampled_from([0, 1]),
+              st.sampled_from(["-1", "n", "j", "1.5", "2e0"])),
+    st.tuples(st.sampled_from(["drop_column", "add_column"]), FILES, st.integers(0, 10)),
+)
+COMMANDS = st.sampled_from([
+    ["effects", "--estimator", "a"],
+    ["effects", "--estimator", "q", "--trim", "0.05"],
+    ["fit", "--estimator", "a"],
+    ["fit", "--estimator", "q", "--f0-basis", "quadratic", "--fa-basis", "quadratic"],
+    ["policy", "--estimator", "a", "--budget-frac", "0.2"],
+    ["policy", "--estimator", "q"],
+    ["sweep", "--estimator", "a", "--prop-basis", "quadratic"],
+])
+
+
+def _mutate(lines, mutation):
+    """(file edited, its new lines) for one mutation of the bundle's lines."""
+    kind, name, row, *rest = mutation
+    rows = list(lines[name])
+    if kind.endswith("column"):  # in every line, the header too
+        table = [line.split(",") for line in rows]
+        at = row % len(table[0])
+        for cells in table:
+            if kind == "drop_column":
+                del cells[at]
+            else:
+                cells.insert(at, "extra" if cells is table[0] else "1.5")
+        return name, [",".join(cells) for cells in table]
+    k = 1 + row % (len(rows) - 1)  # a data row, never the header
+    cells = rows[k].split(",")
+    if kind == "cell":
+        cells[rest[0] % len(cells)] = rest[1]
+        rows[k] = ",".join(cells)
+    elif kind == "drop":
+        del rows[k]
+    elif kind == "repeat":
+        rows.insert(k, rows[k])
+    elif kind == "same_id":
+        cells[0] = rows[1 + rest[0] % (len(rows) - 1)].split(",")[0]
+        rows[k] = ",".join(cells)
+    else:  # a triplet's row or column index out of its range, or not an integer
+        at, value = rest
+        size = {"n": len(lines["outcomes"]) - 1, "j": len(lines["interventions"]) - 1}
+        cells[at] = str(size.get(value, value))
+        rows[k] = ",".join(cells)
+    return name, rows
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _assert_finite_outputs(out_dir, plants):
+    """Every number written is finite, but a benefit_cost where the cost is <= 0."""
+    _, _, raw_cost = read_intervention_csv(plants)
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"{path.name}: {c}"))
+            values = [doc["spent"], doc["value_rate"], *doc["allocation"].values()]
+            values += [doc[key] for key in ("budget", "value_count") if doc[key] is not None]
+            assert all(math.isfinite(v) for v in values), (path.name, doc)
+            continue
+        rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+        header = rows[0]
+        for k, row in enumerate(rows[1:]):
+            for name, cell in zip(header, row):
+                value = None if name in ("id", "name") else _number(cell)  # ids may read "nan"
+                if value is None or math.isfinite(value):
+                    continue
+                assert name == "benefit_cost" and raw_cost[k] <= 0, (path.name, k, name, cell)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=MUTATIONS, command=COMMANDS)
+def test_every_bundle_command_keeps_the_exit_code_contract(smoke, mutation, command):
+    paths = {name: str(smoke / f"{name}.csv") for name in ("outcomes", "interventions", "h")}
+    lines = {name: pathlib.Path(path).read_text(encoding="utf-8").splitlines()
+             for name, path in paths.items()}
+    name, edited = _mutate(lines, mutation)
+    paths[name] = str(smoke / "edited.csv")
+    with open(paths[name], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(edited) + "\n")
+    out_dir = smoke / "out"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = main([*command, "--outcomes", paths["outcomes"], "--interventions",
+                     paths["interventions"], "--h", paths["h"], "--out-dir", str(out_dir)])
+    said = printed.getvalue()
+    try:
+        assert code in (0, 2, 3, 4), said
+        if code:
+            assert said.count("\n") == 1, said
+            assert not out_dir.exists(), said
+        else:
+            _assert_finite_outputs(out_dir, paths["interventions"])
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)

@@ -429,6 +429,29 @@ def test_cli_an_overflowing_fit_exits_2_with_one_line(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "effects", "policy", "sweep"])
+def test_cli_a_huge_covariate_cell_is_a_scale_problem_not_a_dependence(tmp_path, capsys,
+                                                                          command):
+    """One x1 cell of 1e300 under linear bases once read as 'column 2 is dependent'."""
+    paths, *_ = make_fixture(tmp_path, noise=0.05)
+    with open(paths["outcomes"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cells = lines[5].split(",")  # o4,y,x1,x2
+    cells[2] = "1e300"
+    lines[5] = ",".join(cells)
+    paths["outcomes"] = _write(tmp_path / "bad.csv", "\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    code = main([command, "--estimator", "q", "--outcomes", paths["outcomes"],
+                 "--interventions", paths["interventions"], "--h", paths["h"],
+                 "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("\n") == 1
+    assert "baseline column 1 of the design is over 1e+10 times the scale" in err
+    assert "rescale the covariates" in err and "dependent" not in err
+    assert not out_dir.exists()
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -51,6 +51,17 @@ def test_duplicate_covariate_is_rank_deficient(rng):
         fit_q(out, rng.uniform(0, 1, 50), LIN)
 
 
+def test_a_column_that_dwarfs_the_rest_is_a_scale_problem_not_a_dependence(rng):
+    x = rng.standard_normal((50, 2))
+    abar = rng.uniform(0, 1, 50)
+    y = rng.standard_normal(50)
+    fit_q(OutcomeTable(x=x, y=y), abar, LIN)  # well posed at unit scale
+    x[:, 0] *= 1e12
+    with pytest.raises(EstimationError, match="baseline column 1 of the design is over "
+                                              "1e\\+10 times the scale.*; rescale"):
+        fit_q(OutcomeTable(x=x, y=y), abar, LIN)
+
+
 def test_too_few_rows_rejected(rng):
     out = OutcomeTable(x=rng.standard_normal((3, 2)), y=rng.standard_normal(3))
     with pytest.raises(EstimationError):

@@ -1,4 +1,4 @@
-"""A transport map read from a triplet file (CSR) against the same map read dense."""
+"""A transport map read from a triplet file (sparse) against the same map read dense."""
 import json
 import os
 import pathlib
@@ -62,7 +62,7 @@ def _close(got, want, tol=1e-12):
 
 
 def _fits(bundle):
-    """(dense, CSR) pairs of the map, the tables and the A-learning fit."""
+    """(dense, sparse) pairs of the map, the tables and the A-learning fit."""
     _, out = read_outcome_csv(bundle["outcomes"])
     _, intv, _ = read_intervention_csv(bundle["interventions"])
     maps = (read_interference_csv(bundle["dense"], n=N, j=J),
@@ -76,23 +76,22 @@ def _assert_fits_agree(dense, sparse):
         assert _close(getattr(sparse, name), getattr(dense, name)), name
 
 
-def _assert_canonical_csr(h):
-    """The map holds CSR arrays whose column indices ascend strictly within each row."""
-    assert h.indptr.shape == (h.n + 1,) and h.indptr[0] == 0
-    assert h.indptr[-1] == h.indices.size == h.data.size
-    for i in range(h.n):
-        assert np.all(np.diff(h.indices[h.indptr[i]:h.indptr[i + 1]]) > 0)
+def _assert_sorted_triplets(h):
+    """The map holds read-only triplets inside n x J, sorted strictly by row, then column."""
+    assert h.rows.shape == h.cols.shape == h.data.shape
+    assert np.all((0 <= h.rows) & (h.rows < h.n) & (0 <= h.cols) & (h.cols < h.j))
+    assert np.all(np.diff(h.rows.astype(np.int64) * h.j + h.cols) > 0)
+    assert not any(arr.flags.writeable for arr in (h.rows, h.cols, h.data))
 
 
 def test_a_triplet_file_is_held_sparse_and_matches_the_dense_file(bundle):
     dense = read_interference_csv(bundle["dense"], n=N, j=J)
     sparse = read_interference_csv(bundle["triplets"], n=N, j=J)
     assert not dense.sparse and sparse.sparse and sparse.h is None
-    _assert_canonical_csr(sparse)
+    _assert_sorted_triplets(sparse)
     assert np.array_equal(sparse.toarray(), dense.h)
     assert np.array_equal(sparse.zero_columns(), dense.zero_columns())
     assert sparse.zero_columns().tolist() == [J - 1]
-    assert not any(arr.flags.writeable for arr in (sparse.data, sparse.indices, sparse.indptr))
 
 
 def test_fit_effects_and_policy_value_agree(bundle):
@@ -117,73 +116,86 @@ def test_trimmed_fit_agrees(bundle):
     trim = trim_by_propensity(fits[0].gamma_fit, 0.2)
     trimmed = [apply_trim(h, intv, trim) for h in maps]
     assert 0 < trimmed[0][0].j < J and trimmed[1][0].sparse
-    _assert_canonical_csr(trimmed[1][0])
+    _assert_sorted_triplets(trimmed[1][0])
     assert np.array_equal(trimmed[1][0].toarray(), trimmed[0][0].h)
     _assert_fits_agree(*[fit_a(out, kept, h, SPEC, prop_basis=PROP) for h, kept in trimmed])
 
 
 def test_a_scipy_sparse_input_becomes_a_frozen_csr_array():
+    """A scipy user hands over the triplets of a COO array: unsorted, int32 or int64."""
     import scipy.sparse
 
-    coo = scipy.sparse.coo_matrix(([1.0, 2.0, 0.5], ([0, 2, 0], [1, 0, 1])), shape=(3, 2))
-    h = InterferenceMap(coo)
+    coo = scipy.sparse.coo_array(([1.0, 2.0, 0.5], ([2, 0, 0], [0, 1, 0])), shape=(3, 2))
+    given = (coo.row.astype(np.int32), coo.col, coo.data)
+    h = InterferenceMap(rows=given[0], cols=given[1], data=given[2], shape=coo.shape)
     assert h.sparse and h.h is None and h.shape == (3, 2)
-    _assert_canonical_csr(h)
-    assert np.array_equal(h.toarray(), [[0.0, 1.5], [0.0, 0.0], [2.0, 0.0]])
-    assert all(not arr.flags.writeable for arr in (h.data, h.indices, h.indptr))
-    indices = np.array([1, 0, 0])
-    unsorted = scipy.sparse.csr_array(([1.0, 2.0, 3.0], indices, [0, 2, 3]), shape=(2, 2))
-    h = InterferenceMap(unsorted)
-    _assert_canonical_csr(h)
-    assert indices.tolist() == [1, 0, 0]
-    assert np.array_equal(h.toarray(), [[2.0, 1.0], [3.0, 0.0]])
+    _assert_sorted_triplets(h)
+    assert h.rows.tolist() == [0, 0, 2] and h.cols.tolist() == [0, 1, 0]
+    assert np.array_equal(h.toarray(), coo.toarray())
+    # the map holds sorted copies: the caller's arrays keep their order and stay writable
+    assert given[0].tolist() == [2, 0, 0] and all(arr.flags.writeable for arr in given)
+    assert not any(np.shares_memory(held, arr)
+                   for held in (h.rows, h.cols, h.data) for arr in given)
 
 
-# CSR arrays of a 2 x 3 map that break one rule each, and the error they raise
-BAD_CSR = {
-    "short_indptr": (dict(indptr=[0, 1], indices=[0], data=[1.0]), "indptr must have n \\+ 1"),
-    "indptr_not_from_zero": (dict(indptr=[1, 1, 2], indices=[0, 1], data=[1.0, 1.0]),
-                             "indptr must have n \\+ 1"),
-    "descending_indptr": (dict(indptr=[0, 2, 1], indices=[0, 1], data=[1.0, 1.0]),
-                          "indptr must have n \\+ 1"),
-    "fewer_values": (dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0]),
-                     "indptr must have n \\+ 1"),
-    "column_outside": (dict(indptr=[0, 1, 2], indices=[0, 3], data=[1.0, 1.0]),
-                       "outside 0..2"),
-    "unsorted_row": (dict(indptr=[0, 2, 2], indices=[2, 0], data=[1.0, 1.0]),
-                     "ascend strictly"),
-    "repeated_column": (dict(indptr=[0, 2, 2], indices=[1, 1], data=[1.0, 1.0]),
-                        "ascend strictly"),
-    "float_indices": (dict(indptr=[0, 1, 2], indices=[0.0, 1.0], data=[1.0, 1.0]),
-                      "indices must be a 1-d integer array"),
-    "negative_value": (dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0, -1.0]),
+def test_int32_triplets_sort_by_row_without_overflow():
+    """Row * J + column passes 2**31 here: an int32 sort key would wrap to a negative."""
+    n = j = 70000
+    rows, cols = np.array([40000, 0, 1], dtype=np.int32), np.array([5, j - 1, 0], dtype=np.int32)
+    h = InterferenceMap(rows=rows, cols=cols, data=[1.0, 2.0, 3.0], shape=(n, j))
+    _assert_sorted_triplets(h)
+    assert h.rows.tolist() == [0, 1, 40000] and h.data.tolist() == [2.0, 3.0, 1.0]
+
+
+# triplets of a 2 x 3 map (any order is fine) that break one rule each, and the
+# error they raise; a triplet file is checked by the same rules
+BAD_TRIPLETS = {
+    "fewer_values": (dict(rows=[0, 1], cols=[0, 1], data=[1.0]), "the same length"),
+    "fewer_columns": (dict(rows=[0, 1], cols=[0], data=[1.0, 1.0]), "the same length"),
+    "column_outside": (dict(rows=[0, 1], cols=[0, 3], data=[1.0, 1.0]),
+                       "triplet \\(1, 3\\) outside 2x3"),
+    "row_outside": (dict(rows=[1, 2], cols=[0, 0], data=[1.0, 1.0]),
+                    "triplet \\(2, 0\\) outside 2x3"),
+    "negative_row": (dict(rows=[-1, 0], cols=[0, 0], data=[1.0, 1.0]),
+                     "triplet \\(-1, 0\\) outside 2x3"),
+    "repeated_column": (dict(rows=[1, 0, 1], cols=[2, 1, 2], data=[1.0, 1.0, 1.0]),
+                        "duplicate triplet \\(i, j\\) = \\(1, 2\\)"),
+    "float_indices": (dict(rows=[0, 1], cols=[0.0, 1.0], data=[1.0, 1.0]),
+                      "cols must be a 1-d integer array"),
+    "float_rows": (dict(rows=[0.0, 1.5], cols=[0, 1], data=[1.0, 1.0]),
+                   "rows must be a 1-d integer array"),
+    "matrix_rows": (dict(rows=[[0, 1]], cols=[0, 1], data=[1.0, 1.0]),
+                    "rows must be a 1-d integer array"),
+    "matrix_data": (dict(rows=[0, 1], cols=[0, 1], data=[[1.0, 1.0]]),
+                    "data must be a 1-d array"),
+    "negative_value": (dict(rows=[0, 1], cols=[0, 1], data=[1.0, -1.0]),
                        "negative entries"),
-    "nan_value": (dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0, np.nan]),
+    "nan_value": (dict(rows=[0, 1], cols=[0, 1], data=[1.0, np.nan]),
                   "non-finite entries"),
 }
 
 
-@pytest.mark.parametrize("case", BAD_CSR)
+@pytest.mark.parametrize("case", BAD_TRIPLETS)
 def test_a_csr_map_checks_its_arrays(case):
-    arrays, message = BAD_CSR[case]
+    arrays, message = BAD_TRIPLETS[case]
     with pytest.raises(DataValidationError, match=message):
         InterferenceMap(shape=(2, 3), **arrays)
 
 
 def test_a_map_takes_a_matrix_or_csr_arrays_not_both():
-    arrays = dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0, 2.0])
+    arrays = dict(rows=[1, 0], cols=[1, 0], data=[2.0, 1.0])
     h = InterferenceMap(shape=(2, 3), **arrays)
     assert np.array_equal(h.toarray(), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     for bad in (dict(h=np.ones((2, 3)), **arrays), dict(arrays), dict(shape=(2, 3))):
-        with pytest.raises(DataValidationError, match="give h, or indptr, indices, data"):
+        with pytest.raises(DataValidationError, match="give h, or rows, cols, data and shape"):
             InterferenceMap(**bad)
 
 
 def test_keep_columns_takes_distinct_ascending_columns():
-    import scipy.sparse
-
     dense = np.arange(6.0).reshape(2, 3)
-    for h in (InterferenceMap(dense), InterferenceMap(scipy.sparse.csr_array(dense))):
+    rows, cols = np.nonzero(dense)
+    for h in (InterferenceMap(dense),
+              InterferenceMap(rows=rows, cols=cols, data=dense[rows, cols], shape=(2, 3))):
         assert np.array_equal(h.keep_columns(np.array([0, 2])).toarray(), dense[:, [0, 2]])
         for kept in ([2, 0], [1, 1]):
             with pytest.raises(DataValidationError, match="distinct and ascending"):
