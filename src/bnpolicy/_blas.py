@@ -9,6 +9,13 @@ replications and the cost forest's trees).  The libraries are found next
 to their packages without importing them, and driven through ctypes the
 way threadpoolctl does it.
 
+No thread count is ever set in a forked worker.  OpenBLAS shuts its thread
+server down before a fork and the child inherits its parent's count, so
+the child of a pinned parent runs on one thread with no helper; a set call
+in the child would start the server again, one spinning helper thread per
+library taking CPU from the other workers.  For the same reason
+``one_blas_thread`` calls a setter only where the count differs.
+
 The pivoted QR and triangular solves of the least-squares fit call LAPACK
 in the OpenBLAS bundled with scipy the same way (``pivoted_qr``,
 ``solve_upper``), with the arguments and memory layouts ``scipy.linalg``
@@ -65,28 +72,26 @@ def _openblas() -> list:
     return found
 
 
-def pin_one_thread() -> None:
-    """Set every bundled OpenBLAS to one thread; a worker-pool ``initializer``."""
-    for _, _, put in _openblas():
-        put(1)
-
-
 @contextmanager
 def one_blas_thread():
     """Run the block with BLAS on one thread, then restore the caller's counts.
 
     Yields ``[(library path, caller's thread count)]`` for the libraries it
-    pinned: an empty list, and no effect, when no OpenBLAS is found.
+    pinned: an empty list, and no effect, when no OpenBLAS is found.  A
+    setter is called only where the count differs, since each call starts
+    the library's thread server if it is down, as it is after a fork.
     """
     libs = _openblas()
     saved = [(path, get()) for path, get, _ in libs]
-    for _, _, put in libs:
-        put(1)
+    for (_, _, put), (_, count) in zip(libs, saved):
+        if count != 1:
+            put(1)
     try:
         yield saved
     finally:
-        for (_, _, put), (_, count) in zip(libs, saved):
-            put(count)
+        for (_, get, put), (_, count) in zip(libs, saved):
+            if get() != count:
+                put(count)
 
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
@@ -181,14 +186,17 @@ def usable_cpus() -> int:
 def map_in_order(fn, items, n_workers):
     """``[fn(item) for item in items]``, over a process pool when ``n_workers`` > 1.
 
-    The pool has at most one worker per item and per usable CPU, gives each
-    worker contiguous chunks of items and runs BLAS on one thread in every
-    worker.  Results come back in item order, so whatever the caller adds
-    up from them does not depend on the worker count.  Workers are forked:
-    a two-worker pool is up in ~0.05 s, where workers started by spawn or
-    forkserver (the default from Python 3.14 on Linux) import numpy and the
-    package again and take ~1 s, about what a 500-tree forest saves on two
-    cores.  Where the platform cannot fork, the items run in this process.
+    The pool has at most one worker per item and per usable CPU and gives
+    each worker contiguous chunks of items.  Results come back in item
+    order, so whatever the caller adds up from them does not depend on the
+    worker count.  Workers are forked while this process is pinned to one
+    BLAS thread, so each inherits that count and runs without BLAS helper
+    threads; no count is set in a worker, since that would start its
+    library's thread server again.  A two-worker pool is up in ~10 ms on a
+    2-core host, where workers started by spawn or forkserver (the default
+    from Python 3.14 on Linux) import numpy and the package again and take
+    ~1 s, about what a 500-tree forest saves on two cores.  Where the
+    platform cannot fork, the items run in this process.
     """
     if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
         raise DataValidationError(
@@ -197,6 +205,6 @@ def map_in_order(fn, items, n_workers):
     n_workers = min(n_workers, len(items), usable_cpus())
     if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=pin_one_thread,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
+    with one_blas_thread(), ProcessPoolExecutor(
+            max_workers=n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * n_workers))))

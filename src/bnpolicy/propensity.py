@@ -50,6 +50,13 @@ class TrimReport:
     dropped: np.ndarray
 
 
+def _finite(*arrays) -> None:
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+        raise EstimationError("the propensity fit overflows to a non-finite value; "
+                              "rescale the intervention covariates")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def fit_propensity(x_int: np.ndarray, a: np.ndarray, basis: FeatureMap) -> PropensityFit:
     """Fit the logistic propensity model by iteratively reweighted least squares.
 
@@ -89,6 +96,7 @@ def fit_propensity(x_int: np.ndarray, a: np.ndarray, basis: FeatureMap) -> Prope
         gamma = gamma + step
 
     e = logistic(b @ gamma)
+    _finite(gamma, e)  # checked before the sandwich, since LAPACK would not check
     separation = bool(np.any(e < SEPARATION_EPS) | np.any(e > 1.0 - SEPARATION_EPS))
     w = e * (1.0 - e)
     v_d = (b * w[:, None]).T @ b / j
@@ -100,6 +108,7 @@ def fit_propensity(x_int: np.ndarray, a: np.ndarray, basis: FeatureMap) -> Prope
         raise SingularSystemError("singular V_d in the propensity sandwich") from exc
     cov = v_d_inv @ v_phi @ v_d_inv.T
     cov = 0.5 * (cov + cov.T)
+    _finite(cov)
     return PropensityFit(gamma=gamma, fitted=e, cov_gamma=cov, converged=converged,
                          iterations=iterations, separation_flag=separation, basis=basis)
 

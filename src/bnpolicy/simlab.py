@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -238,6 +238,14 @@ def resolve_truth_coefficients(config: SimConfig):
     return theta0[:dim], theta0[dim:], slopes
 
 
+@cache
+def _normal_scores(size: int) -> np.ndarray:
+    """Read-only standard normal quantiles at (k + 0.5) / size, k = 0 .. size - 1."""
+    scores = ndtri((np.arange(size) + 0.5) / size)
+    scores.flags.writeable = False
+    return scores
+
+
 def _draw_h(rng, config: SimConfig, x_out) -> np.ndarray:
     n, j = config.n, config.j
     if config.h_source == "user_supplied":
@@ -247,12 +255,11 @@ def _draw_h(rng, config: SimConfig, x_out) -> np.ndarray:
     # structured default: lognormal-profile column masses, a localized
     # column minority anchored to the first covariate, diffuse remainder
     # with a fixed per-row degree
-    zgrid = ndtri((np.arange(j) + 0.5) / j)
-    colmass = rng.permutation(np.exp(config.h_colmass_log_sd * zgrid))
+    colmass = rng.permutation(np.exp(config.h_colmass_log_sd * _normal_scores(j)))
     j_loc = int(round(config.h_local_frac * j))
     load = np.zeros((n, j))
     if j_loc > 0:
-        centers = rng.permutation(ndtri((np.arange(j_loc) + 0.5) / j_loc))
+        centers = rng.permutation(_normal_scores(j_loc))
         u = x_out[:, 0]
         load[:, :j_loc] = np.exp(
             -0.5 * ((u[:, None] - centers[None, :]) / config.h_kernel_bandwidth) ** 2)

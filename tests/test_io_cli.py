@@ -391,10 +391,19 @@ def _first_cell_of_row_set_to(row, value):
                           *lines[row + 1:]]
 
 
+def _cell_set_to(row, col, value):
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[col] = value
+        return [*lines[:row], ",".join(cells), *lines[row + 1:]]
+    return edit
+
+
 QUADRATIC = ["--f0-basis", "quadratic", "--fa-basis", "quadratic"]
 HUGE_Y = ("outcomes", _column_set_to(1, "1e308"))
 HUGE_X = ("outcomes", _column_set_to(2, "1e300"))
 HUGE_H = ("h", _first_cell_of_row_set_to(2, "1e308"))
+HUGE_Z = ("interventions", _cell_set_to(3, 3, "1e300"))  # one plant's z1
 
 # finite input whose fit overflows: command line, the file edited and the edit.
 # Each exits 2 with one line, where it raised a traceback or wrote NaN cells.
@@ -410,11 +419,15 @@ OVERFLOWS = {
     "effects_a_huge_h": (["effects", "--estimator", "a"], *HUGE_H),
     "sweep_a_huge_h": (["sweep", "--estimator", "a"], *HUGE_H),
     "policy_a_huge_h": (["policy", "--estimator", "a"], *HUGE_H),
+    # the propensity fit overflows: once NaN propensities that trimmed every plant
+    "effects_q_trim_huge_z": (["effects", "--estimator", "q", "--trim", "0.05"], *HUGE_Z),
+    "effects_a_trim_huge_z": (["effects", "--estimator", "a", "--trim", "0.05"], *HUGE_Z),
+    "effects_a_huge_z": (["effects", "--estimator", "a"], *HUGE_Z),
 }
 
 
 @pytest.mark.parametrize("case", OVERFLOWS)
-def test_cli_an_overflowing_fit_exits_2_with_one_line(tmp_path, capsys, case):
+def test_cli_an_overflowing_fit_exits_2_with_one_line(tmp_path, capsys, recwarn, case):
     argv, bad, edit = OVERFLOWS[case]
     paths, *_ = make_fixture(tmp_path, noise=0.05)
     with open(paths[bad], encoding="utf-8") as fh:
@@ -426,6 +439,7 @@ def test_cli_an_overflowing_fit_exits_2_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.count("\n") == 1 and "overflows to a non-finite value" in err
+    assert [str(w.message) for w in recwarn] == []  # a warning would print two more lines
     assert not out_dir.exists()
 
 

@@ -1,11 +1,9 @@
 """BLAS thread pinning, the worker pools of the study and the cost forest,
 and reports that depend on neither."""
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ import pytest
 import bnpolicy
 from bnpolicy import (DataValidationError, RegressionForest, SimConfig, _blas, costimpute,
                       run_monte_carlo)
-from bnpolicy._blas import one_blas_thread, pin_one_thread
+from bnpolicy._blas import map_in_order, one_blas_thread
 from bnpolicy.costimpute import _bagged_tree
 from bnpolicy.cli import main
 from bnpolicy.io import sim_report_to_dict
@@ -71,25 +69,49 @@ def test_does_nothing_when_no_openblas_is_found(libs, monkeypatch, tmp_path):
     monkeypatch.setattr(_blas, "_library_dirs", lambda: [str(tmp_path)])
     with one_blas_thread() as pinned:
         assert pinned == []
-        pin_one_thread()
         monkeypatch.undo()
         assert _counts() == [2] * len(libs)
 
 
-def _worker_counts():
-    return _counts()
+class _StubLibrary:
+    """A library's (get, set) pair that records every set call."""
+
+    def __init__(self, count):
+        self.count, self.calls = count, []
+
+    def get(self):
+        return self.count
+
+    def put(self, count):
+        self.calls.append(count)
+        self.count = count
 
 
-def test_spawned_pool_workers_run_one_blas_thread(libs, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=1, mp_context=spawn,
-                             initializer=pin_one_thread) as pool:
-        assert pool.submit(_worker_counts).result(timeout=120) == [1] * len(libs)
-    if (os.cpu_count() or 1) > 1:
-        # without the initializer a spawned worker starts on its own count
-        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-            assert pool.submit(_worker_counts).result(timeout=120) == [2] * len(libs)
+def test_a_nested_pin_calls_no_setter(monkeypatch):
+    stubs = [_StubLibrary(2), _StubLibrary(1)]
+    monkeypatch.setattr(_blas, "_openblas",
+                        lambda: [(str(i), s.get, s.put) for i, s in enumerate(stubs)])
+    with one_blas_thread():
+        assert [s.calls for s in stubs] == [[1], []]
+        with one_blas_thread() as inner:
+            assert inner == [("0", 1), ("1", 1)]
+        assert [s.calls for s in stubs] == [[1], []]
+    assert [s.calls for s in stubs] == [[1, 2], []]
+
+
+def _worker_threads(_):
+    return len(os.listdir("/proc/self/task")), _counts()
+
+
+def test_forked_workers_inherit_one_blas_thread_and_start_no_helper(libs):
+    """A count set in a forked worker would restart OpenBLAS's thread server
+    there, one spinning helper thread per library; inherited, it starts none."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count a worker's threads")
+    if _blas.usable_cpus() < 2:
+        pytest.skip("map_in_order runs serially on one CPU")
+    assert map_in_order(_worker_threads, range(2), 2) == [(1, [1] * len(libs))] * 2
+    assert _counts() == [2] * len(libs)
 
 
 @pytest.mark.parametrize("n_workers", [0, -1, 2.5])
@@ -103,9 +125,8 @@ class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its arguments, starts nothing."""
     made = []
 
-    def __init__(self, max_workers, initializer, mp_context):
-        self.made.append({"max_workers": max_workers, "initializer": initializer,
-                          "start": mp_context.get_start_method()})
+    def __init__(self, max_workers, mp_context):
+        self.made.append({"max_workers": max_workers, "start": mp_context.get_start_method()})
 
     def __enter__(self):
         return self
@@ -143,8 +164,7 @@ def test_the_pool_has_at_most_one_worker_per_rep_and_per_cpu(monkeypatch, n_work
     if expected is None:
         assert _RecordingPool.made == []
     else:
-        assert _RecordingPool.made == [{"max_workers": expected,
-                                        "initializer": pin_one_thread, "start": "fork",
+        assert _RecordingPool.made == [{"max_workers": expected, "start": "fork",
                                         "chunksize": 1}]
     monkeypatch.undo()
     assert sim_report_to_dict(report) == sim_report_to_dict(run_monte_carlo(SMALL))
@@ -172,8 +192,7 @@ def test_the_forest_pool_has_at_most_one_worker_per_tree_and_per_cpu(
     if expected is None:
         assert _RecordingPool.made == []
     else:
-        assert _RecordingPool.made == [{"max_workers": expected[0],
-                                        "initializer": pin_one_thread, "start": "fork",
+        assert _RecordingPool.made == [{"max_workers": expected[0], "start": "fork",
                                         "chunksize": expected[1]}]
     monkeypatch.undo()
     assert fit == _forest_fit(1)
