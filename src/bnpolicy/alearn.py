@@ -80,7 +80,10 @@ def _factor(m):
     than the baseline block); one Newton step X + X (I - M X) restores the
     accuracy of an LU inverse.
     """
-    u, s, vt = np.linalg.svd(_finite(m, "estimating system"))
+    try:
+        u, s, vt = np.linalg.svd(_finite(m, "estimating system"))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"SVD of the joint estimating system failed: {exc}") from exc
     cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
     if not cond <= COND_FAIL:
         raise SingularSystemError(

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import map_in_order
-from .errors import DataValidationError, EstimationError
+from .errors import DataValidationError, EstimationError, SingularSystemError
 from .seeding import splitmix64
 
 NMAE_DENOM_GUARD = 1e-12
@@ -228,7 +228,10 @@ class LinearModel:
             raise EstimationError(
                 f"too few labeled rows ({x.shape[0]}) for {design.shape[1]} "
                 "linear parameters")
-        self.coef, *_ = np.linalg.lstsq(design, np.asarray(y, dtype=float), rcond=None)
+        try:
+            self.coef, *_ = np.linalg.lstsq(design, np.asarray(y, dtype=float), rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"the linear cost model's SVD failed: {exc}") from exc
         return self
 
     def predict(self, x):

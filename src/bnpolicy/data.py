@@ -55,8 +55,9 @@ class InterferenceMap:
     sparse map they add the stored products in that order, as scipy's CSR
     products do, so they give scipy's bits without importing scipy.  Rows
     index outcome units, columns index intervention units.  Columns with
-    no transport at all are legal here but flagged by ``validate_bundle``
-    and rejected by per-unit effect estimation.
+    no transport at all are legal here: ``validate_bundle`` reports them,
+    so the CLI rejects such a bundle, and ``effect_table`` marks them
+    ``structural_zero``.
     """
 
     h: np.ndarray | None = None

@@ -225,14 +225,10 @@ def write_sweep_csv(path, fractions, pairs, bc_leq_te):
     _write(path, lines)
 
 
-_CELL_DISPLAY = {
-    "q_correct": ("Q-learning", "correct", "-"),
-    "q_misspec": ("Q-learning", "misspec", "-"),
-    "a_cc": ("A-learning", "correct", "correct"),
-    "a_c_misP": ("A-learning", "correct", "misspec"),
-    "a_misB_c": ("A-learning", "misspec", "correct"),
-    "a_mis_mis": ("A-learning", "misspec", "misspec"),
-}
+def _json_number(x: float) -> float | None:
+    """``x``, or None (JSON null) if not finite: strict JSON has neither NaN nor
+    Infinity, and a cell whose every replication failed has NaN means."""
+    return x if np.isfinite(x) else None
 
 
 def sim_report_to_dict(report) -> dict:
@@ -244,9 +240,9 @@ def sim_report_to_dict(report) -> dict:
         "gamma0_slopes": [float(v) for v in report.gamma0_slopes],
         "cells": {
             name: {
-                "bias": stats.mean_bias,
-                "rmse": stats.mean_rmse,
-                "coverage_pct": stats.mean_coverage,
+                "bias": _json_number(stats.mean_bias),
+                "rmse": _json_number(stats.mean_rmse),
+                "coverage_pct": _json_number(stats.mean_coverage),
                 "n_ok": stats.n_ok,
                 "n_failed": stats.n_failed,
             } for name, stats in report.cells.items()
@@ -256,11 +252,12 @@ def sim_report_to_dict(report) -> dict:
 
 def write_sim_report(json_path, txt_path, report) -> str:
     """Write the JSON report and the text table; the text of the table."""
+    from .simlab import CELLS  # the lab owns the cells and their labels
+
     _write(json_path, [json.dumps(sim_report_to_dict(report), indent=2, sort_keys=True)])
     rows = [["Method", "BS", "PS", "Bias", "RMSE", "Coverage", "Failed"]]
     for name, stats in report.cells.items():
-        method, bs, ps = _CELL_DISPLAY[name]
-        rows.append([method, bs, ps, _fmt_human(stats.mean_bias),
+        rows.append([*CELLS[name].labels(), _fmt_human(stats.mean_bias),
                      _fmt_human(stats.mean_rmse), _fmt_human(stats.mean_coverage),
                      str(stats.n_failed)])
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]

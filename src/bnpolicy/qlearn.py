@@ -104,8 +104,6 @@ def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
     q, r, piv = pivoted_qr(_finite(design, "design matrix"))
     _finite(r, "R factor of the design")
     diag = np.abs(np.diag(r))
-    if diag[0] == 0.0:
-        raise RankDeficiencyError("design matrix is identically zero", column=int(piv[0]))
     deficient = np.flatnonzero(diag <= RANK_RTOL * diag[0])
     if deficient.size:
         _check_scales(design, d_alpha)

@@ -44,8 +44,13 @@ from .alearn import fit_a
 
 Z95 = float(ndtri(0.975))
 
+# The basis of the ground truth: the outcome baseline, the effect and the
+# propensity are all linear in it.  A cell's model in this basis is correctly
+# specified, one in any other basis misspecified (see CellSpec.labels).
+TRUTH_BASIS = FeatureMap("quadratic")
+
 # Built-in reference outcome truth theta0 = (alpha0, beta0) for p = 13 outcome
-# covariates: 27 + 27 coefficients of the quadratic basis.  Used when p = 13
+# covariates: 27 + 27 coefficients of the truth basis.  Used when p = 13
 # and the config gives no theta0.
 THETA0_REFERENCE = np.array([
     -0.000955, 0.0288, 0.0382, -0.000148, -0.00227, 0.0167, -0.0199,
@@ -121,8 +126,8 @@ class SimConfig:
         if self.se_fail_threshold <= 0:
             raise DataValidationError("se_fail_threshold must be positive")
         n, j, p, q = self.n, self.j, self.p, self.q
-        shapes = {"theta0": (2 * (1 + 2 * p),), "gamma0": (1 + 2 * q,), "x_out": (n, p),
-                  "x_int": (j, q), "h_matrix": (n, j)}
+        shapes = {"theta0": (2 * TRUTH_BASIS.dim(p),), "gamma0": (TRUTH_BASIS.dim(q),),
+                  "x_out": (n, p), "x_int": (j, q), "h_matrix": (n, j)}
         # the source key under which each of these arrays is read when 'user_supplied'
         sources = {"x_out": "covariate_source", "x_int": "covariate_source",
                    "h_matrix": "h_source"}
@@ -177,13 +182,21 @@ class CellSpec:
     f0_kind: str              # basis kind for the baseline model
     prop_kind: str | None     # basis kind for the propensity model (a only)
 
+    def labels(self) -> tuple[str, str, str]:
+        """(method, baseline, propensity) report labels: a model in the truth basis
+        is "correct", one in any other "misspec", and no model "-"."""
+        def spec(kind):
+            return "-" if kind is None else "correct" if kind == TRUTH_BASIS.kind else "misspec"
+        method = "Q-learning" if self.estimator == "q" else "A-learning"
+        return method, spec(self.f0_kind), spec(self.prop_kind)
+
 
 CELLS: dict[str, CellSpec] = {
-    "q_correct": CellSpec("q", "quadratic", None),
+    "q_correct": CellSpec("q", TRUTH_BASIS.kind, None),
     "q_misspec": CellSpec("q", "linear", None),
-    "a_cc": CellSpec("a", "quadratic", "quadratic"),
-    "a_c_misP": CellSpec("a", "quadratic", "linear"),
-    "a_misB_c": CellSpec("a", "linear", "quadratic"),
+    "a_cc": CellSpec("a", TRUTH_BASIS.kind, TRUTH_BASIS.kind),
+    "a_c_misP": CellSpec("a", TRUTH_BASIS.kind, "linear"),
+    "a_misB_c": CellSpec("a", "linear", TRUTH_BASIS.kind),
     "a_mis_mis": CellSpec("a", "linear", "linear"),
 }
 
@@ -223,7 +236,7 @@ def resolve_truth_coefficients(config: SimConfig):
     uniform(-0.05, 0.05) from a seed derived from the master seed, so the
     run header can record them.
     """
-    dim = 1 + 2 * config.p
+    dim = TRUTH_BASIS.dim(config.p)
     rng = np.random.default_rng(splitmix64(config.master_seed, 0x7183))
     if config.theta0 is not None:
         theta0 = config.theta0
@@ -234,7 +247,7 @@ def resolve_truth_coefficients(config: SimConfig):
     if config.gamma0 is not None:
         slopes = config.gamma0[1:]
     else:
-        slopes = rng.uniform(-0.05, 0.05, 2 * config.q)
+        slopes = rng.uniform(-0.05, 0.05, TRUTH_BASIS.dim(config.q) - 1)
     return theta0[:dim], theta0[dim:], slopes
 
 
@@ -297,12 +310,11 @@ def generate_dgp(config: SimConfig, seed: int):
 
     h = InterferenceMap(_draw_h(rng, config, x_out))
 
-    prop_basis = FeatureMap("quadratic")
     intercept = calibrate_propensity_intercept(
-        x_int, prop_basis, gamma_slopes, config.target_mean_propensity,
+        x_int, TRUTH_BASIS, gamma_slopes, config.target_mean_propensity,
         config.propensity_tol)
     gamma0 = np.concatenate([[intercept], gamma_slopes])
-    e = logistic(prop_basis.expand(x_int) @ gamma0)
+    e = logistic(TRUTH_BASIS.expand(x_int) @ gamma0)
     if abs(float(e.mean()) - config.target_mean_propensity) > config.propensity_tol:
         raise EstimationError("propensity calibration postcondition violated")
 
@@ -310,8 +322,7 @@ def generate_dgp(config: SimConfig, seed: int):
     abar = h.exposure(a)
     abar_exp = h.exposure(e)
 
-    out_basis = FeatureMap("quadratic")
-    bx = out_basis.expand(x_out)
+    bx = TRUTH_BASIS.expand(x_out)
     f0_vals = bx @ alpha0
     fa_vals = bx @ beta0
     shift = config.target_mean_outcome - float(np.mean(f0_vals + abar_exp * fa_vals))
@@ -333,7 +344,7 @@ def generate_dgp(config: SimConfig, seed: int):
     intv = InterventionTable(x=x_int, a=a)
     truth = Truth(alpha0=alpha0, beta0=beta0, gamma0=gamma0, propensities=e,
                   abar=abar, expected_abar=abar_exp, mu=mu, noise_sd=float(noise_sd),
-                  te_true=total_effects(h, out, beta0, out_basis))
+                  te_true=h.aggregate(fa_vals))
     return out, intv, h, truth
 
 
@@ -346,8 +357,7 @@ def run_cell(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
     when a misspecified basis makes the fitted vector shorter, the shared
     leading coordinates are compared.
     """
-    spec = OutcomeModelSpec(basis_f0=FeatureMap(cell.f0_kind),
-                            basis_fa=FeatureMap("quadratic"))
+    spec = OutcomeModelSpec(basis_f0=FeatureMap(cell.f0_kind), basis_fa=TRUTH_BASIS)
     try:
         if cell.estimator == "q":
             fit = fit_q(out, h.exposure(intv.a), spec)
@@ -357,8 +367,6 @@ def run_cell(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
         cov_beta = fit.cov_beta()
     except BnpolicyError as exc:
         return CellResult(None, None, None, f"fit failed: {exc}")
-    except np.linalg.LinAlgError as exc:
-        return CellResult(None, None, None, f"linear algebra failure: {exc}")
 
     se = np.sqrt(np.clip(np.diag(cov_beta), 0.0, None))
     if float(np.median(se)) > se_fail_threshold:
@@ -401,24 +409,11 @@ def run_monte_carlo(config: SimConfig, n_workers: int = 1) -> SimReport:
 
     cells = {}
     for name in CELLS:
-        biases, rmses, coverages = [], [], []
-        n_failed = 0
-        for rep_result in per_rep:
-            res = rep_result[name]
-            if res.fail_reason is not None:
-                n_failed += 1
-            else:
-                biases.append(res.bias)
-                rmses.append(res.rmse)
-                coverages.append(res.coverage)
-        if not biases:
-            cells[name] = CellStats(float("nan"), float("nan"), float("nan"),
-                                    0, n_failed)
-        else:
-            cells[name] = CellStats(mean_bias=float(np.mean(biases)),
-                                    mean_rmse=float(np.mean(rmses)),
-                                    mean_coverage=float(np.mean(coverages)),
-                                    n_ok=len(biases), n_failed=n_failed)
+        ok = [rep[name] for rep in per_rep if rep[name].fail_reason is None]
+        # a cell with no scored replication has NaN means
+        means = [float(np.mean([getattr(res, key) for res in ok])) if ok else float("nan")
+                 for key in ("bias", "rmse", "coverage")]
+        cells[name] = CellStats(*means, n_ok=len(ok), n_failed=len(per_rep) - len(ok))
     return SimReport(cells=cells, theta0=np.concatenate([alpha0, beta0]),
                      gamma0_slopes=gamma_slopes, reps=config.reps,
                      master_seed=config.master_seed)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from bnpolicy import (DataValidationError, RegressionForest, RegressionTree,
-                      SplitSpec, fit_cost_models, nmae, predict_costs,
+                      SingularSystemError, SplitSpec, fit_cost_models, nmae, predict_costs,
                       split_train_val)
-from bnpolicy.costimpute import _best_split
+from bnpolicy.costimpute import LinearModel, _best_split
 
 
 def test_split_135_rows_gives_108_27():
@@ -245,3 +245,12 @@ def test_tree_arrays_are_preorder_and_the_walk_matches_a_row_loop():
     assert np.all(right[splits] > left[splits])
     grid = np.vstack([x, np.round(rng.standard_normal((50, 3)), 1)])
     assert np.array_equal(tree.predict(grid), _reference_predict(tree, grid))
+
+
+def test_a_failed_least_squares_svd_is_a_singular_system(monkeypatch):
+    def lstsq_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq_fails)
+    with pytest.raises(SingularSystemError, match="did not converge"):
+        LinearModel().fit(np.arange(8.0).reshape(4, 2), np.arange(4.0))

@@ -466,6 +466,22 @@ def test_cli_a_huge_covariate_cell_is_a_scale_problem_not_a_dependence(tmp_path,
     assert not out_dir.exists()
 
 
+def test_cli_a_failed_svd_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def svd_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    paths, *_ = make_fixture(tmp_path, noise=0.05)
+    monkeypatch.setattr(np.linalg, "svd", svd_fails)
+    out_dir = tmp_path / "out"
+    code = main(["effects", "--estimator", "a", "--outcomes", paths["outcomes"],
+                 "--interventions", paths["interventions"], "--h", paths["h"],
+                 "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.count("\n") == 1 and "SVD did not converge" in err
+    assert not out_dir.exists()
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -1,10 +1,17 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from bnpolicy import (CELLS, EstimationError, SimConfig, DataValidationError,
+import bnpolicy.simlab
+from bnpolicy import (CELLS, CellSpec, EstimationError, SimConfig, DataValidationError,
                       generate_dgp, run_cell, run_monte_carlo, run_replication,
                       splitmix64)
-from bnpolicy.io import sim_report_to_dict
+from bnpolicy.io import sim_report_to_dict, write_sim_report
 from bnpolicy.simlab import THETA0_REFERENCE, _draw_h, resolve_truth_coefficients
 
 FAST = SimConfig(n=400, j=40, p=2, q=2, reps=2, master_seed=777)
@@ -206,3 +213,57 @@ def test_pattern_sanity_small():
     for name in ("a_cc", "a_c_misP", "a_misB_c", "a_mis_mis"):
         assert cells[name].mean_coverage >= 88
         assert cells[name].n_ok + cells[name].n_failed == 30
+
+
+def test_a_failed_svd_is_a_failed_fit(monkeypatch):
+    def svd_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    out, intv, h, truth = generate_dgp(FAST, 1)
+    monkeypatch.setattr(np.linalg, "svd", svd_fails)
+    res = run_cell(out, intv, h, truth, CELLS["a_cc"])
+    assert res.fail_reason.startswith("fit failed") and "SVD did not converge" in res.fail_reason
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_a_cell_whose_every_fit_fails_writes_null_means(tmp_path, monkeypatch):
+    def fit_a_fails(*args, **kwargs):
+        raise EstimationError("forced failure")
+
+    monkeypatch.setattr(bnpolicy.simlab, "fit_a", fit_a_fails)
+    report = run_monte_carlo(FAST)
+    text = write_sim_report(tmp_path / "r.json", tmp_path / "r.txt", report)
+    doc = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"),
+                     parse_constant=_reject_constant)
+    for name, cell in doc["cells"].items():
+        if CELLS[name].estimator == "a":
+            assert cell == {"bias": None, "rmse": None, "coverage_pct": None,
+                            "n_ok": 0, "n_failed": FAST.reps}
+        else:
+            assert cell["n_ok"] == FAST.reps and isinstance(cell["bias"], float)
+    rows = [line.split() for line in text.splitlines() if line.startswith("A-learning")]
+    assert [row[-4:] for row in rows] == [["nan", "nan", "nan", str(FAST.reps)]] * 4
+
+
+def test_cell_labels_compare_each_model_with_the_truth_basis():
+    assert CellSpec("q", "quadratic", None).labels() == ("Q-learning", "correct", "-")
+    assert CellSpec("a", "cubic", "quadratic").labels() == ("A-learning", "misspec", "correct")
+    assert [cell.labels()[1:] for cell in CELLS.values()] == [
+        ("correct", "-"), ("misspec", "-"), ("correct", "correct"),
+        ("correct", "misspec"), ("misspec", "correct"), ("misspec", "misspec")]
+
+
+def test_the_truth_basis_is_named_once_and_io_names_no_cell():
+    src = pathlib.Path(bnpolicy.simlab.__file__).parent
+    assert (src / "simlab.py").read_text(encoding="utf-8").count('"quadratic"') == 1
+    io_text = (src / "io.py").read_text(encoding="utf-8")
+    assert [word for word in ("_CELL_DISPLAY", "Q-learning", "misspec")
+            if word in io_text] == []
+    # the report writer imports the lab in its body: io and the CLI load no lab
+    probe = "import sys, bnpolicy.io, bnpolicy.cli; print('bnpolicy.simlab' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(src.parent)))
+    assert done.stdout.strip() == "False"
