@@ -15,11 +15,10 @@ _EXPORTS = {
     "alearn": ("AFit", "a_covariance", "a_equations", "a_system", "fit_a"),
     "data": ("FeatureMap", "InterferenceMap", "InterventionTable", "OutcomeTable",
              "standardize", "validate_bundle"),
-    "effects": ("EffectTable", "benefit_cost", "effect_inference", "effect_table",
-                "effect_weights", "total_effects"),
+    "effects": ("EffectTable", "benefit_cost", "effect_table", "total_effects"),
     "errors": ("BnpolicyError", "DataValidationError", "EstimationError",
                "RankDeficiencyError", "SingularSystemError"),
-    "policy": ("PolicySolution", "budget_sweep", "knapsack_policy", "policy_value",
+    "policy": ("PolicySolution", "budget_sweep", "knapsack_policy", "policy_count",
                "te_ranked_policy", "truncate_fractional", "unconstrained_policy"),
     "propensity": ("PropensityFit", "TrimReport", "apply_trim",
                    "calibrate_propensity_intercept", "fit_propensity", "trim_by_propensity"),

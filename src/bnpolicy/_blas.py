@@ -189,22 +189,23 @@ def map_in_order(fn, items, n_workers):
     The pool has at most one worker per item and per usable CPU and gives
     each worker contiguous chunks of items.  Results come back in item
     order, so whatever the caller adds up from them does not depend on the
-    worker count.  Workers are forked while this process is pinned to one
-    BLAS thread, so each inherits that count and runs without BLAS helper
-    threads; no count is set in a worker, since that would start its
-    library's thread server again.  A two-worker pool is up in ~10 ms on a
-    2-core host, where workers started by spawn or forkserver (the default
-    from Python 3.14 on Linux) import numpy and the package again and take
-    ~1 s, about what a 500-tree forest saves on two cores.  Where the
-    platform cannot fork, the items run in this process.
+    worker count.  ``fn`` runs with BLAS pinned to one thread: workers are
+    forked from this pinned process, so each inherits that count and runs
+    without BLAS helper threads; no count is set in a worker, since that
+    would start its library's thread server again.  A two-worker pool is up
+    in ~10 ms on a 2-core host, where workers started by spawn or forkserver
+    (the default from Python 3.14 on Linux) import numpy and the package
+    again and take ~1 s, about what a 500-tree forest saves on two cores.
+    Where the platform cannot fork, the items run in this process.
     """
     if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
         raise DataValidationError(
             f"n_workers must be a positive integer, got {n_workers!r}")
     items = list(items)
     n_workers = min(n_workers, len(items), usable_cpus())
-    if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(item) for item in items]
-    with one_blas_thread(), ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * n_workers))))
+    with one_blas_thread():
+        if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+            return [fn(item) for item in items]
+        with ProcessPoolExecutor(max_workers=n_workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * n_workers))))

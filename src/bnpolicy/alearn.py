@@ -34,7 +34,7 @@ import numpy as np
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable
 from .errors import DataValidationError, EstimationError, SingularSystemError
 from .propensity import PropensityFit, fit_propensity
-from .qlearn import OutcomeFit, OutcomeModelSpec, _finite
+from .qlearn import OutcomeFit, OutcomeModelSpec, _finite, q_design
 
 COND_WARN = 1e10
 COND_FAIL = 1e14
@@ -51,24 +51,21 @@ class AFit(OutcomeFit):
 
 def _iv_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
                spec: OutcomeModelSpec):
-    """Regressors D, instruments Z and lam = c * FA, each basis expanded once."""
+    """Regressors D and FA from ``q_design``, instruments Z and lam = c * FA.
+
+    Z is D with its effect block replaced by c (abar - abar_hat) * FA.
+    """
     if h.n != out.n:
         raise DataValidationError(f"interference map has {h.n} rows but the outcome "
                                   f"table has {out.n}")
     abar, abar_hat = np.asarray(abar, dtype=float), np.asarray(abar_hat, dtype=float)
-    for name, v in (("abar", abar), ("abar_hat", abar_hat)):
-        if v.shape != (out.n,):
-            raise DataValidationError(f"{name} must have shape ({out.n},) to match the "
-                                      f"outcome table, got {v.shape}")
-    f0 = spec.basis_f0.expand(out.x)
-    fa = spec.basis_fa.expand(out.x)
+    if abar_hat.shape != (out.n,):
+        raise DataValidationError(f"abar_hat must have shape ({out.n},) to match the "
+                                  f"outcome table, got {abar_hat.shape}")
+    d, fa = q_design(out, abar, spec)
     c = h.row_mass()
-    da = f0.shape[1]
-    d = np.empty((out.n, da + fa.shape[1]))
-    z = np.empty_like(d)
-    d[:, :da] = z[:, :da] = f0
-    np.multiply(abar[:, None], fa, out=d[:, da:])
-    np.multiply((c * (abar - abar_hat))[:, None], fa, out=z[:, da:])
+    z = d.copy()
+    np.multiply((c * (abar - abar_hat))[:, None], fa, out=z[:, d.shape[1] - fa.shape[1]:])
     return d, z, c[:, None] * fa
 
 

@@ -168,7 +168,7 @@ def cmd_effects(args) -> int:
 
 def cmd_policy(args) -> int:
     from .effects import total_effects
-    from .policy import (knapsack_policy, policy_value, te_ranked_policy,
+    from .policy import (knapsack_policy, policy_count, te_ranked_policy,
                          truncate_fractional, unconstrained_policy)
 
     if args.budget_frac is None:
@@ -188,10 +188,8 @@ def cmd_policy(args) -> int:
         sol = make(te, cost, budget, n)
         if args.integral:
             sol = truncate_fractional(sol, te, cost, n)
-    count = None
-    if run.out.person_years is not None:
-        _, count = policy_value(te, sol.pi, n, h=run.h, out=run.out, beta=run.fit.beta,
-                                basis_fa=run.fit.spec.basis_fa)
+    count = (None if run.out.person_years is None
+             else policy_count(sol.pi, run.h, run.out, run.fit.beta, run.fit.spec.basis_fa))
     bio.write_policy_json(_out_path(args, "policy.json"), sol, run.ids, count)
     print(f"policy ({sol.method}) value_rate={sol.value_rate!r} spent={sol.spent!r}")
     return EXIT_OK

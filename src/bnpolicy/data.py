@@ -160,9 +160,11 @@ class InterferenceMap:
 
     def keep_columns(self, kept) -> InterferenceMap:
         """The map of the intervention units ``kept`` alone, in ascending order."""
-        kept = np.arange(self.j)[kept]
-        if kept.ndim != 1 or np.any(kept[1:] <= kept[:-1]):
-            raise DataValidationError("kept columns must be distinct and ascending")
+        kept = np.asarray(kept)
+        if (kept.ndim != 1 or not np.issubdtype(kept.dtype, np.integer)
+                or np.any((kept < 0) | (kept >= self.j)) or np.any(kept[1:] <= kept[:-1])):
+            raise DataValidationError(
+                f"kept columns must be distinct and ascending integers in [0, {self.j})")
         if not self.sparse:
             # a column index comes out column-major; the copy is row-major, as
             # every other dense map is

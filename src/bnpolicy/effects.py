@@ -30,51 +30,53 @@ class EffectTable:
     level: float
 
 
+def _effect_basis(h: InterferenceMap, out: OutcomeTable, beta, basis_fa: FeatureMap):
+    """(FA, beta): the effect basis at the outcome units, and beta checked against it."""
+    if h.n != out.n:
+        raise DataValidationError(f"interference map has {h.n} rows but the outcome "
+                                  f"table has {out.n}")
+    beta = np.asarray(beta, dtype=float)
+    fa = basis_fa.expand(out.x)
+    if beta.shape != fa.shape[1:]:
+        raise DataValidationError(f"beta must have shape ({fa.shape[1]},) to match the "
+                                  f"effect basis, got {beta.shape}")
+    return fa, beta
+
+
 def total_effects(h: InterferenceMap, out: OutcomeTable, beta,
                   basis_fa: FeatureMap) -> np.ndarray:
     """Aggregate effect of treating each unit: (1/J) sum_i H_ij fa(x_i) . beta."""
-    if h.n != out.n:
-        raise DataValidationError("interference map rows do not match outcome table")
-    beta = np.asarray(beta, dtype=float)
-    fa = basis_fa.expand(out.x)
-    if fa.shape[1] != beta.shape[0]:
-        raise DataValidationError(
-            f"beta has {beta.shape[0]} entries but the basis produces {fa.shape[1]}")
+    fa, beta = _effect_basis(h, out, beta, basis_fa)
     return h.aggregate(fa @ beta)
-
-
-def effect_weights(h: InterferenceMap, out: OutcomeTable,
-                   basis_fa: FeatureMap) -> np.ndarray:
-    """Rows w_j = (1/J) sum_i H_ij fa(x_i); total effects are W beta."""
-    return h.aggregate(basis_fa.expand(out.x))
-
-
-def effect_inference(te_weights: np.ndarray, cov_beta: np.ndarray):
-    """Standard errors of W beta.
-
-    ``cov_beta`` must already be on the per-sample scale (variance of
-    beta_hat itself).
-    """
-    w = np.asarray(te_weights, dtype=float)
-    variances = np.einsum("jk,kl,jl->j", w, cov_beta, w)
-    bad = variances < 0
-    if np.any(bad):
-        raise EstimationError(
-            f"negative effect variance at unit {int(np.flatnonzero(bad)[0])}: "
-            "the beta covariance block is not positive semidefinite")
-    return np.sqrt(variances)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def effect_table(h: InterferenceMap, out: OutcomeTable, beta,
                  cov_beta: np.ndarray, basis_fa: FeatureMap,
                  cost=None, level: float = 0.95) -> EffectTable:
-    """Assemble the full per-unit effect report."""
+    """Assemble the full per-unit effect report.
+
+    The totals are W beta with rows w_j = (1/J) sum_i H_ij fa(x_i), so their
+    standard errors are sqrt(w_j' cov_beta w_j); ``cov_beta`` must already be
+    on the per-sample scale (the variance of beta_hat itself).
+    """
     if not 0.0 < level < 1.0:
         raise DataValidationError("confidence level must lie in (0, 1)")
-    te = total_effects(h, out, beta, basis_fa)
-    w = effect_weights(h, out, basis_fa)
-    se = effect_inference(w, cov_beta)
+    fa, beta = _effect_basis(h, out, beta, basis_fa)
+    k = beta.shape[0]
+    cov_beta = np.asarray(cov_beta, dtype=float)
+    if cov_beta.shape != (k, k):
+        raise DataValidationError(f"cov_beta must have shape ({k}, {k}) to match beta, "
+                                  f"got {cov_beta.shape}")
+    te = h.aggregate(fa @ beta)
+    w = h.aggregate(fa)
+    variances = np.einsum("jk,kl,jl->j", w, cov_beta, w)
+    bad = variances < 0
+    if np.any(bad):
+        raise EstimationError(
+            f"negative effect variance at unit {int(np.flatnonzero(bad)[0])}: "
+            "the beta covariance block is not positive semidefinite")
+    se = np.sqrt(variances)
     if not (np.all(np.isfinite(te)) and np.all(np.isfinite(se))):
         raise EstimationError("a total effect or its standard error overflows to a "
                               "non-finite value")

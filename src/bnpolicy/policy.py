@@ -8,11 +8,13 @@ for the relaxed program.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import FeatureMap, InterferenceMap, OutcomeTable
+from .effects import _effect_basis
 from .errors import DataValidationError
 
 
@@ -29,8 +31,14 @@ def _value_rate(te, pi, n_out) -> float:
     return float(pi @ te / n_out)
 
 
-def _effects_and_costs(te, cost=None):
-    """``te`` and ``cost`` as float arrays, each finite, of equal length."""
+def _effects_and_costs(te, cost, n_out):
+    """``te`` and ``cost`` as float arrays, each finite, of equal length.
+
+    ``cost`` may be None.  ``n_out``, the number of outcome units that the
+    value rate averages over, must be a positive integer.
+    """
+    if not isinstance(n_out, numbers.Integral) or isinstance(n_out, bool) or n_out < 1:
+        raise DataValidationError(f"n_out must be a positive integer, got {n_out!r}")
     te = np.asarray(te, dtype=float)
     if not np.all(np.isfinite(te)):
         raise DataValidationError("total effects must be finite")
@@ -45,7 +53,7 @@ def _effects_and_costs(te, cost=None):
 
 def unconstrained_policy(te, n_out: int, cost=None) -> PolicySolution:
     """Treat exactly the units with strictly negative total effect."""
-    te, cost = _effects_and_costs(te, cost)
+    te, cost = _effects_and_costs(te, cost, n_out)
     pi = (te < 0).astype(float)
     spent = float(pi @ cost) if cost is not None else 0.0
     return PolicySolution(pi=pi, spent=spent, budget=np.inf,
@@ -83,7 +91,7 @@ def _greedy(te, cost, budget, n_out, order_key, method):
 
 def knapsack_policy(te, cost, budget: float, n_out: int) -> PolicySolution:
     """Budgeted allocation ranked by effect-to-cost ratio (most negative first)."""
-    te, cost = _effects_and_costs(te, cost)
+    te, cost = _effects_and_costs(te, cost, n_out)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(cost > 0, te / np.where(cost > 0, cost, 1.0), np.inf)
     return _greedy(te, cost, budget, n_out, ratio, "bc_greedy")
@@ -91,7 +99,7 @@ def knapsack_policy(te, cost, budget: float, n_out: int) -> PolicySolution:
 
 def te_ranked_policy(te, cost, budget: float, n_out: int) -> PolicySolution:
     """Naive comparator: same greedy, ranked by raw total effect."""
-    te, cost = _effects_and_costs(te, cost)
+    te, cost = _effects_and_costs(te, cost, n_out)
     return _greedy(te, cost, budget, n_out, te, "te_greedy")
 
 
@@ -100,7 +108,7 @@ def truncate_fractional(sol: PolicySolution, te, cost, n_out: int) -> PolicySolu
 
     Keeps the original budget and reports the lower spend.
     """
-    te, cost = _effects_and_costs(te, cost)
+    te, cost = _effects_and_costs(te, cost, n_out)
     pi = sol.pi.copy()
     frac = np.flatnonzero((pi > 0.0) & (pi < 1.0))
     pi[frac] = 0.0
@@ -108,35 +116,23 @@ def truncate_fractional(sol: PolicySolution, te, cost, n_out: int) -> PolicySolu
                    value_rate=_value_rate(te, pi, n_out), method=sol.method + "_integral")
 
 
-def policy_value(te, pi, n_out: int, h: InterferenceMap | None = None,
-                 out: OutcomeTable | None = None, beta=None,
-                 basis_fa: FeatureMap | None = None):
-    """(rate-scale value, count-scale value or None) for an allocation.
+def policy_count(pi, h: InterferenceMap, out: OutcomeTable, beta,
+                 basis_fa: FeatureMap) -> float:
+    """Count-scale value of an allocation: the change in expected events.
 
-    The rate value is (1/n) sum_j pi_j TE_j.  The count value needs the
-    full effect context plus person-years: it converts each unit's rate
-    change to counts via delta_i * person_years_i / 10000.
+    Outcome unit i's rate changes by delta_i = (1/J) (H pi)_i fa(x_i) . beta,
+    per 10,000 person-years, so the value is sum_i delta_i person_years_i / 10000.
+    Its rate-scale counterpart is ``PolicySolution.value_rate``.
     """
-    te, _ = _effects_and_costs(te)
+    if out.person_years is None:
+        raise DataValidationError("the count-scale value needs person_years")
     pi = np.asarray(pi, dtype=float)
-    if te.shape != pi.shape:
-        raise DataValidationError("pi and total effects must have equal length")
+    if pi.shape != (h.j,):
+        raise DataValidationError(f"pi must have shape ({h.j},), got {pi.shape}")
     if not np.all((pi >= 0.0) & (pi <= 1.0)):
         raise DataValidationError("allocations must be finite and lie in [0, 1]")
-    rate = _value_rate(te, pi, n_out)
-    count = None
-    if h is not None:
-        if out is None or beta is None or basis_fa is None or out.person_years is None:
-            raise DataValidationError(
-                "count-scale value needs h, outcome table with person_years, "
-                "beta and the effect basis")
-        if h.n != out.n:
-            raise DataValidationError(f"interference map has {h.n} rows but the outcome "
-                                      f"table has {out.n}")
-        fa_vals = basis_fa.expand(out.x) @ np.asarray(beta, dtype=float)
-        delta = h.exposure(pi) * fa_vals
-        count = float(delta @ out.person_years / 1e4)
-    return rate, count
+    fa, beta = _effect_basis(h, out, beta, basis_fa)
+    return float((h.exposure(pi) * (fa @ beta)) @ out.person_years / 1e4)
 
 
 def budget_fractions(fractions) -> list:
@@ -155,7 +151,7 @@ def budget_sweep(te, cost, fractions, n_out: int):
     Budgets are fractions of the total cost of treating every unit.
     """
     fractions = budget_fractions(fractions)
-    cost = np.asarray(cost, dtype=float)
+    te, cost = _effects_and_costs(te, cost, n_out)
     total = float(cost.sum())
     pairs = []
     for f in fractions:

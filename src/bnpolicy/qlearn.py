@@ -51,13 +51,15 @@ class OutcomeFit:
         return np.sqrt(np.diag(self.cov_theta))
 
 
-def q_design(out: OutcomeTable, abar: np.ndarray, spec: OutcomeModelSpec) -> np.ndarray:
+def q_design(out: OutcomeTable, abar, spec: OutcomeModelSpec):
+    """(D = [F0 | abar * FA], FA): the one expansion of the outcome bases for either fit."""
     abar = np.asarray(abar, dtype=float)
     if abar.shape != (out.n,):
-        raise DataValidationError("exposure vector length does not match outcomes")
+        raise DataValidationError(f"abar must have shape ({out.n},) to match the outcome "
+                                  f"table, got {abar.shape}")
     f0 = spec.basis_f0.expand(out.x)
     fa = spec.basis_fa.expand(out.x)
-    return np.hstack([f0, abar[:, None] * fa])
+    return np.hstack([f0, abar[:, None] * fa]), fa
 
 
 def _finite(arr, what):
@@ -96,7 +98,7 @@ def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
     largest declares rank deficiency and names the dependent column, unless
     the design's column scales alone span more than 1/RANK_RTOL.
     """
-    design = q_design(out, np.asarray(abar, dtype=float), spec)
+    design, _ = q_design(out, abar, spec)
     n, k = design.shape
     if n <= k:
         raise EstimationError(f"need more outcome units ({n}) than parameters ({k})")
@@ -126,5 +128,5 @@ def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
 
 def q_score_norm(fit: OutcomeFit, out: OutcomeTable, abar) -> float:
     """Max-norm of design' residuals; small at any proper least-squares solution."""
-    design = q_design(out, np.asarray(abar, dtype=float), fit.spec)
+    design, _ = q_design(out, abar, fit.spec)
     return float(np.max(np.abs(design.T @ (out.y - design @ fit.theta))))

@@ -32,7 +32,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._blas import map_in_order, one_blas_thread
+from ._blas import map_in_order
 from ._normal import ndtri
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, standardize
 from .effects import total_effects
@@ -403,9 +403,7 @@ def run_monte_carlo(config: SimConfig, n_workers: int = 1) -> SimReport:
     The pool has at most one worker per replication and per usable CPU.
     """
     alpha0, beta0, gamma_slopes = resolve_truth_coefficients(config)
-    with one_blas_thread():
-        per_rep = map_in_order(partial(run_replication, config), range(config.reps),
-                               n_workers)
+    per_rep = map_in_order(partial(run_replication, config), range(config.reps), n_workers)
 
     cells = {}
     for name in CELLS:

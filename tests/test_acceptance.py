@@ -121,7 +121,7 @@ def test_criterion_04_jacobians_match_finite_differences():
 
         # Q bread vs FD of the mean estimating function
         qfit = fit_q(out, abar, LIN)
-        design = q_design(out, abar, LIN)
+        design, _ = q_design(out, abar, LIN)
         bread = design.T @ design / n
         theta = qfit.theta
         fd = np.zeros_like(bread)

@@ -1,11 +1,15 @@
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
+import bnpolicy
 from bnpolicy import (DataValidationError, EstimationError, FeatureMap, InterferenceMap,
-                      OutcomeTable, benefit_cost, effect_inference, effect_table,
-                      effect_weights, total_effects)
+                      OutcomeTable, benefit_cost, effect_table, total_effects)
 
 FA = FeatureMap("linear")
 
@@ -50,17 +54,31 @@ def test_total_effects_brute_force_oracle(rng):
 
 def test_effect_weights_reject_an_outcome_table_of_another_size(rng):
     h = InterferenceMap(rng.random((4, 3)))
-    with pytest.raises(DataValidationError, match="aggregate operand must have 4 rows"):
-        effect_weights(h, _out(5, p=1, rng=rng), FA)
+    out = _out(5, p=1, rng=rng)
+    with pytest.raises(DataValidationError,
+                       match="interference map has 4 rows but the outcome table has 5"):
+        effect_table(h, out, np.zeros(2), np.eye(2), FA)
+    with pytest.raises(DataValidationError, match="4 rows but the outcome table has 5"):
+        total_effects(h, out, np.zeros(2), FA)
+
+
+@pytest.mark.parametrize("beta, cov, message", [
+    (np.zeros(3), np.eye(5), r"beta must have shape \(5,\)"),
+    (np.zeros((5, 1)), np.eye(5), r"beta must have shape \(5,\)"),
+    (np.zeros(5), np.eye(3), r"cov_beta must have shape \(5, 5\)"),
+])
+def test_effect_table_checks_beta_and_its_covariance_against_the_basis(rng, beta, cov,
+                                                                       message):
+    h = InterferenceMap(rng.random((6, 3)))
+    with pytest.raises(DataValidationError, match=message):
+        effect_table(h, _out(6, p=4, rng=rng), beta, cov, FA)
 
 
 def test_effect_se_closed_form(rng):
     # intercept-only effect basis with identity covariance: se_j = s * c_j
     h = InterferenceMap(rng.random((5, 3)))
-    out = _out(5)
     s = 0.37
-    w = effect_weights(h, out, FA)
-    se = effect_inference(w, np.array([[s**2]]))
+    se = effect_table(h, _out(5), np.array([1.0]), np.array([[s**2]]), FA).se
     expected = s * h.h.sum(axis=0) / h.j
     assert np.allclose(se, expected)
 
@@ -92,8 +110,9 @@ def test_se_invariant_to_outcome_permutation(rng):
     out2 = OutcomeTable(x=x[perm], y=np.zeros(10))
     cov = rng.random((3, 3))
     cov = cov @ cov.T
-    se1 = effect_inference(effect_weights(InterferenceMap(h_mat), out1, FA), cov)
-    se2 = effect_inference(effect_weights(InterferenceMap(h_mat[perm]), out2, FA), cov)
+    beta = rng.uniform(-1, 1, 3)
+    se1 = effect_table(InterferenceMap(h_mat), out1, beta, cov, FA).se
+    se2 = effect_table(InterferenceMap(h_mat[perm]), out2, beta, cov, FA).se
     assert np.allclose(se1, se2)
 
 
@@ -107,8 +126,8 @@ def test_structural_zero_column_flagged():
 def test_non_psd_covariance_rejected(rng):
     h = InterferenceMap(rng.random((4, 2)))
     out = _out(4)
-    with pytest.raises(EstimationError):
-        effect_inference(effect_weights(h, out, FA), np.array([[-1.0]]))
+    with pytest.raises(EstimationError, match="not positive semidefinite"):
+        effect_table(h, out, np.array([-1.0]), np.array([[-1.0]]), FA)
 
 
 @pytest.mark.parametrize("beta, cov", [([1e308], [[0.1]]), ([-1.0], [[1e308]])])
@@ -139,3 +158,24 @@ def test_ndtr_ndtri_bitwise_equal_scipy_stats_norm():
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan) and nan.sum() >= 1
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# an outcome basis expanded by hand: outside ``qlearn.q_design`` and the
+# effects module's checked effect basis, a fit or an effect would rebuild a
+# matrix that those two own
+OUTCOME_EXPANSION = re.compile(r"\bbasis_f(0|a)\.expand\(")
+
+
+def test_only_q_design_and_the_effect_basis_expand_the_outcome_bases():
+    src = pathlib.Path(bnpolicy.__file__).parent
+    owners = set()
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        functions = [node for node in ast.walk(ast.parse(text))
+                     if isinstance(node, ast.FunctionDef)]
+        for k, line in enumerate(text.splitlines(), 1):
+            if OUTCOME_EXPANSION.search(line):
+                inner = max((f for f in functions if f.lineno <= k <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                owners.add(f"{path.stem}.{inner.name if inner else '<module>'}")
+    assert sorted(owners) == ["effects._effect_basis", "qlearn.q_design"]

@@ -298,9 +298,9 @@ PUBLIC_NAMES = [
     "SimReport", "SingularSystemError", "SplitSpec", "TrimReport", "Truth",
     "a_covariance", "a_equations", "a_system", "alearn", "apply_trim", "benefit_cost",
     "budget_sweep", "calibrate_propensity_intercept", "costimpute", "data",
-    "effect_inference", "effect_table", "effect_weights", "effects", "errors", "fit_a",
+    "effect_table", "effects", "errors", "fit_a",
     "fit_cost_models", "fit_propensity", "fit_q", "generate_dgp", "knapsack_policy",
-    "nmae", "policy", "policy_value", "predict_costs", "propensity", "qlearn",
+    "nmae", "policy", "policy_count", "predict_costs", "propensity", "qlearn",
     "run_cell", "run_monte_carlo", "run_replication", "seeding", "simlab",
     "split_train_val", "splitmix64", "standardize", "te_ranked_policy", "total_effects",
     "trim_by_propensity", "truncate_fractional", "unconstrained_policy",

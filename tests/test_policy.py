@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap,
-                      OutcomeTable, budget_sweep, knapsack_policy, policy_value,
+                      OutcomeTable, budget_sweep, knapsack_policy, policy_count,
                       te_ranked_policy, truncate_fractional, unconstrained_policy)
 
 
@@ -125,10 +125,46 @@ def test_truncate_fractional_checks_the_costs(cost):
         truncate_fractional(sol, te, np.array(cost), 2)
 
 
-@pytest.mark.parametrize("pi", [[np.nan, 1.0], [np.inf, 0.0]])
-def test_policy_value_rejects_an_allocation_that_is_not_finite(pi):
+def _count_context(rng, n=6, j=3, p=1):
+    """(h, out, beta, basis): a dense map, outcomes with person-years, a linear effect."""
+    h = InterferenceMap(rng.random((n, j)) + 0.1)
+    out = OutcomeTable(x=rng.standard_normal((n, p)), y=np.zeros(n),
+                       person_years=rng.uniform(1000, 9000, n))
+    return h, out, rng.uniform(-0.5, 0.2, p + 1), FeatureMap("linear")
+
+
+@pytest.mark.parametrize("pi", [[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]])
+def test_policy_value_rejects_an_allocation_that_is_not_finite(rng, pi):
     with pytest.raises(DataValidationError, match="allocations must be finite"):
-        policy_value(np.array([-1.0, -0.5]), np.array(pi), 2)
+        policy_count(np.array(pi), *_count_context(rng))
+
+
+def test_policy_count_rejects_a_beta_of_another_length(rng):
+    h, out, _, fa = _count_context(rng, p=4)  # a 5-column effect basis
+    with pytest.raises(DataValidationError, match=r"beta must have shape \(5,\)"):
+        policy_count(np.ones(3), h, out, np.zeros(3), fa)
+
+
+def test_policy_count_checks_the_allocation_shape(rng):
+    h, out, beta, fa = _count_context(rng)
+    for pi in (np.ones(2), np.ones((3, 1))):
+        with pytest.raises(DataValidationError, match=r"pi must have shape \(3,\)"):
+            policy_count(pi, h, out, beta, fa)
+
+
+@pytest.mark.parametrize("n_out", [0, -3, 2.5, True, None])
+def test_every_policy_entry_point_needs_a_positive_integer_n_out(n_out):
+    te, cost = np.array([-1.0, -0.5]), np.ones(2)
+    sol = knapsack_policy(te, cost, 1.5, 2)
+    calls = [lambda: unconstrained_policy(te, n_out, cost=cost),
+             lambda: knapsack_policy(te, cost, 1.0, n_out),
+             lambda: te_ranked_policy(te, cost, 1.0, n_out),
+             lambda: truncate_fractional(sol, te, cost, n_out),
+             lambda: budget_sweep(te, cost, [0.5], n_out)]
+    for call in calls:
+        with pytest.raises(DataValidationError,
+                           match=f"n_out must be a positive integer, got {n_out!r}"):
+            call()
 
 
 def test_positive_effect_units_never_treated(rng):
@@ -230,13 +266,14 @@ def test_truncate_fractional():
 
 
 def test_policy_value_basics(rng):
-    te = rng.uniform(-2, 1, 6)
-    pi = rng.uniform(0, 1, 6)
-    rate0, count0 = policy_value(te, np.zeros(6), 10)
-    assert rate0 == 0.0 and count0 is None
-    full, _ = policy_value(te, pi, 10)
-    half, _ = policy_value(te, 0.5 * pi, 10)
-    assert half == pytest.approx(0.5 * full)
+    h, out, beta, fa = _count_context(rng)
+    assert policy_count(np.zeros(3), h, out, beta, fa) == 0.0
+    pi = rng.uniform(0, 1, 3)
+    full = policy_count(pi, h, out, beta, fa)
+    assert policy_count(0.5 * pi, h, out, beta, fa) == pytest.approx(0.5 * full)
+    bare = OutcomeTable(x=out.x, y=out.y)
+    with pytest.raises(DataValidationError, match="needs person_years"):
+        policy_count(pi, h, bare, beta, fa)
 
 
 def test_policy_value_checks_the_map_rows(rng):
@@ -245,8 +282,7 @@ def test_policy_value_checks_the_map_rows(rng):
     h = InterferenceMap(rng.random((21, 4)))  # 21 rows for 20 outcomes
     with pytest.raises(DataValidationError,
                        match="interference map has 21 rows but the outcome table has 20"):
-        policy_value(-np.ones(4), np.ones(4), 20, h=h, out=out, beta=np.zeros(3),
-                     basis_fa=FeatureMap("linear"))
+        policy_count(np.ones(4), h, out, np.zeros(3), FeatureMap("linear"))
 
 
 def test_policy_value_count_scale(rng):
@@ -258,11 +294,9 @@ def test_policy_value_count_scale(rng):
     fa = FeatureMap("linear")
     beta = np.array([-0.5, 0.2])
     pi = np.array([1.0, 0.0, 0.5])
-    te = (h.h.T @ (fa.expand(x) @ beta)) / j
-    rate, count = policy_value(te, pi, n, h=h, out=out, beta=beta, basis_fa=fa)
+    count = policy_count(pi, h, out, beta, fa)
     delta = (h.h @ pi / j) * (fa.expand(x) @ beta)
     assert count == pytest.approx(float(delta @ py / 1e4))
-    assert rate == pytest.approx(float(pi @ te / n))
 
 
 def test_budget_sweep_shape_and_dominance(rng):

@@ -23,7 +23,7 @@ def test_noiseless_exact_recovery(rng):
     fit = fit_q(out, abar, LIN)
     assert np.max(np.abs(fit.alpha - alpha0)) <= 1e-8
     assert np.max(np.abs(fit.beta - beta0)) <= 1e-8
-    assert np.max(np.abs(out.y - q_design(out, abar, LIN) @ fit.theta)) <= 1e-10
+    assert np.max(np.abs(out.y - q_design(out, abar, LIN)[0] @ fit.theta)) <= 1e-10
 
 
 def test_two_parameter_ols_by_hand():
@@ -86,7 +86,7 @@ def test_predict_decomposition_and_linearity(rng):
     fit = fit_q(out2, abar, LIN)
 
     def predict(exposure):
-        return q_design(out2, exposure, LIN) @ fit.theta
+        return q_design(out2, exposure, LIN)[0] @ fit.theta
 
     # zero exposure gives the baseline
     base = predict(np.zeros(80))
@@ -103,7 +103,7 @@ def test_bread_matches_finite_differences(rng):
     y = rng.standard_normal(150)
     out = OutcomeTable(x=x, y=y)
     fit = fit_q(out, abar, LIN)
-    design = q_design(out, abar, LIN)
+    design, _ = q_design(out, abar, LIN)
     n = 150
     bread = design.T @ design / n
 
@@ -135,7 +135,7 @@ def test_sandwich_close_to_classical_ols_under_homoskedasticity():
          + sigma * rng.standard_normal(n))
     out = OutcomeTable(x=x, y=y)
     fit = fit_q(out, abar, LIN)
-    design = q_design(out, abar, LIN)
+    design, _ = q_design(out, abar, LIN)
     dof = n - design.shape[1]
     resid = y - design @ fit.theta
     s2 = float(resid @ resid) / dof
@@ -150,7 +150,7 @@ def test_covariance_equals_normal_equations_sandwich(rng):
     y = rng.standard_normal(300) * (1.0 + np.abs(x[:, 0]))
     out = OutcomeTable(x=x, y=y)
     fit = fit_q(out, abar, LIN)
-    design = q_design(out, abar, LIN)
+    design, _ = q_design(out, abar, LIN)
     n = design.shape[0]
     resid = y - design @ fit.theta
     bread_inv = np.linalg.inv(design.T @ design / n)

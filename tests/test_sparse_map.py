@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap, OutcomeModelSpec,
-                      apply_trim, effect_table, fit_a, knapsack_policy, policy_value,
+                      apply_trim, effect_table, fit_a, knapsack_policy, policy_count,
                       trim_by_propensity)
 from bnpolicy.io import read_interference_csv, read_intervention_csv, read_outcome_csv
 
@@ -105,10 +105,8 @@ def test_fit_effects_and_policy_value_agree(bundle):
     assert tables[1].structural_zero[J - 1]
     te = tables[0].total_effect
     pi = knapsack_policy(te, intv.cost, 0.3 * float(intv.cost.sum()), N).pi
-    values = [policy_value(te, pi, N, h=h, out=out, beta=fits[0].beta,
-                           basis_fa=SPEC.basis_fa) for h in maps]
-    assert values[1][0] == values[0][0]
-    assert _close(values[1][1], values[0][1])
+    values = [policy_count(pi, h, out, fits[0].beta, SPEC.basis_fa) for h in maps]
+    assert _close(values[1], values[0])
 
 
 def test_trimmed_fit_agrees(bundle):
@@ -200,6 +198,17 @@ def test_keep_columns_takes_distinct_ascending_columns():
         for kept in ([2, 0], [1, 1]):
             with pytest.raises(DataValidationError, match="distinct and ascending"):
                 h.keep_columns(np.array(kept))
+
+
+@pytest.mark.parametrize("kept", [[0, 5], [-1, 2], [0.5], [True, False, True]])
+def test_keep_columns_rejects_an_index_that_is_not_a_column(kept):
+    dense = np.arange(6.0).reshape(2, 3)
+    rows, cols = np.nonzero(dense)
+    for h in (InterferenceMap(dense),
+              InterferenceMap(rows=rows, cols=cols, data=dense[rows, cols], shape=(2, 3))):
+        with pytest.raises(DataValidationError,
+                           match=r"distinct and ascending integers in \[0, 3\)"):
+            h.keep_columns(kept)
 
 
 # a probe that writes the benchmark's smoke bundle (n=600, J=40, H as triplets),

@@ -58,7 +58,7 @@ def test_nested_use_restores_each_level(libs, tmp_path):
             assert inner == [(path, 1) for path in libs]
         assert _counts() == [1] * len(libs)
     assert _counts() == [2] * len(libs)
-    # simulate nests run_monte_carlo's pin inside cli.main's
+    # simulate nests map_in_order's pin inside cli.main's
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 300, "j": 30, "p": 2, "q": 2, "reps": 1}))
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
@@ -97,6 +97,12 @@ def test_a_nested_pin_calls_no_setter(monkeypatch):
             assert inner == [("0", 1), ("1", 1)]
         assert [s.calls for s in stubs] == [[1], []]
     assert [s.calls for s in stubs] == [[1, 2], []]
+
+
+def test_the_serial_branch_runs_at_one_blas_thread(libs):
+    """One worker runs the items in this process, pinned as a pool worker is."""
+    assert map_in_order(lambda _: _counts(), range(2), 1) == [[1] * len(libs)] * 2
+    assert _counts() == [2] * len(libs)
 
 
 def _worker_threads(_):
