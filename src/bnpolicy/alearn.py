@@ -23,18 +23,27 @@ cancels in both quadratic forms), Sigma_gamma the mean sensitivity of the
 equations to the propensity coefficients, R = J/n, and Omega_eps the
 propensity sandwich on the sqrt(J) scale.  Omega_gamma is zero when
 propensities are supplied as known.
+
+Only Z and what follows from it belong to one fit.  D, FA, abar and the
+row mass, and for each propensity basis kind the fitted model, abar_hat
+and d abar_hat / d gamma, come from a ``PreparedData`` that computes each
+once: a replication of the lab shares one among its four A-learning cells,
+so each propensity basis is fitted once per replication, and ``fit_a``
+builds its own for one call.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._prepared import PreparedData, gamma_sensitivity
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable
 from .errors import DataValidationError, EstimationError, SingularSystemError
-from .propensity import PropensityFit, fit_propensity
-from .qlearn import OutcomeFit, OutcomeModelSpec, _finite, q_design
+from .propensity import PropensityFit
+from .qlearn import OutcomeFit, OutcomeModelSpec, _finite
 
 COND_WARN = 1e10
 COND_FAIL = 1e14
@@ -49,24 +58,33 @@ class AFit(OutcomeFit):
     diagnostics: dict
 
 
-def _iv_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
-               spec: OutcomeModelSpec):
-    """Regressors D and FA from ``q_design``, instruments Z and lam = c * FA.
+def _iv_system(data: PreparedData, abar_hat, spec: OutcomeModelSpec):
+    """Regressors D and FA as ``data`` builds them, instruments Z and lam = c * FA.
 
     Z is D with its effect block replaced by c (abar - abar_hat) * FA.
     """
+    out, h = data.out, data.h
     if h.n != out.n:
         raise DataValidationError(f"interference map has {h.n} rows but the outcome "
                                   f"table has {out.n}")
-    abar, abar_hat = np.asarray(abar, dtype=float), np.asarray(abar_hat, dtype=float)
+    abar_hat = np.asarray(abar_hat, dtype=float)
     if abar_hat.shape != (out.n,):
         raise DataValidationError(f"abar_hat must have shape ({out.n},) to match the "
                                   f"outcome table, got {abar_hat.shape}")
-    d, fa = q_design(out, abar, spec)
-    c = h.row_mass()
+    d, fa = data.design(spec.basis_f0, spec.basis_fa)
+    c = data.row_mass()
     z = d.copy()
-    np.multiply((c * (abar - abar_hat))[:, None], fa, out=z[:, d.shape[1] - fa.shape[1]:])
+    np.multiply((c * (data.abar - abar_hat))[:, None], fa,
+                out=z[:, d.shape[1] - fa.shape[1]:])
     return d, z, c[:, None] * fa
+
+
+def _warn(message):
+    """Warn at the first frame outside this module: the code that asked for the fit."""
+    level, frame = 2, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename == _warn.__code__.co_filename:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def _factor(m):
@@ -87,8 +105,7 @@ def _factor(m):
             f"singular joint estimating system (condition estimate {cond:.3e})",
             condition=cond)
     if cond > COND_WARN:
-        warnings.warn(f"ill-conditioned estimating system (condition {cond:.3e})",
-                      RuntimeWarning, stacklevel=3)
+        _warn(f"ill-conditioned estimating system (condition {cond:.3e})")
     x = (vt.T / s) @ u.T
     return cond, x + x @ (np.eye(s.shape[0]) - m @ x)
 
@@ -96,44 +113,32 @@ def _factor(m):
 def a_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
              spec: OutcomeModelSpec):
     """Mean-form linear system M theta = rhs: M = Z^T D / n, rhs = Z^T y / n."""
-    d, z, _ = _iv_system(out, h, abar, abar_hat, spec)
+    d, z, _ = _iv_system(PreparedData(out, h=h, abar=abar), abar_hat, spec)
     return z.T @ d / out.n, z.T @ out.y / out.n
 
 
 def a_equations(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
                 spec: OutcomeModelSpec, alpha, beta) -> np.ndarray:
     """Averaged estimating equations Z^T (y - D theta) / n; zero at the fit."""
-    d, z, _ = _iv_system(out, h, abar, abar_hat, spec)
+    d, z, _ = _iv_system(PreparedData(out, h=h, abar=abar), abar_hat, spec)
     return z.T @ (out.y - d @ np.concatenate([alpha, beta])) / out.n
 
 
-def gamma_sensitivity(h: InterferenceMap, e: np.ndarray,
-                      prop_basis_matrix: np.ndarray) -> np.ndarray:
-    """d abar_hat_i / d gamma as an (n, dim gamma) matrix.
+def _covariance(z, lam, r, m_inv, j, g, cov_gamma):
+    """(cov_theta, omega_phi, omega_gamma, sigma_gamma) at residual r.
 
-    The weights e(1 - e) scale the (J, dim gamma) basis, not H, so no
-    n x J temporary is built.
+    ``g`` is d abar_hat / d gamma; it and ``cov_gamma`` are None for known
+    propensities.
     """
-    e = np.asarray(e, dtype=float)
-    if e.shape != np.shape(prop_basis_matrix)[:1]:
-        raise DataValidationError(f"propensities of shape {e.shape} do not match the "
-                                  f"basis matrix of shape {np.shape(prop_basis_matrix)}")
-    return h.exposure((e * (1.0 - e))[:, None] * prop_basis_matrix)
-
-
-def _covariance(z, lam, r, m_inv, h: InterferenceMap, e, prop_basis_matrix,
-                cov_gamma):
-    """(cov_theta, omega_phi, omega_gamma, sigma_gamma) at residual r."""
     n = r.shape[0]
     omega_phi = m_inv @ ((z.T * r**2) @ z / n) @ m_inv.T
     dth = m_inv.shape[0]
     omega_gamma = np.zeros((dth, dth))
     sigma_gamma = None
     if cov_gamma is not None:
-        g = gamma_sensitivity(h, e, prop_basis_matrix)
         sigma_gamma = np.vstack([np.zeros((dth - lam.shape[1], g.shape[1])),
                                  -(lam * r[:, None]).T @ g / n])
-        ratio = h.j / n
+        ratio = j / n
         core = m_inv @ sigma_gamma
         omega_gamma = core @ cov_gamma @ core.T / ratio
     cov = (omega_phi + omega_gamma) / n
@@ -150,12 +155,13 @@ def a_covariance(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
     propensity pieces may be omitted, in which case omega_gamma is zero
     (known-propensity analysis).
     """
-    d, z, lam = _iv_system(out, h, abar, abar_hat, spec)
-    return _covariance(z, lam, out.y - d @ np.concatenate([alpha, beta]),
-                       _factor(m)[1], h, e, prop_basis_matrix, cov_gamma)
+    d, z, lam = _iv_system(PreparedData(out, h=h, abar=abar), abar_hat, spec)
+    r = out.y - d @ np.concatenate([alpha, beta])
+    m_inv = _factor(m)[1]
+    g = None if cov_gamma is None else gamma_sensitivity(h, e, prop_basis_matrix)
+    return _covariance(z, lam, r, m_inv, h.j, g, cov_gamma)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
           spec: OutcomeModelSpec, prop_basis: FeatureMap | None = None,
           propensities=None) -> AFit:
@@ -166,6 +172,13 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
     probabilities, in which case the propensity-noise covariance term is
     identically zero.
     """
+    return _fit_a(PreparedData(out, intv, h), spec, prop_basis, propensities)
+
+
+def _fit_a(data: PreparedData, spec: OutcomeModelSpec,
+           prop_basis: FeatureMap | None = None, propensities=None) -> AFit:
+    """``fit_a`` on ``data``, which fits each propensity basis and builds each design once."""
+    out, intv, h = data.out, data.intv, data.h
     if (prop_basis is None) == (propensities is None):
         raise DataValidationError(
             "provide exactly one of prop_basis or propensities")
@@ -174,51 +187,39 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
     if np.any((intv.a != 0.0) & (intv.a != 1.0)):
         raise DataValidationError("treatments must be exactly 0 or 1")
 
-    gamma_fit = None
-    bprop = None
-    cov_gamma = None
-    if propensities is not None:
-        e = np.asarray(propensities, dtype=float)
-    else:
-        gamma_fit = fit_propensity(intv.x, intv.a, prop_basis)
-        e = gamma_fit.fitted
-        bprop = prop_basis.expand(intv.x)
-        cov_gamma = gamma_fit.cov_gamma
-    # a fitted propensity can round to 0 or 1 under separation
-    if e.shape != (intv.j,) or not np.all((e > 0.0) & (e < 1.0)):
-        raise DataValidationError("propensities must lie strictly in (0, 1)")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        terms = (data.known_propensities(propensities) if prop_basis is None
+                 else data.propensity(prop_basis))
+        if np.max(np.abs(data.abar - terms.abar_hat)) < 1e-14:
+            raise SingularSystemError(
+                "no treatment variation beyond the propensity model: "
+                "abar - abar_hat is identically zero")
 
-    abar = h.exposure(intv.a)
-    abar_hat = h.exposure(e)
-    if np.max(np.abs(abar - abar_hat)) < 1e-14:
-        raise SingularSystemError(
-            "no treatment variation beyond the propensity model: "
-            "abar - abar_hat is identically zero")
+        d, z, lam = _iv_system(data, terms.abar_hat, spec)
+        n = out.n
+        cond, m_inv = _factor(z.T @ d / n)
+        theta = _finite(m_inv @ (z.T @ out.y / n), "A-learning coefficient vector")
+        r = out.y - d @ theta
+        eq = z.T @ r / n
+        da = spec.basis_f0.dim(out.p)
+        scale = max(1.0, float(np.max(np.abs(out.y))))
+        diagnostics = {
+            "condition": float(cond),
+            "baseline_block_norm": float(np.max(np.abs(eq[:da]))),
+            "effect_block_norm": float(np.max(np.abs(eq[da:]))),
+            "equation_scale": scale,
+        }
+        # NaN-safe: a norm that overflowed fails the test as well
+        if not (diagnostics["baseline_block_norm"] <= EQ_TOL * scale
+                and diagnostics["effect_block_norm"] <= EQ_TOL * scale):
+            raise EstimationError(
+                "estimating equations not solved to tolerance; system is too "
+                f"ill-conditioned (condition {cond:.3e})")
 
-    d, z, lam = _iv_system(out, h, abar, abar_hat, spec)
-    n = out.n
-    cond, m_inv = _factor(z.T @ d / n)
-    theta = _finite(m_inv @ (z.T @ out.y / n), "A-learning coefficient vector")
-    r = out.y - d @ theta
-    eq = z.T @ r / n
-    da = spec.basis_f0.dim(out.p)
-    scale = max(1.0, float(np.max(np.abs(out.y))))
-    diagnostics = {
-        "condition": float(cond),
-        "baseline_block_norm": float(np.max(np.abs(eq[:da]))),
-        "effect_block_norm": float(np.max(np.abs(eq[da:]))),
-        "equation_scale": scale,
-    }
-    # NaN-safe: a norm that overflowed fails the test as well
-    if not (diagnostics["baseline_block_norm"] <= EQ_TOL * scale
-            and diagnostics["effect_block_norm"] <= EQ_TOL * scale):
-        raise EstimationError(
-            "estimating equations not solved to tolerance; system is too "
-            f"ill-conditioned (condition {cond:.3e})")
-
-    cov, omega_phi, omega_gamma, _ = _covariance(
-        z, lam, r, m_inv, h, e, bprop, cov_gamma)
-    _finite(cov, "A-learning covariance")
-    return AFit(alpha=theta[:da], beta=theta[da:], gamma_fit=gamma_fit,
+        cov_gamma = None if terms.fit is None else terms.fit.cov_gamma
+        cov, omega_phi, omega_gamma, _ = _covariance(
+            z, lam, r, m_inv, h.j, terms.sensitivity, cov_gamma)
+        _finite(cov, "A-learning covariance")
+    return AFit(alpha=theta[:da], beta=theta[da:], gamma_fit=terms.fit,
                 cov_theta=cov, omega_phi=omega_phi, omega_gamma=omega_gamma,
                 diagnostics=diagnostics, spec=spec)

@@ -50,9 +50,9 @@ def _load_sim_config(path):
     return SimConfig(**doc)
 
 
-# a fitted bundle: ids of the intervention units kept, the outcome and
-# intervention tables, H and the OutcomeFit or AFit
-_Run = namedtuple("_Run", "ids out intv h fit")
+# a fitted bundle: ids of the intervention units kept, the PreparedData of
+# the outcome and intervention tables and H, and the OutcomeFit or AFit
+_Run = namedtuple("_Run", "ids data fit")
 
 
 def _fit_bundle(args, need_cost=False) -> _Run:
@@ -60,12 +60,15 @@ def _fit_bundle(args, need_cost=False) -> _Run:
 
     ``need_cost`` rejects an intervention file without a complete cost
     column before the transport file is read; ``--trim``, ``--level`` and
-    the three basis kinds are checked before any file is.
+    the three basis kinds are checked before any file is.  The fit fills
+    the returned PreparedData, and each command reads the effect basis FA
+    from it rather than expanding it again.
     """
-    from .alearn import fit_a
+    from ._prepared import PreparedData
+    from .alearn import _fit_a
     from .data import FeatureMap, validate_bundle
     from .propensity import apply_trim, fit_propensity, trim_by_propensity
-    from .qlearn import OutcomeModelSpec, fit_q
+    from .qlearn import OutcomeModelSpec, _fit_q
 
     if args.trim is not None and not 0.0 <= args.trim < 1.0:
         raise DataValidationError("trim quantile must lie in [0, 1)")
@@ -86,11 +89,12 @@ def _fit_bundle(args, need_cost=False) -> _Run:
         trim = trim_by_propensity(fit_propensity(intv.x, intv.a, prop_basis), args.trim)
         h, intv = apply_trim(h, intv, trim)
         ids = [ids[k] for k in trim.kept]
+    data = PreparedData(out, intv, h)
     if args.estimator == "q":
-        fit = fit_q(out, h.exposure(intv.a), spec)
+        fit = _fit_q(data, spec)
     else:
-        fit = fit_a(out, intv, h, spec, prop_basis=prop_basis)
-    return _Run(ids, out, intv, h, fit)
+        fit = _fit_a(data, spec, prop_basis)
+    return _Run(ids, data, fit)
 
 
 def _out_path(args, name) -> str:
@@ -140,26 +144,26 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     run = _fit_bundle(args)
-    fit = run.fit
-    names = ([f"f0:{n}" for n in fit.spec.basis_f0.names(run.out.p, "x")]
-             + [f"fa:{n}" for n in fit.spec.basis_fa.names(run.out.p, "x")])
+    fit, p = run.fit, run.data.out.p
+    names = ([f"f0:{n}" for n in fit.spec.basis_f0.names(p, "x")]
+             + [f"fa:{n}" for n in fit.spec.basis_fa.names(p, "x")])
     _coef_report(_out_path(args, "outcome_coefficients.csv"), names, fit.theta,
                  fit.cov_theta, args.level)
     if args.estimator == "a" and fit.gamma_fit is not None:
         g = fit.gamma_fit
         _coef_report(_out_path(args, "propensity_coefficients.csv"),
-                     [f"e:{n}" for n in g.basis.names(run.intv.q, "z")], g.gamma,
+                     [f"e:{n}" for n in g.basis.names(run.data.intv.q, "z")], g.gamma,
                      np.diag(g.standard_errors() ** 2), args.level)
     print(f"fit written to {args.out_dir}")
     return EXIT_OK
 
 
 def cmd_effects(args) -> int:
-    from .effects import effect_table
+    from .effects import _effect_table
 
     run = _fit_bundle(args)
-    table = effect_table(run.h, run.out, run.fit.beta, run.fit.cov_beta(),
-                         run.fit.spec.basis_fa, cost=run.intv.cost, level=args.level)
+    table = _effect_table(run.data, run.fit.beta, run.fit.cov_beta(),
+                          run.fit.spec.basis_fa, run.data.intv.cost, args.level)
     bio.write_effects_csv(_out_path(args, "effects.csv"), run.ids, table)
     print(f"effects written to {args.out_dir}; note: one-sided p-values are "
           "exploratory and carry no multiplicity correction")
@@ -167,8 +171,8 @@ def cmd_effects(args) -> int:
 
 
 def cmd_policy(args) -> int:
-    from .effects import total_effects
-    from .policy import (knapsack_policy, policy_count, te_ranked_policy,
+    from .effects import _total_effects
+    from .policy import (_policy_count, knapsack_policy, te_ranked_policy,
                          truncate_fractional, unconstrained_policy)
 
     if args.budget_frac is None:
@@ -178,8 +182,9 @@ def cmd_policy(args) -> int:
     elif not 0.0 <= args.budget_frac < np.inf:
         raise DataValidationError("budget fraction must be finite and >= 0")
     run = _fit_bundle(args, need_cost=True)
-    te = total_effects(run.h, run.out, run.fit.beta, run.fit.spec.basis_fa)
-    cost, n = run.intv.cost, run.out.n
+    beta, basis_fa = run.fit.beta, run.fit.spec.basis_fa
+    te = _total_effects(run.data, beta, basis_fa)
+    cost, n = run.data.intv.cost, run.data.out.n
     if args.budget_frac is None:
         sol = unconstrained_policy(te, n, cost=cost)
     else:
@@ -188,15 +193,15 @@ def cmd_policy(args) -> int:
         sol = make(te, cost, budget, n)
         if args.integral:
             sol = truncate_fractional(sol, te, cost, n)
-    count = (None if run.out.person_years is None
-             else policy_count(sol.pi, run.h, run.out, run.fit.beta, run.fit.spec.basis_fa))
+    count = (None if run.data.out.person_years is None
+             else _policy_count(sol.pi, run.data, beta, basis_fa))
     bio.write_policy_json(_out_path(args, "policy.json"), sol, run.ids, count)
     print(f"policy ({sol.method}) value_rate={sol.value_rate!r} spent={sol.spent!r}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    from .effects import total_effects
+    from .effects import _total_effects
     from .policy import budget_fractions, budget_sweep
 
     try:
@@ -205,8 +210,8 @@ def cmd_sweep(args) -> int:
         raise DataValidationError(f"bad --fractions value: {exc}") from None
     fractions = budget_fractions(fractions)
     run = _fit_bundle(args, need_cost=True)
-    pairs = budget_sweep(total_effects(run.h, run.out, run.fit.beta, run.fit.spec.basis_fa),
-                         run.intv.cost, fractions, run.out.n)
+    pairs = budget_sweep(_total_effects(run.data, run.fit.beta, run.fit.spec.basis_fa),
+                         run.data.intv.cost, fractions, run.data.out.n)
     # the ratio ranking is optimal, so its value is at most the naive one's,
     # up to the rounding of the two sums
     bc_leq_te = [bc.value_rate <= te.value_rate + 1e-12 for bc, te in pairs]

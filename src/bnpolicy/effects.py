@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtr, ndtri
+from ._prepared import PreparedData
 from .data import FeatureMap, InterferenceMap, OutcomeTable
 from .errors import DataValidationError, EstimationError
 
@@ -30,13 +31,15 @@ class EffectTable:
     level: float
 
 
-def _effect_basis(h: InterferenceMap, out: OutcomeTable, beta, basis_fa: FeatureMap):
-    """(FA, beta): the effect basis at the outcome units, and beta checked against it."""
+def _effect_basis(data: PreparedData, beta, basis_fa: FeatureMap):
+    """(FA, beta): the prepared effect basis at the outcome units, and beta checked
+    against it."""
+    h, out = data.h, data.out
     if h.n != out.n:
         raise DataValidationError(f"interference map has {h.n} rows but the outcome "
                                   f"table has {out.n}")
     beta = np.asarray(beta, dtype=float)
-    fa = basis_fa.expand(out.x)
+    fa = data.outcome_basis(basis_fa)
     if beta.shape != fa.shape[1:]:
         raise DataValidationError(f"beta must have shape ({fa.shape[1]},) to match the "
                                   f"effect basis, got {beta.shape}")
@@ -46,11 +49,15 @@ def _effect_basis(h: InterferenceMap, out: OutcomeTable, beta, basis_fa: Feature
 def total_effects(h: InterferenceMap, out: OutcomeTable, beta,
                   basis_fa: FeatureMap) -> np.ndarray:
     """Aggregate effect of treating each unit: (1/J) sum_i H_ij fa(x_i) . beta."""
-    fa, beta = _effect_basis(h, out, beta, basis_fa)
-    return h.aggregate(fa @ beta)
+    return _total_effects(PreparedData(out, h=h), beta, basis_fa)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
+def _total_effects(data: PreparedData, beta, basis_fa: FeatureMap) -> np.ndarray:
+    """``total_effects`` on the effect basis that ``data`` holds."""
+    fa, beta = _effect_basis(data, beta, basis_fa)
+    return data.h.aggregate(fa @ beta)
+
+
 def effect_table(h: InterferenceMap, out: OutcomeTable, beta,
                  cov_beta: np.ndarray, basis_fa: FeatureMap,
                  cost=None, level: float = 0.95) -> EffectTable:
@@ -60,9 +67,17 @@ def effect_table(h: InterferenceMap, out: OutcomeTable, beta,
     standard errors are sqrt(w_j' cov_beta w_j); ``cov_beta`` must already be
     on the per-sample scale (the variance of beta_hat itself).
     """
+    return _effect_table(PreparedData(out, h=h), beta, cov_beta, basis_fa, cost, level)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
+def _effect_table(data: PreparedData, beta, cov_beta, basis_fa: FeatureMap, cost,
+                  level: float) -> EffectTable:
+    """``effect_table`` on the effect basis that ``data`` holds."""
     if not 0.0 < level < 1.0:
         raise DataValidationError("confidence level must lie in (0, 1)")
-    fa, beta = _effect_basis(h, out, beta, basis_fa)
+    h = data.h
+    fa, beta = _effect_basis(data, beta, basis_fa)
     k = beta.shape[0]
     cov_beta = np.asarray(cov_beta, dtype=float)
     if cov_beta.shape != (k, k):

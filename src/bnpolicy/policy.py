@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._prepared import PreparedData
 from .data import FeatureMap, InterferenceMap, OutcomeTable
 from .effects import _effect_basis
 from .errors import DataValidationError
@@ -124,6 +125,12 @@ def policy_count(pi, h: InterferenceMap, out: OutcomeTable, beta,
     per 10,000 person-years, so the value is sum_i delta_i person_years_i / 10000.
     Its rate-scale counterpart is ``PolicySolution.value_rate``.
     """
+    return _policy_count(pi, PreparedData(out, h=h), beta, basis_fa)
+
+
+def _policy_count(pi, data: PreparedData, beta, basis_fa: FeatureMap) -> float:
+    """``policy_count`` on the effect basis that ``data`` holds."""
+    h, out = data.h, data.out
     if out.person_years is None:
         raise DataValidationError("the count-scale value needs person_years")
     pi = np.asarray(pi, dtype=float)
@@ -131,7 +138,7 @@ def policy_count(pi, h: InterferenceMap, out: OutcomeTable, beta,
         raise DataValidationError(f"pi must have shape ({h.j},), got {pi.shape}")
     if not np.all((pi >= 0.0) & (pi <= 1.0)):
         raise DataValidationError("allocations must be finite and lie in [0, 1]")
-    fa, beta = _effect_basis(h, out, beta, basis_fa)
+    fa, beta = _effect_basis(data, beta, basis_fa)
     return float((h.exposure(pi) * (fa @ beta)) @ out.person_years / 1e4)
 
 

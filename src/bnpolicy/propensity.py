@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMap, InterferenceMap, InterventionTable
+from .data import FeatureMap, InterferenceMap, InterventionTable, _read_only
 from .errors import DataValidationError, EstimationError, SingularSystemError
 
 SCORE_TOL = 1e-8
@@ -27,7 +27,8 @@ class PropensityFit:
     """Fitted logistic model for treatment assignment.
 
     cov_gamma estimates the covariance of sqrt(J) * (gamma_hat - gamma0),
-    i.e. it is not yet divided by J.
+    i.e. it is not yet divided by J.  basis_matrix is the (J, dim gamma)
+    expansion of the intervention covariates that the model was fitted on.
     """
 
     gamma: np.ndarray
@@ -37,6 +38,7 @@ class PropensityFit:
     iterations: int
     separation_flag: bool
     basis: FeatureMap
+    basis_matrix: np.ndarray
 
     def standard_errors(self) -> np.ndarray:
         """Per-coefficient standard errors on the gamma_hat scale."""
@@ -110,7 +112,8 @@ def fit_propensity(x_int: np.ndarray, a: np.ndarray, basis: FeatureMap) -> Prope
     cov = 0.5 * (cov + cov.T)
     _finite(cov)
     return PropensityFit(gamma=gamma, fitted=e, cov_gamma=cov, converged=converged,
-                         iterations=iterations, separation_flag=separation, basis=basis)
+                         iterations=iterations, separation_flag=separation, basis=basis,
+                         basis_matrix=_read_only(b))
 
 
 def trim_by_propensity(fit: PropensityFit, quantile: float) -> TrimReport:

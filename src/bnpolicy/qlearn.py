@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import pivoted_qr, solve_upper
+from ._prepared import PreparedData
 from .data import FeatureMap, OutcomeTable
 from .errors import DataValidationError, EstimationError, RankDeficiencyError
 
@@ -52,14 +53,8 @@ class OutcomeFit:
 
 
 def q_design(out: OutcomeTable, abar, spec: OutcomeModelSpec):
-    """(D = [F0 | abar * FA], FA): the one expansion of the outcome bases for either fit."""
-    abar = np.asarray(abar, dtype=float)
-    if abar.shape != (out.n,):
-        raise DataValidationError(f"abar must have shape ({out.n},) to match the outcome "
-                                  f"table, got {abar.shape}")
-    f0 = spec.basis_f0.expand(out.x)
-    fa = spec.basis_fa.expand(out.x)
-    return np.hstack([f0, abar[:, None] * fa]), fa
+    """(D = [F0 | abar * FA], FA) for a supplied exposure, as either fit builds them."""
+    return PreparedData(out, abar=abar).design(spec.basis_f0, spec.basis_fa)
 
 
 def _finite(arr, what):
@@ -89,7 +84,6 @@ def _check_scales(design, d_alpha):
             "rescale the covariates or transport weights")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
     """Least-squares fit of the linear-exposure outcome model.
 
@@ -98,7 +92,14 @@ def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
     largest declares rank deficiency and names the dependent column, unless
     the design's column scales alone span more than 1/RANK_RTOL.
     """
-    design, _ = q_design(out, abar, spec)
+    return _fit_q(PreparedData(out, abar=abar), spec)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
+def _fit_q(data: PreparedData, spec: OutcomeModelSpec) -> OutcomeFit:
+    """``fit_q`` on the design that ``data`` builds once for every fit that reads it."""
+    out = data.out
+    design, _ = data.design(spec.basis_f0, spec.basis_fa)
     n, k = design.shape
     if n <= k:
         raise EstimationError(f"need more outcome units ({n}) than parameters ({k})")

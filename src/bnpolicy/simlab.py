@@ -8,6 +8,14 @@ four combinations of baseline/propensity misspecification.  Reported per
 cell: the coefficient error norm, the root mean squared error of the
 per-unit total effects, and 95% CI coverage for the effect coefficients.
 
+The cells share what they read through one ``PreparedData`` per
+replication, which computes each shared quantity once: the exposure H a
+and the row mass, each basis kind's expansion of the covariates, the
+regressors of each baseline kind, and one propensity fit per basis kind
+with the exposure it implies and that exposure's sensitivity.  So a
+replication fits two propensity models rather than four, and each cell
+still gets the bits a fit on its own would give.
+
 The synthetic transport matrix mixes two column populations, mirroring
 real pollution-transport geometry: a minority of columns concentrated on
 a covariate-defined neighborhood of outcome units, and diffuse columns
@@ -34,13 +42,14 @@ import numpy as np
 
 from ._blas import map_in_order
 from ._normal import ndtri
+from ._prepared import PreparedData
+from .alearn import _fit_a
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, standardize
-from .effects import total_effects
+from .effects import _total_effects
 from .errors import BnpolicyError, DataValidationError, EstimationError
 from .propensity import calibrate_propensity_intercept, logistic
-from .qlearn import OutcomeModelSpec, fit_q
+from .qlearn import OutcomeModelSpec, _fit_q
 from .seeding import splitmix64
-from .alearn import fit_a
 
 Z95 = float(ndtri(0.975))
 
@@ -104,6 +113,9 @@ class SimConfig:
             raise DataValidationError("snr must be positive")
         if self.reps < 1:
             raise DataValidationError("reps must be at least 1")
+        if self.master_seed < 0:
+            raise DataValidationError(
+                f"master_seed must be a non-negative integer, got {self.master_seed!r}")
         if self.propensity_tol <= 0 or self.outcome_tol <= 0:
             raise DataValidationError("calibration tolerances must be positive")
         if not 0 < self.target_mean_propensity < 1:
@@ -259,6 +271,20 @@ def _normal_scores(size: int) -> np.ndarray:
     return scores
 
 
+def _smallest(keys: np.ndarray, deg: int) -> np.ndarray:
+    """Mask of each row's ``deg`` smallest keys: the set ``np.argpartition`` picks.
+
+    Each row's keys up to its deg-th smallest are exactly deg of them unless
+    that key ties with another; then argpartition's own picks are taken.
+    """
+    chosen = keys <= np.partition(keys, deg - 1, axis=1)[:, deg - 1:deg]
+    if np.any(np.count_nonzero(chosen, axis=1) != deg):
+        chosen = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(chosen, np.argpartition(keys, deg - 1, axis=1)[:, :deg], True,
+                          axis=1)
+    return chosen
+
+
 def _draw_h(rng, config: SimConfig, x_out) -> np.ndarray:
     n, j = config.n, config.j
     if config.h_source == "user_supplied":
@@ -270,20 +296,24 @@ def _draw_h(rng, config: SimConfig, x_out) -> np.ndarray:
     # with a fixed per-row degree
     colmass = rng.permutation(np.exp(config.h_colmass_log_sd * _normal_scores(j)))
     j_loc = int(round(config.h_local_frac * j))
-    load = np.zeros((n, j))
+    n_diff = j - j_loc
     if j_loc > 0:
         centers = rng.permutation(_normal_scores(j_loc))
         u = x_out[:, 0]
-        load[:, :j_loc] = np.exp(
+        local = colmass[:j_loc] * np.exp(
             -0.5 * ((u[:, None] - centers[None, :]) / config.h_kernel_bandwidth) ** 2)
-    n_diff = j - j_loc
-    deg = min(config.h_diffuse_degree, n_diff)
     if n_diff > 0:
-        # only the set of the deg smallest keys per row matters, not their order
-        pick = np.argpartition(rng.random((n, n_diff)), deg - 1, axis=1)[:, :deg]
-        rows = np.repeat(np.arange(n), deg)
-        load[rows, j_loc + pick.ravel()] = 1.0
-    return colmass[None, :] * load * rng.lognormal(0.0, config.h_entry_log_sd, (n, j))
+        chosen = _smallest(rng.random((n, n_diff)), min(config.h_diffuse_degree, n_diff))
+    # the noise becomes H in place, each cell the product of the same factors
+    # in the same order: (mass * kernel) * noise on the local block, and
+    # mass * noise * (0 or 1) on the diffuse one
+    h = rng.lognormal(0.0, config.h_entry_log_sd, (n, j))
+    if j_loc > 0:
+        h[:, :j_loc] *= local
+    if n_diff > 0:
+        h[:, j_loc:] *= colmass[j_loc:]
+        h[:, j_loc:] *= chosen
+    return h
 
 
 def generate_dgp(config: SimConfig, seed: int):
@@ -348,21 +378,23 @@ def generate_dgp(config: SimConfig, seed: int):
     return out, intv, h, truth
 
 
-def run_cell(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
-             truth: Truth, cell: CellSpec,
+def run_cell(data: PreparedData, truth: Truth, cell: CellSpec,
              se_fail_threshold: float = SimConfig.se_fail_threshold) -> CellResult:
-    """Fit one estimator cell and score it against the ground truth.
+    """Fit one estimator cell to a replication's prepared data and score it
+    against the ground truth.
 
-    Coverage compares each effect coefficient's 95% CI against the truth;
-    when a misspecified basis makes the fitted vector shorter, the shared
-    leading coordinates are compared.
+    The fit is ``fit_q`` or ``fit_a`` on the tables of ``data``, reading
+    what ``data`` holds instead of computing it again.  Coverage compares
+    each effect coefficient's 95% CI against the truth; when a misspecified
+    basis makes the fitted vector shorter, the shared leading coordinates
+    are compared.
     """
     spec = OutcomeModelSpec(basis_f0=FeatureMap(cell.f0_kind), basis_fa=TRUTH_BASIS)
     try:
         if cell.estimator == "q":
-            fit = fit_q(out, h.exposure(intv.a), spec)
+            fit = _fit_q(data, spec)
         else:
-            fit = fit_a(out, intv, h, spec, prop_basis=FeatureMap(cell.prop_kind))
+            fit = _fit_a(data, spec, FeatureMap(cell.prop_kind))
         beta = fit.beta
         cov_beta = fit.cov_beta()
     except BnpolicyError as exc:
@@ -381,7 +413,7 @@ def run_cell(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
     bias = float(np.linalg.norm(b_hat - b0))
     covered = (b_hat - Z95 * se_s <= b0) & (b0 <= b_hat + Z95 * se_s)
     coverage = float(np.mean(covered) * 100.0)
-    te_hat = total_effects(h, out, beta, spec.basis_fa)
+    te_hat = _total_effects(data, beta, spec.basis_fa)
     rmse = float(np.sqrt(np.mean((te_hat - truth.te_true) ** 2)))
     return CellResult(bias=bias, rmse=rmse, coverage=coverage)
 
@@ -389,7 +421,8 @@ def run_cell(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
 def run_replication(config: SimConfig, rep: int) -> dict[str, CellResult]:
     seed = splitmix64(config.master_seed, rep)
     out, intv, h, truth = generate_dgp(config, seed)
-    return {name: run_cell(out, intv, h, truth, cell, config.se_fail_threshold)
+    data = PreparedData(out, intv, h)
+    return {name: run_cell(data, truth, cell, config.se_fail_threshold)
             for name, cell in CELLS.items()}
 
 

@@ -6,7 +6,7 @@ import pytest
 from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap, InterventionTable,
                       OutcomeModelSpec, OutcomeTable, SimConfig, SingularSystemError,
                       fit_a, fit_q, generate_dgp, splitmix64)
-from bnpolicy import alearn
+from bnpolicy import _prepared, alearn
 from bnpolicy.alearn import a_covariance, a_equations, a_system, gamma_sensitivity
 from bnpolicy.propensity import logistic
 
@@ -92,7 +92,7 @@ def test_fit_a_rejects_known_propensities_outside_the_open_interval(rng, edge):
 @pytest.mark.parametrize("edge", [0.0, 1.0])
 def test_fit_a_rejects_a_fitted_propensity_rounded_to_zero_or_one(rng, monkeypatch, edge):
     out, intv, h, *_ = _make_data(rng)
-    fit_propensity = alearn.fit_propensity
+    fit_propensity = _prepared.fit_propensity
 
     def rounded(*args, **kwargs):
         fit = fit_propensity(*args, **kwargs)
@@ -100,7 +100,7 @@ def test_fit_a_rejects_a_fitted_propensity_rounded_to_zero_or_one(rng, monkeypat
         fitted[2] = edge
         return dataclasses.replace(fit, fitted=fitted)
 
-    monkeypatch.setattr(alearn, "fit_propensity", rounded)
+    monkeypatch.setattr(_prepared, "fit_propensity", rounded)
     with pytest.raises(DataValidationError, match=r"strictly in \(0, 1\)"):
         fit_a(out, intv, h, LIN, prop_basis=FeatureMap("linear"))
 
@@ -367,3 +367,18 @@ def test_one_fit_expands_each_basis_once_and_factors_once(rng, monkeypatch,
     assert sum(b is spec.basis_f0 for b in expanded) == 1
     assert sum(b is spec.basis_fa for b in expanded) == 1
     assert factored == ["svd"]
+
+
+def test_an_ill_conditioned_system_warns_at_the_line_that_asked_for_it(rng, monkeypatch):
+    # not at numpy's errstate wrapper, nor inside this package's fits
+    out, intv, h, *_ = _make_data(rng, noise=0.3)
+    monkeypatch.setattr(alearn, "COND_WARN", 0.0)
+    with pytest.warns(RuntimeWarning, match="ill-conditioned") as record:
+        fit = fit_a(out, intv, h, LIN, prop_basis=FeatureMap("linear"))
+    assert [w.filename for w in record] == [__file__]
+    abar = h.exposure(intv.a)
+    abar_hat = h.exposure(fit.gamma_fit.fitted)
+    m, _ = a_system(out, h, abar, abar_hat, LIN)
+    with pytest.warns(RuntimeWarning, match="ill-conditioned") as record:
+        a_covariance(out, h, abar, abar_hat, LIN, fit.alpha, fit.beta, m)
+    assert [w.filename for w in record] == [__file__]

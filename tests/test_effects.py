@@ -160,13 +160,14 @@ def test_ndtr_ndtri_bitwise_equal_scipy_stats_norm():
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-# an outcome basis expanded by hand: outside ``qlearn.q_design`` and the
-# effects module's checked effect basis, a fit or an effect would rebuild a
-# matrix that those two own
-OUTCOME_EXPANSION = re.compile(r"\bbasis_f(0|a)\.expand\(")
+# an outcome basis expanded by hand: outside ``PreparedData.outcome_basis``,
+# which expands each basis kind once for every fit and effect on the bundle,
+# a fit or an effect would rebuild a matrix that the prepared data owns
+OUTCOME_EXPANSION = re.compile(r"\bbasis_f(0|a)\.expand\(|\.expand\((self\.)?out\.x\b")
 
 
 def test_only_q_design_and_the_effect_basis_expand_the_outcome_bases():
+    # q_design and the effect basis both read the prepared data's one expansion
     src = pathlib.Path(bnpolicy.__file__).parent
     owners = set()
     for path in sorted(src.glob("*.py")):
@@ -178,4 +179,4 @@ def test_only_q_design_and_the_effect_basis_expand_the_outcome_bases():
                 inner = max((f for f in functions if f.lineno <= k <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
                 owners.add(f"{path.stem}.{inner.name if inner else '<module>'}")
-    assert sorted(owners) == ["effects._effect_basis", "qlearn.q_design"]
+    assert sorted(owners) == ["_prepared.outcome_basis"]

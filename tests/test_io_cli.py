@@ -1061,3 +1061,50 @@ def test_every_annotation_in_the_package_resolves():
                 except NameError as exc:
                     unresolved.append(f"{module.__name__}.{name}: {exc}")
     assert unresolved == []
+
+
+def _smoke_bundle(monkeypatch, out_dir):
+    """The benchmark's SMOKE bundle (seed 0), its harness imported without bytecode."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(perfbench)
+    monkeypatch.delitem(sys.modules, "inputs", raising=False)
+    inputs = importlib.import_module("inputs")
+    sys.modules.pop("inputs", None)
+    return inputs.write_bundle(str(out_dir), 0, inputs.SMOKE)
+
+
+@pytest.mark.parametrize("estimator", ["q", "a"])
+@pytest.mark.parametrize("command", [["fit"], ["effects"], ["policy", "--budget-frac", "0.2"],
+                                     ["sweep"]], ids=lambda argv: argv[0])
+def test_each_command_expands_each_outcome_basis_once(tmp_path, monkeypatch, command,
+                                                      estimator):
+    # the fit's prepared data hands its effect basis to effects, policy and sweep
+    paths = _smoke_bundle(monkeypatch, tmp_path)
+    _, out = read_outcome_csv(paths["outcomes"])
+    expanded = []
+    expand = FeatureMap.expand
+
+    def counted_expand(self, x):
+        if np.shape(x) == out.x.shape:
+            expanded.append(self.kind)
+        return expand(self, x)
+
+    monkeypatch.setattr(FeatureMap, "expand", counted_expand)
+    code = main([*command, "--estimator", estimator, "--f0-basis", "linear",
+                 "--fa-basis", "quadratic", "--prop-basis", "quadratic",
+                 "--outcomes", paths["outcomes"], "--interventions", paths["interventions"],
+                 "--h", paths["h"], "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert sorted(expanded) == ["linear", "quadratic"]
+
+
+def test_cli_simulate_rejects_a_negative_master_seed(tmp_path, capsys):
+    cfg = _write(tmp_path / "seed.json", json.dumps({**_SMALL_STUDY, "master_seed": -1}))
+    code = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("validation failure: master_seed must be a non-negative integer, "
+                   "got -1\n")
+    assert not (tmp_path / "x").exists()

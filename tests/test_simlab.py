@@ -1,18 +1,23 @@
+import collections
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import bnpolicy.simlab
-from bnpolicy import (CELLS, CellSpec, EstimationError, SimConfig, DataValidationError,
-                      generate_dgp, run_cell, run_monte_carlo, run_replication,
-                      splitmix64)
+from bnpolicy import (CELLS, BnpolicyError, CellResult, CellSpec, EstimationError, FeatureMap,
+                      InterferenceMap, OutcomeModelSpec, SimConfig, DataValidationError,
+                      fit_a, fit_q, generate_dgp, run_cell, run_monte_carlo,
+                      run_replication, splitmix64, total_effects)
+from bnpolicy._prepared import PreparedData
 from bnpolicy.io import sim_report_to_dict, write_sim_report
-from bnpolicy.simlab import THETA0_REFERENCE, _draw_h, resolve_truth_coefficients
+from bnpolicy.simlab import (THETA0_REFERENCE, TRUTH_BASIS, Z95, _draw_h, _smallest,
+                             resolve_truth_coefficients)
 
 FAST = SimConfig(n=400, j=40, p=2, q=2, reps=2, master_seed=777)
 
@@ -72,7 +77,7 @@ def test_huge_snr_kills_noise():
 def test_noiseless_q_correct_cell_recovers_truth():
     config = SimConfig(n=1500, j=50, p=2, q=2, reps=1, master_seed=5, snr=1e9)
     out, intv, h, truth = generate_dgp(config, 9)
-    res = run_cell(out, intv, h, truth, CELLS["q_correct"])
+    res = run_cell(PreparedData(out, intv, h), truth, CELLS["q_correct"])
     assert res.fail_reason is None
     assert res.bias <= 1e-8
     assert res.rmse <= 1e-8
@@ -151,7 +156,11 @@ def test_config_holds_nested_lists_as_float_arrays(rng):
 
 
 class _RecordingRng:
-    """Generator proxy that keeps every array it draws, by method name."""
+    """Generator proxy that keeps a copy of every array it draws, by method name.
+
+    A copy, because the caller may overwrite what it drew: _draw_h turns its
+    noise array into H in place.
+    """
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -160,7 +169,7 @@ class _RecordingRng:
     def __getattr__(self, name):
         def draw(*args, **kwargs):
             out = getattr(self._rng, name)(*args, **kwargs)
-            self.draws.setdefault(name, []).append(out)
+            self.draws.setdefault(name, []).append(np.copy(out))
             return out
         return draw
 
@@ -221,7 +230,7 @@ def test_a_failed_svd_is_a_failed_fit(monkeypatch):
 
     out, intv, h, truth = generate_dgp(FAST, 1)
     monkeypatch.setattr(np.linalg, "svd", svd_fails)
-    res = run_cell(out, intv, h, truth, CELLS["a_cc"])
+    res = run_cell(PreparedData(out, intv, h), truth, CELLS["a_cc"])
     assert res.fail_reason.startswith("fit failed") and "SVD did not converge" in res.fail_reason
 
 
@@ -233,7 +242,7 @@ def test_a_cell_whose_every_fit_fails_writes_null_means(tmp_path, monkeypatch):
     def fit_a_fails(*args, **kwargs):
         raise EstimationError("forced failure")
 
-    monkeypatch.setattr(bnpolicy.simlab, "fit_a", fit_a_fails)
+    monkeypatch.setattr(bnpolicy.simlab, "_fit_a", fit_a_fails)
     report = run_monte_carlo(FAST)
     text = write_sim_report(tmp_path / "r.json", tmp_path / "r.txt", report)
     doc = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"),
@@ -267,3 +276,151 @@ def test_the_truth_basis_is_named_once_and_io_names_no_cell():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(src.parent)))
     assert done.stdout.strip() == "False"
+
+
+def _counted(calls, key, fn, when=lambda *args: True):
+    def counted(*args, **kwargs):
+        if when(*args):
+            calls[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_a_replication_computes_its_shared_work_once(monkeypatch):
+    # the six default cells share one prepared dataset: two propensity fits
+    # (one per basis kind), one exposure of a, one row mass, and one
+    # expansion per basis kind of each covariate table
+    assert sorted({cell.prop_kind for cell in CELLS.values()} - {None}) == [
+        "linear", "quadratic"]
+    dgp = generate_dgp(FAST, splitmix64(FAST.master_seed, 0))
+    out, intv, h, _ = dgp
+    monkeypatch.setattr(bnpolicy.simlab, "generate_dgp", lambda config, seed: dgp)
+    calls, expanded = collections.Counter(), collections.Counter()
+    monkeypatch.setattr(bnpolicy._prepared, "fit_propensity", _counted(
+        calls, "fit_propensity", bnpolicy._prepared.fit_propensity))
+    monkeypatch.setattr(InterferenceMap, "exposure", _counted(
+        calls, "exposure of a", InterferenceMap.exposure,
+        lambda self, v: np.shape(v) == intv.a.shape and np.array_equal(v, intv.a)))
+    monkeypatch.setattr(InterferenceMap, "row_mass", _counted(
+        calls, "row_mass", InterferenceMap.row_mass))
+    expand = FeatureMap.expand
+
+    def counted_expand(self, x):
+        table = "out" if np.shape(x) == out.x.shape else "intv"
+        expanded[self.kind, table] += 1
+        return expand(self, x)
+
+    monkeypatch.setattr(FeatureMap, "expand", counted_expand)
+    results = run_replication(FAST, 0)
+    assert all(res.fail_reason is None for res in results.values())
+    assert calls == {"fit_propensity": 2, "exposure of a": 1, "row_mass": 1}
+    assert expanded == {("quadratic", "out"): 1, ("linear", "out"): 1,
+                        ("quadratic", "intv"): 1, ("linear", "intv"): 1}
+
+
+def _cell_through_the_public_fits(out, intv, h, truth, cell, se_fail_threshold):
+    """A cell fitted and scored on its own, through fit_q, fit_a and total_effects."""
+    spec = OutcomeModelSpec(basis_f0=FeatureMap(cell.f0_kind), basis_fa=TRUTH_BASIS)
+    try:
+        if cell.estimator == "q":
+            fit = fit_q(out, h.exposure(intv.a), spec)
+        else:
+            fit = fit_a(out, intv, h, spec, prop_basis=FeatureMap(cell.prop_kind))
+        beta, cov_beta = fit.beta, fit.cov_beta()
+    except BnpolicyError as exc:
+        return CellResult(None, None, None, f"fit failed: {exc}")
+    se = np.sqrt(np.clip(np.diag(cov_beta), 0.0, None))
+    if float(np.median(se)) > se_fail_threshold:
+        return CellResult(None, None, None,
+                          "uninformative fit: median effect-coefficient standard "
+                          f"error {float(np.median(se)):.3g} exceeds {se_fail_threshold}")
+    shared = min(beta.shape[0], truth.beta0.shape[0])
+    b_hat, b0, se_s = beta[:shared], truth.beta0[:shared], se[:shared]
+    covered = (b_hat - Z95 * se_s <= b0) & (b0 <= b_hat + Z95 * se_s)
+    te_hat = total_effects(h, out, beta, spec.basis_fa)
+    return CellResult(bias=float(np.linalg.norm(b_hat - b0)),
+                      rmse=float(np.sqrt(np.mean((te_hat - truth.te_true) ** 2))),
+                      coverage=float(np.mean(covered) * 100.0))
+
+
+@pytest.mark.parametrize("config", [
+    FAST, SimConfig(n=200, j=10, p=2, q=2, reps=1, master_seed=3)], ids=["fast", "tiny_j"])
+def test_a_replication_equals_its_cells_fitted_one_by_one(config):
+    # sharing the prepared data changes no bit and no failure message
+    reasons = set()
+    for rep in range(4):
+        out, intv, h, truth = generate_dgp(config, splitmix64(config.master_seed, rep))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # ill-conditioned systems
+            got = run_replication(config, rep)
+            want = {name: _cell_through_the_public_fits(out, intv, h, truth, cell,
+                                                        config.se_fail_threshold)
+                    for name, cell in CELLS.items()}
+        assert got == want
+        reasons.update((res.fail_reason or "scored").split(":")[0] for res in got.values())
+    if config is not FAST:  # the oracle covers failed fits too
+        assert reasons >= {"scored", "fit failed"}
+
+
+def test_the_smallest_keys_are_the_set_argpartition_picks():
+    keys = np.random.default_rng(5).random((50, 20))
+    picked = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(picked, np.argsort(keys, axis=1)[:, :4], True, axis=1)
+    assert np.array_equal(_smallest(keys, 4), picked)
+
+
+def test_tied_keys_fall_back_to_argpartition():
+    # row 0 ties at its 2nd smallest key, so the threshold mask would hold 3
+    keys = np.array([[0.5, 0.1, 0.5, 0.9, 0.5],
+                     [0.4, 0.3, 0.2, 0.1, 0.0]])
+    chosen = _smallest(keys, 2)
+    picked = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(picked, np.argpartition(keys, 1, axis=1)[:, :2], True, axis=1)
+    assert np.array_equal(chosen, picked)
+    assert chosen.sum(axis=1).tolist() == [2, 2] and chosen[0, 1] and chosen[1, 4]
+
+
+@pytest.mark.parametrize("shape", [{}, {"h_local_frac": 0.0}, {"h_diffuse_degree": 34},
+                                   {"h_local_frac": 0.5, "h_kernel_bandwidth": 0.05}])
+def test_draw_h_equals_the_load_matrix_construction(shape):
+    # H = colmass * load * noise, with a 0/1 load on the diffuse block, bit for bit
+    config = SimConfig(n=300, j=40, p=2, q=2, **shape)
+    x_out = np.random.default_rng(3).standard_normal((config.n, config.p))
+    rng = _RecordingRng(8)
+    h = _draw_h(rng, config, x_out)
+    j_loc = round(config.h_local_frac * config.j)
+    colmass = rng.draws["permutation"][0]
+    (keys,), (noise,) = rng.draws["random"], rng.draws["lognormal"]
+    load = np.zeros((config.n, config.j))
+    if j_loc:
+        centers = rng.draws["permutation"][1]
+        load[:, :j_loc] = np.exp(-0.5 * ((x_out[:, :1] - centers[None, :])
+                                         / config.h_kernel_bandwidth) ** 2)
+    deg = min(config.h_diffuse_degree, config.j - j_loc)
+    pick = np.argpartition(keys, deg - 1, axis=1)[:, :deg]
+    np.put_along_axis(load[:, j_loc:], pick, 1.0, axis=1)
+    assert h.tobytes() == (colmass[None, :] * load * noise).tobytes()
+
+
+def test_draw_h_leaves_the_generator_where_the_draws_end():
+    # colmass, centers, keys and noise, in that order: one draw of each
+    config = SimConfig(n=300, j=30, p=2, q=2)
+    x_out = np.random.default_rng(2).standard_normal((config.n, config.p))
+    rng = _RecordingRng(4)
+    _draw_h(rng, config, x_out)
+    assert {name: len(draws) for name, draws in rng.draws.items()} == {
+        "permutation": 2, "random": 1, "lognormal": 1}
+    replay = np.random.default_rng(4)
+    j_loc = round(config.h_local_frac * config.j)
+    replay.permutation(config.j)
+    replay.permutation(j_loc)
+    replay.random((config.n, config.j - j_loc))
+    replay.lognormal(0.0, config.h_entry_log_sd, (config.n, config.j))
+    assert replay.bit_generator.state == rng._rng.bit_generator.state
+
+
+def test_a_negative_master_seed_is_rejected():
+    with pytest.raises(DataValidationError, match=r"^master_seed must be a non-negative "
+                                                  r"integer, got -1$"):
+        SimConfig(master_seed=-1)
+    assert SimConfig(master_seed=0).master_seed == 0
