@@ -41,9 +41,9 @@ import numpy as np
 
 from ._prepared import PreparedData, gamma_sensitivity
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable
-from .errors import DataValidationError, EstimationError, SingularSystemError
+from .errors import DataValidationError, EstimationError, SingularSystemError, _finite
 from .propensity import PropensityFit
-from .qlearn import OutcomeFit, OutcomeModelSpec, _finite
+from .qlearn import RESCALE_BUNDLE, OutcomeFit, OutcomeModelSpec
 
 COND_WARN = 1e10
 COND_FAIL = 1e14
@@ -96,7 +96,7 @@ def _factor(m):
     accuracy of an LU inverse.
     """
     try:
-        u, s, vt = np.linalg.svd(_finite(m, "estimating system"))
+        u, s, vt = np.linalg.svd(_finite(m, "estimating system", RESCALE_BUNDLE))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"SVD of the joint estimating system failed: {exc}") from exc
     cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
@@ -198,7 +198,8 @@ def _fit_a(data: PreparedData, spec: OutcomeModelSpec,
         d, z, lam = _iv_system(data, terms.abar_hat, spec)
         n = out.n
         cond, m_inv = _factor(z.T @ d / n)
-        theta = _finite(m_inv @ (z.T @ out.y / n), "A-learning coefficient vector")
+        theta = _finite(m_inv @ (z.T @ out.y / n), "A-learning coefficient vector",
+                        RESCALE_BUNDLE)
         r = out.y - d @ theta
         eq = z.T @ r / n
         da = spec.basis_f0.dim(out.p)
@@ -219,7 +220,7 @@ def _fit_a(data: PreparedData, spec: OutcomeModelSpec,
         cov_gamma = None if terms.fit is None else terms.fit.cov_gamma
         cov, omega_phi, omega_gamma, _ = _covariance(
             z, lam, r, m_inv, h.j, terms.sensitivity, cov_gamma)
-        _finite(cov, "A-learning covariance")
+        _finite(cov, "A-learning covariance", RESCALE_BUNDLE)
     return AFit(alpha=theta[:da], beta=theta[da:], gamma_fit=terms.fit,
                 cov_theta=cov, omega_phi=omega_phi, omega_gamma=omega_gamma,
                 diagnostics=diagnostics, spec=spec)

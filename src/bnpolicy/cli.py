@@ -23,7 +23,7 @@ import numpy as np
 from . import io as bio
 from ._blas import one_blas_thread, usable_cpus
 from .errors import (BnpolicyError, DataValidationError, EstimationError,
-                     RankDeficiencyError, SingularSystemError)
+                     RankDeficiencyError, SingularSystemError, _finite)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -221,7 +221,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_impute_costs(args) -> int:
-    from .costimpute import SplitSpec, fit_cost_models, predict_costs
+    from .costimpute import RESCALE_PLANTS, SplitSpec, fit_cost_models, predict_costs
 
     n_workers = _worker_count(None, usable_cpus())
     spec = SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
@@ -236,6 +236,8 @@ def cmd_impute_costs(args) -> int:
     predicted, n_clipped = predict_costs(fit, intv.x[~observed])
     costs = raw_cost.copy()
     costs[~observed] = predicted
+    with np.errstate(over="ignore"):  # an overflow is reported here
+        total = float(_finite(np.sum(costs), "total cost", RESCALE_PLANTS))
     bio.write_imputed_costs_csv(_out_path(args, "imputed_costs.csv"), ids, observed, costs)
     bio.write_leaderboard_csv(_out_path(args, "leaderboard.csv"), leaderboard)
     if fit.importance is not None:
@@ -243,7 +245,7 @@ def cmd_impute_costs(args) -> int:
     if n_clipped:
         print(f"warning: {n_clipped} negative predictions clipped to 0")
     print(f"selected {fit.model_kind} (validation NMAE {fit.nmae_validation!r}); "
-          f"total cost {float(np.sum(costs))!r}")
+          f"total cost {total!r}")
     return EXIT_OK
 
 

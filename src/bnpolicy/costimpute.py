@@ -3,13 +3,19 @@
 Only a subset of intervention units has observed installation costs; a
 model trained on them predicts costs for the rest.  Candidate models are
 scored by normalized mean absolute error on a held-out split, the winner
-is refit on all labeled rows, and predictions are clipped at zero.
+is refit on all labeled rows, and predictions are clipped at zero.  A
+validation score or prediction that overflows, or a zero validation
+prediction, is an error that names the model and the input to rescale.
 
 The regression forest is self-contained: bootstrap per tree, a random
-feature subset per split (one scalar draw when the subset is a single
-feature, as it is for q <= 3), variance-reduction splitting, and
-node-purity importance (summed SSE reduction per feature, averaged over
-trees).
+feature subset per split, variance-reduction splitting, and node-purity
+importance (summed SSE reduction per feature, averaged over trees).  Most
+of its time goes to numpy calls on small nodes, so the grower makes few
+per node: a node holds its covariates one contiguous row per feature, a
+child gathers them only when it is large enough to split, and when the
+subset is a single feature (as it is for q <= 3) the draws come from the
+tree's generator in blocks.  Prediction walks ``TREE_BLOCK`` trees down
+together, one numpy pass per level.
 """
 from __future__ import annotations
 
@@ -21,10 +27,13 @@ from functools import partial
 import numpy as np
 
 from ._blas import map_in_order
-from .errors import DataValidationError, EstimationError, SingularSystemError
+from .errors import DataValidationError, EstimationError, SingularSystemError, _finite
 from .seeding import splitmix64
 
 NMAE_DENOM_GUARD = 1e-12
+RESCALE_PLANTS = "rescale the costs or covariates of the plant table"  # when a model fails
+FEATURE_BLOCK = 64  # one-feature split draws taken from a tree's generator at once
+TREE_BLOCK = 32  # trees RegressionForest.predict walks down together
 
 
 @dataclass(frozen=True)
@@ -63,26 +72,28 @@ def nmae(actual, predicted) -> float:
     return float(np.mean(np.abs(actual - predicted) / np.abs(predicted)))
 
 
-def _best_split(x, y, features, min_leaf, mean):
+def _best_split(cols, y, features, min_leaf, mean, cuts):
     """(feature, threshold, sse_reduction) of the best variance-reducing split.
 
-    A cut after sorted row k leaves k + 1 rows on the left, so only the cuts
+    ``cols`` holds the node's covariates, one contiguous row per feature.  A
+    cut after sorted row k leaves k + 1 rows on the left, so only the cuts
     k in [min_leaf - 1, n - min_leaf) are scored, and none between equal values.
-    ``mean`` is y's mean, ``np.add.reduce(y) / n``, which the caller has already.
+    ``mean`` is y's mean, ``np.add.reduce(y) / n``, which the caller has already,
+    and ``cuts`` holds the left and right row counts of those cuts (``_cut_sizes``).
     """
     n = y.shape[0]
     parent_sse = float(np.add.reduce((y - mean) ** 2))
     lo, hi = min_leaf - 1, n - min_leaf
-    sizes = np.arange(min_leaf, hi + 1)  # left rows of each scored cut
+    sizes, rest = cuts
     best = None
     for f in features:
-        col = x[:, f]
+        col = cols[f]
         order = col.argsort(kind="stable")
         xs, ys = col[order], y[order]
         csum, csq = ys.cumsum(), (ys**2).cumsum()
         left_sum, left_sq = csum[lo:hi], csq[lo:hi]
         left_sse = left_sq - left_sum**2 / sizes
-        right_sse = (csq[-1] - left_sq) - (csum[-1] - left_sum)**2 / (n - sizes)
+        right_sse = (csq[-1] - left_sq) - (csum[-1] - left_sum)**2 / rest
         red = np.where(xs[lo:hi] < xs[lo + 1:hi + 1],
                        parent_sse - (left_sse + right_sse), -np.inf)
         k = int(red.argmax())
@@ -93,6 +104,12 @@ def _best_split(x, y, features, min_leaf, mean):
     return best
 
 
+def _cut_sizes(span, n, min_leaf):
+    """(left rows, right rows) of each cut ``_best_split`` scores in n rows, as
+    views of ``span`` = ``np.arange(m + 1.0)`` for any m >= n."""
+    return span[min_leaf:n - min_leaf + 1], span[n - min_leaf:min_leaf - 1:-1]
+
+
 class RegressionTree:
     """Variance-reduction CART for regression, no depth cap.
 
@@ -100,10 +117,12 @@ class RegressionTree:
     threshold, left, right, value): rows with x[feature] <= threshold go to
     node ``left``, the others to ``right``, and a leaf has feature -1 and
     its rows' mean as value.  Nodes grow depth first, and each split draws
-    its candidate features from the tree's one generator: one scalar
-    ``integers(q)`` when one feature is drawn, which consumes the stream
-    exactly as ``choice(q, 1, replace=False)`` does and returns the same
-    feature, else ``choice`` without replacement.
+    its candidate features from the tree's one generator: when one feature
+    is drawn, the next of a block of ``integers(q, size=FEATURE_BLOCK)``,
+    which consumes the stream exactly as that many ``choice(q, 1,
+    replace=False)`` calls do and returns the same features, else ``choice``
+    without replacement.  A node holds its covariates one contiguous row per
+    feature, and a child too small to split gathers only its targets.
     """
 
     def __init__(self, min_leaf=5, max_features=None, seed=0):
@@ -118,10 +137,15 @@ class RegressionTree:
         y = np.asarray(y, dtype=float)
         q = x.shape[1]
         n_features = min(self.max_features or q, q)
+        min_split = 2 * self.min_leaf
         rng = np.random.default_rng(self.seed)
+        drawn = iter(())  # one-feature draws not used yet
         feature, threshold, left, right, value = [], [], [], [], []
         self.importance_ = np.zeros(q)
-        stack = [(x, y, -1)]  # a node's rows, and the split it is the right child of
+        # a node's covariates (None when it is too small to split) and rows,
+        # and the split it is the right child of
+        stack = [(np.ascontiguousarray(x.T), y, -1)]
+        span = np.arange(y.shape[0] + 1.0)  # every node's cut sizes are views of it
         while stack:
             node_x, node_y, parent = stack.pop()
             node = len(value)
@@ -131,12 +155,17 @@ class RegressionTree:
             mean = np.add.reduce(node_y) / n
             value.append(float(mean))
             best = None
-            if n >= 2 * self.min_leaf and (node_y != node_y[0]).any():
-                if n_features == 1:  # the bits of choice(q, 1, replace=False), 4x faster
-                    features = (rng.integers(q),)
+            if n >= min_split and np.count_nonzero(node_y != node_y[0]):
+                if n_features == 1:
+                    f = next(drawn, None)
+                    if f is None:
+                        drawn = iter(rng.integers(q, size=FEATURE_BLOCK).tolist())
+                        f = next(drawn)
+                    features = (f,)
                 else:
                     features = rng.choice(q, size=n_features, replace=False)
-                best = _best_split(node_x, node_y, features, self.min_leaf, mean)
+                best = _best_split(node_x, node_y, features, self.min_leaf, mean,
+                                   _cut_sizes(span, n, self.min_leaf))
             if best is None:
                 feature.append(-1)
                 threshold.append(0.0)
@@ -149,26 +178,44 @@ class RegressionTree:
             threshold.append(thr)
             left.append(node + 1)
             right.append(-1)
-            mask = node_x[:, f] <= thr
-            stack.append((node_x[~mask], node_y[~mask], node))
-            stack.append((node_x[mask], node_y[mask], -1))
+            goes_left = node_x[f] <= thr
+            for rows, right_of in ((~goes_left, node), (goes_left, -1)):
+                child_y = node_y[rows]
+                child_x = (node_x.compress(rows, axis=1) if child_y.shape[0] >= min_split
+                           else None)
+                stack.append((child_x, child_y, right_of))
         self.nodes = (np.array(feature), np.array(threshold), np.array(left),
                       np.array(right), np.array(value))
         return self
 
     def predict(self, x):
-        """Leaf value of each row: every row still above a leaf steps down one
-        level per numpy pass."""
-        x = np.asarray(x, dtype=float)
-        feature, threshold, left, right, value = self.nodes
-        at = np.zeros(x.shape[0], dtype=np.intp)
-        live = np.flatnonzero(feature[at] >= 0)
-        while live.size:
-            node = at[live]
-            step = np.where(x[live, feature[node]] <= threshold[node], left[node], right[node])
-            at[live] = step
-            live = live[feature[step] >= 0]
-        return value[at]
+        """Leaf value of each row: the one-tree case of ``_walk``."""
+        return _walk([self], np.asarray(x, dtype=float))[0]
+
+
+def _walk(trees, x):
+    """Leaf value of each row of ``x`` in each of ``trees``, one row of the
+    result per tree.
+
+    The trees' node arrays are laid end to end, and every (tree, row) pair
+    still above a leaf steps down one level per numpy pass.
+    """
+    m = x.shape[0]
+    counts = [tree.nodes[0].shape[0] for tree in trees]
+    roots = np.cumsum([0] + counts[:-1])
+    feature, threshold, left, right, value = (
+        np.concatenate(arrays) for arrays in zip(*(tree.nodes for tree in trees)))
+    shift = np.repeat(roots, counts)
+    left, right = left + shift, right + shift
+    at = np.repeat(roots, m)
+    row = np.tile(np.arange(m), len(trees))
+    live = np.flatnonzero(feature[at] >= 0)
+    while live.size:
+        node = at[live]
+        step = np.where(x[row[live], feature[node]] <= threshold[node], left[node], right[node])
+        at[live] = step
+        live = live[feature[step] >= 0]
+    return value[at].reshape(len(trees), m)
 
 
 def _bagged_tree(x, y, max_features, tree_seed):
@@ -208,10 +255,13 @@ class RegressionForest:
         return self
 
     def predict(self, x):
+        """Mean of the trees' predictions, walked down ``TREE_BLOCK`` trees at a
+        time and added in tree order."""
         x = np.asarray(x, dtype=float)
         acc = np.zeros(x.shape[0])
-        for tree in self.trees:
-            acc += tree.predict(x)
+        for start in range(0, len(self.trees), TREE_BLOCK):
+            for leaf_values in _walk(self.trees[start:start + TREE_BLOCK], x):
+                acc += leaf_values
         return acc / len(self.trees)
 
 
@@ -247,6 +297,7 @@ class CostModelFit:
     importance: np.ndarray | None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def fit_cost_models(x, c, spec: SplitSpec, n_trees=500, n_workers=1):
     """Train candidates, pick the lower validation NMAE, refit on all rows.
 
@@ -271,8 +322,13 @@ def fit_cost_models(x, c, spec: SplitSpec, n_trees=500, n_workers=1):
     }
     scores = {}
     for kind, make in candidates.items():
-        model = make().fit(x[train], c[train])
-        scores[kind] = nmae(c[val], model.predict(x[val]))
+        predicted = make().fit(x[train], c[train]).predict(x[val])
+        if np.any(np.abs(predicted) < NMAE_DENOM_GUARD):
+            raise DataValidationError(f"the {kind} cost model predicts a zero cost on the "
+                                      f"validation split, so its NMAE is undefined; "
+                                      f"{RESCALE_PLANTS}")
+        scores[kind] = _finite(nmae(c[val], predicted), f"{kind} cost model's validation NMAE",
+                               RESCALE_PLANTS)
     leaderboard = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
     winner = leaderboard[0][0]
     final = candidates[winner]().fit(x, c)
@@ -282,6 +338,7 @@ def fit_cost_models(x, c, spec: SplitSpec, n_trees=500, n_workers=1):
             leaderboard)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def predict_costs(fit: CostModelFit, x):
     """Predicted costs for unlabeled units, clipped below at zero.
 
@@ -289,6 +346,7 @@ def predict_costs(fit: CostModelFit, x):
     since negative fitted costs indicate extrapolation.
     """
     x = np.asarray(x, dtype=float)
-    raw = fit.model.predict(x)
+    raw = _finite(fit.model.predict(x), f"{fit.model_kind} cost model's predicted cost",
+                  RESCALE_PLANTS)
     clipped = np.clip(raw, 0.0, None)
     return clipped, int(np.sum(raw < 0.0))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check that raises one."""
+
+import numpy as np
 
 
 class BnpolicyError(Exception):
@@ -31,3 +33,14 @@ class SingularSystemError(BnpolicyError):
 
 class EstimationError(BnpolicyError):
     """Raised when an estimator cannot be run on the supplied data."""
+
+
+def _finite(arr, what, remedy):
+    """``arr``, checked to hold finite values only; LAPACK and numpy would not check.
+
+    Raises EstimationError "the <what> overflows to a non-finite value;
+    <remedy>", where ``remedy`` names the input to rescale.
+    """
+    if not np.all(np.isfinite(arr)):
+        raise EstimationError(f"the {what} overflows to a non-finite value; {remedy}")
+    return arr

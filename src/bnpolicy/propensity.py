@@ -6,11 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureMap, InterferenceMap, InterventionTable, _read_only
-from .errors import DataValidationError, EstimationError, SingularSystemError
+from .errors import DataValidationError, EstimationError, SingularSystemError, _finite
 
 SCORE_TOL = 1e-8
 MAX_ITER = 100
 SEPARATION_EPS = 1e-10
+RESCALE_Z = "rescale the intervention covariates"  # when the fit overflows
 
 
 def logistic(z):
@@ -50,12 +51,6 @@ class TrimReport:
     threshold: float
     kept: np.ndarray
     dropped: np.ndarray
-
-
-def _finite(*arrays) -> None:
-    if not all(np.all(np.isfinite(arr)) for arr in arrays):
-        raise EstimationError("the propensity fit overflows to a non-finite value; "
-                              "rescale the intervention covariates")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
@@ -98,7 +93,9 @@ def fit_propensity(x_int: np.ndarray, a: np.ndarray, basis: FeatureMap) -> Prope
         gamma = gamma + step
 
     e = logistic(b @ gamma)
-    _finite(gamma, e)  # checked before the sandwich, since LAPACK would not check
+    # checked before the sandwich, since LAPACK would not check
+    _finite(gamma, "propensity fit", RESCALE_Z)
+    _finite(e, "propensity fit", RESCALE_Z)
     separation = bool(np.any(e < SEPARATION_EPS) | np.any(e > 1.0 - SEPARATION_EPS))
     w = e * (1.0 - e)
     v_d = (b * w[:, None]).T @ b / j
@@ -110,7 +107,7 @@ def fit_propensity(x_int: np.ndarray, a: np.ndarray, basis: FeatureMap) -> Prope
         raise SingularSystemError("singular V_d in the propensity sandwich") from exc
     cov = v_d_inv @ v_phi @ v_d_inv.T
     cov = 0.5 * (cov + cov.T)
-    _finite(cov)
+    _finite(cov, "propensity fit", RESCALE_Z)
     return PropensityFit(gamma=gamma, fitted=e, cov_gamma=cov, converged=converged,
                          iterations=iterations, separation_flag=separation, basis=basis,
                          basis_matrix=_read_only(b))

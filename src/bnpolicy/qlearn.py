@@ -20,9 +20,11 @@ import numpy as np
 from ._blas import pivoted_qr, solve_upper
 from ._prepared import PreparedData
 from .data import FeatureMap, OutcomeTable
-from .errors import DataValidationError, EstimationError, RankDeficiencyError
+from .errors import DataValidationError, EstimationError, RankDeficiencyError, _finite
 
 RANK_RTOL = 1e-10
+# what to rescale when an outcome-model fit overflows
+RESCALE_BUNDLE = "rescale the outcomes, covariates or transport weights"
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,6 @@ class OutcomeFit:
 def q_design(out: OutcomeTable, abar, spec: OutcomeModelSpec):
     """(D = [F0 | abar * FA], FA) for a supplied exposure, as either fit builds them."""
     return PreparedData(out, abar=abar).design(spec.basis_f0, spec.basis_fa)
-
-
-def _finite(arr, what):
-    """``arr``, checked to hold finite values only; LAPACK itself would not check."""
-    if not np.all(np.isfinite(arr)):
-        raise EstimationError(f"the {what} overflows to a non-finite value; rescale the "
-                              "outcomes, covariates or transport weights")
-    return arr
 
 
 def _block(col, d_alpha):
@@ -104,8 +98,8 @@ def _fit_q(data: PreparedData, spec: OutcomeModelSpec) -> OutcomeFit:
     if n <= k:
         raise EstimationError(f"need more outcome units ({n}) than parameters ({k})")
     d_alpha = spec.basis_f0.dim(out.p)
-    q, r, piv = pivoted_qr(_finite(design, "design matrix"))
-    _finite(r, "R factor of the design")
+    q, r, piv = pivoted_qr(_finite(design, "design matrix", RESCALE_BUNDLE))
+    _finite(r, "R factor of the design", RESCALE_BUNDLE)
     diag = np.abs(np.diag(r))
     deficient = np.flatnonzero(diag <= RANK_RTOL * diag[0])
     if deficient.size:
@@ -115,14 +109,14 @@ def _fit_q(data: PreparedData, spec: OutcomeModelSpec) -> OutcomeFit:
             f"rank-deficient design: {_block(col, d_alpha)} column {col} is linearly "
             "dependent", column=col)
     theta = np.empty(k)
-    theta[piv] = solve_upper(r, _finite(q.T @ out.y, "projected outcome Q'y"))
-    resid = _finite(out.y - design @ theta, "residual")
+    theta[piv] = solve_upper(r, _finite(q.T @ out.y, "projected outcome Q'y", RESCALE_BUNDLE))
+    resid = _finite(out.y - design @ theta, "residual", RESCALE_BUNDLE)
 
     # (D'D)^{-1} D' diag(r^2) D (D'D)^{-1} = P (R^{-1} Q' diag(r)) (...)' P'
     half = solve_upper(r, (q * resid[:, None]).T)
     cov = np.empty((k, k))
     cov[np.ix_(piv, piv)] = half @ half.T
-    cov = _finite(0.5 * (cov + cov.T), "sandwich covariance")
+    cov = _finite(0.5 * (cov + cov.T), "sandwich covariance", RESCALE_BUNDLE)
     return OutcomeFit(alpha=theta[:d_alpha], beta=theta[d_alpha:], cov_theta=cov,
                       spec=spec)
 

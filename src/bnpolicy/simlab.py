@@ -46,7 +46,7 @@ from ._prepared import PreparedData
 from .alearn import _fit_a
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, standardize
 from .effects import _total_effects
-from .errors import BnpolicyError, DataValidationError, EstimationError
+from .errors import BnpolicyError, DataValidationError, EstimationError, _finite
 from .propensity import calibrate_propensity_intercept, logistic
 from .qlearn import OutcomeModelSpec, _fit_q
 from .seeding import splitmix64
@@ -285,16 +285,21 @@ def _smallest(keys: np.ndarray, deg: int) -> np.ndarray:
     return chosen
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def _draw_h(rng, config: SimConfig, x_out) -> np.ndarray:
+    """The replication's transport matrix; a synthetic one that overflows is
+    an error naming the config key that scales it."""
     n, j = config.n, config.j
     if config.h_source == "user_supplied":
         return config.h_matrix
+    entries = "synthetic transport matrix H", "lower h_entry_log_sd"
     if config.h_source == "synthetic_lognormal_iid":
-        return rng.lognormal(0.0, config.h_entry_log_sd, (n, j))
+        return _finite(rng.lognormal(0.0, config.h_entry_log_sd, (n, j)), *entries)
     # structured default: lognormal-profile column masses, a localized
     # column minority anchored to the first covariate, diffuse remainder
     # with a fixed per-row degree
-    colmass = rng.permutation(np.exp(config.h_colmass_log_sd * _normal_scores(j)))
+    colmass = _finite(rng.permutation(np.exp(config.h_colmass_log_sd * _normal_scores(j))),
+                      "column-mass profile of the synthetic H", "lower h_colmass_log_sd")
     j_loc = int(round(config.h_local_frac * j))
     n_diff = j - j_loc
     if j_loc > 0:
@@ -313,7 +318,7 @@ def _draw_h(rng, config: SimConfig, x_out) -> np.ndarray:
     if n_diff > 0:
         h[:, j_loc:] *= colmass[j_loc:]
         h[:, j_loc:] *= chosen
-    return h
+    return _finite(h, *entries)
 
 
 def generate_dgp(config: SimConfig, seed: int):

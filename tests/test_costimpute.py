@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from bnpolicy import (DataValidationError, RegressionForest, RegressionTree,
                       SingularSystemError, SplitSpec, fit_cost_models, nmae, predict_costs,
                       split_train_val)
-from bnpolicy.costimpute import LinearModel, _best_split
+from bnpolicy.costimpute import (FEATURE_BLOCK, TREE_BLOCK, LinearModel, _best_split,
+                                  _cut_sizes)
+from bnpolicy.seeding import splitmix64
 
 
 def test_split_135_rows_gives_108_27():
@@ -158,6 +162,7 @@ def _bits(split):
 
 def test_window_split_search_matches_the_masked_reference_bit_for_bit():
     rng = np.random.default_rng(2024)
+    span = np.arange(61.0)
     found = {"split": 0, "none": 0}
     for _ in range(600):
         min_leaf = int(rng.integers(1, 7))
@@ -168,7 +173,9 @@ def test_window_split_search_matches_the_masked_reference_bit_for_bit():
         features = rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False)
         expected = _bits(_masked_best_split(x, y, features, min_leaf))
         mean = np.add.reduce(y) / len(y)
-        assert _bits(_best_split(x, y, features, min_leaf, mean)) == expected
+        cuts = _cut_sizes(span, n, min_leaf)
+        assert _bits(_best_split(np.ascontiguousarray(x.T), y, features, min_leaf, mean,
+                                 cuts)) == expected
         found["none" if expected is None else "split"] += 1
     assert min(found.values()) > 100
 
@@ -220,6 +227,113 @@ def test_one_feature_draw_is_choice_as_a_scalar_integer(q):
         for _ in range(5):
             assert scalar.integers(q) == chosen.choice(q, size=1, replace=False)[0]
         assert scalar.random() == chosen.random()
+
+
+def _reference_tree(x, y, min_leaf, max_features, seed):
+    """(node arrays, importances) from the grower the blocked one replaced:
+    every node holds its rows of x, every child gathers them, and a split that
+    draws one feature makes one scalar ``integers(q)`` call."""
+    q = x.shape[1]
+    n_features = min(max_features or q, q)
+    rng = np.random.default_rng(seed)
+    feature, threshold, left, right, value = [], [], [], [], []
+    importance = np.zeros(q)
+    stack = [(x, y, -1)]
+    while stack:
+        node_x, node_y, parent = stack.pop()
+        node = len(value)
+        if parent >= 0:
+            right[parent] = node
+        n = node_y.shape[0]
+        value.append(float(np.add.reduce(node_y) / n))
+        best = None
+        if n >= 2 * min_leaf and (node_y != node_y[0]).any():
+            features = ((rng.integers(q),) if n_features == 1
+                        else rng.choice(q, size=n_features, replace=False))
+            best = _masked_best_split(node_x, node_y, features, min_leaf)
+        if best is None:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            continue
+        f, thr, red = best
+        importance[f] += red
+        feature.append(f)
+        threshold.append(thr)
+        left.append(node + 1)
+        right.append(-1)
+        mask = node_x[:, f] <= thr
+        stack.append((node_x[~mask], node_y[~mask], node))
+        stack.append((node_x[mask], node_y[mask], -1))
+    nodes = (np.array(feature), np.array(threshold), np.array(left), np.array(right),
+             np.array(value))
+    return nodes, importance
+
+
+def _tree_bits(nodes, importance):
+    return [(a.dtype.str, a.tobytes()) for a in (*nodes, importance)]
+
+
+@pytest.mark.parametrize("q", [1, 3, 5, 7])
+def test_the_grower_matches_the_reference_grower_bit_for_bit(q):
+    rng = np.random.default_rng(100 + q)
+    seen = {"root leaf": 0, "split": 0, "block refilled": 0}
+    for trial in range(120):
+        min_leaf = int(rng.integers(1, 7))
+        n = int(rng.integers(5, 10)) if trial % 4 == 0 else int(rng.integers(10, 160))
+        x = np.round(rng.standard_normal((n, q)), int(rng.integers(0, 3)))  # many ties
+        y = np.round(rng.standard_normal(n) + x[:, 0], int(rng.integers(0, 3)))
+        max_features = (1, max(1, math.ceil(q / 3)), None)[trial % 3]
+        seed = int(rng.integers(2**32))
+        tree = RegressionTree(min_leaf=min_leaf, max_features=max_features, seed=seed).fit(x, y)
+        expected = _reference_tree(x, y, min_leaf, max_features, seed)
+        assert _tree_bits(tree.nodes, tree.importance_) == _tree_bits(*expected)
+        n_splits = int(np.count_nonzero(tree.nodes[0] >= 0))
+        seen["root leaf" if n_splits == 0 else "split"] += 1
+        one_feature = min(max_features or q, q) == 1
+        seen["block refilled"] += one_feature and n_splits > FEATURE_BLOCK
+    assert min(seen.values()) > 0, seen
+
+
+def test_trees_grown_in_a_pool_match_the_reference_grower_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x = np.round(rng.standard_normal((90, 5)), 1)
+    y = x[:, 0] ** 2 + np.round(rng.standard_normal(90), 1)
+    forest = RegressionForest(n_trees=12, seed=3, n_workers=2).fit(x, y)
+    importance = np.zeros(5)
+    for t, tree in enumerate(forest.trees):
+        tree_seed = splitmix64(3, t)
+        idx = np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, 90, 90)
+        expected = _reference_tree(x[idx], y[idx], 5, 2, tree_seed)
+        assert _tree_bits(tree.nodes, tree.importance_) == _tree_bits(*expected)
+        importance += expected[1]
+    assert forest.importance_.tobytes() == (importance / 12).tobytes()
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_a_block_of_feature_draws_is_that_many_scalar_draws(q):
+    """The grower takes one-feature draws ``FEATURE_BLOCK`` at a time where it
+    drew them one at a time; both give the same features and leave the
+    generator in the same state."""
+    for seed in range(200):
+        block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = block.integers(q, size=FEATURE_BLOCK).tolist()
+        assert drawn == [int(scalar.integers(q)) for _ in range(FEATURE_BLOCK)]
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+
+def test_the_blocked_walk_matches_a_row_loop_over_a_partial_block():
+    rng = np.random.default_rng(12)
+    x = np.round(rng.standard_normal((80, 3)), 1)
+    y = x[:, 1] + rng.standard_normal(80)
+    n_trees = 2 * TREE_BLOCK + 5
+    forest = RegressionForest(n_trees=n_trees, seed=4).fit(x, y)
+    grid = np.vstack([x[:20], np.round(rng.standard_normal((30, 3)), 1)])
+    expected = np.zeros(grid.shape[0])
+    for tree in forest.trees:
+        expected += _reference_predict(tree, grid)
+    assert forest.predict(grid).tobytes() == (expected / n_trees).tobytes()
 
 
 def _reference_predict(tree, x):

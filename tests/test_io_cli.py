@@ -969,6 +969,27 @@ def test_cli_simulate_rejects_a_malformed_config_shape(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
+# a synthetic H that overflows: the config key and the text the message must contain
+H_OVERFLOWS = {
+    "h_entry_log_sd": (800, "the synthetic transport matrix H overflows"),
+    "h_colmass_log_sd": (1e300, "the column-mass profile of the synthetic H overflows"),
+}
+
+
+@pytest.mark.parametrize("key", H_OVERFLOWS)
+def test_cli_simulate_names_the_key_whose_h_overflows(tmp_path, capsys, recwarn, key):
+    value, expected = H_OVERFLOWS[key]
+    cfg = _write(tmp_path / "cfg.json",
+                 json.dumps({"reps": 2, "n": 200, "j": 20, key: value}))
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == (f"validation failure: {expected} to a non-finite value; lower {key}\n")
+    assert [str(w.message) for w in recwarn] == []  # a warning would print two more lines
+    assert not out_dir.exists()
+
+
 def _plants_with_a_nonlinear_cost(tmp_path, j=120):
     """Plant table with three covariates, a cost nonlinear in them and a third blank."""
     rng = np.random.default_rng(11)
@@ -1014,6 +1035,51 @@ def test_cli_impute_costs_rejects_a_bad_threads_variable(tmp_path, capsys, monke
     assert f"BNPOLICY_THREADS must be a positive integer, got {value!r}" in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+# (column, value) of unit p1's cell in _plants_with_a_nonlinear_cost, and text
+# the one-line message must contain; each exited 0 with a NaN or inf in an
+# output, or named neither the model nor the input
+IMPUTE_OVERFLOWS = {
+    "huge_cost": (2, "1e308", "the forest cost model's validation NMAE overflows"),
+    "huger_cost": (2, "1.7e308", "the forest cost model's validation NMAE overflows"),
+    "huge_z1": (3, "1e300", "the linear cost model predicts a zero cost"),
+}
+
+
+def _impute_fails_with_one_line(path, out_dir, capsys, recwarn, expected):
+    code = main(["impute-costs", "--interventions", path, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("\n") == 1 and expected in err
+    assert "rescale the costs or covariates of the plant table" in err
+    assert [str(w.message) for w in recwarn] == []  # a warning would print two more lines
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("case", IMPUTE_OVERFLOWS)
+def test_cli_impute_costs_an_overflowing_model_exits_2_with_one_line(tmp_path, capsys,
+                                                                      recwarn, case):
+    col, value, expected = IMPUTE_OVERFLOWS[case]
+    path = _plants_with_a_nonlinear_cost(tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cells = lines[2].split(",")  # p1, whose cost is observed
+    cells[col] = value
+    lines[2] = ",".join(cells)
+    path = _write(tmp_path / "bad.csv", "\n".join(lines) + "\n")
+    _impute_fails_with_one_line(path, tmp_path / "out", capsys, recwarn, expected)
+
+
+def test_cli_impute_costs_rejects_a_total_that_overflows(tmp_path, capsys, recwarn,
+                                                         monkeypatch):
+    def huge_predictions(fit, x):
+        return np.full(x.shape[0], 1e308), 0
+
+    monkeypatch.setattr(bnpolicy.costimpute, "predict_costs", huge_predictions)
+    path = _plants_with_a_nonlinear_cost(tmp_path)
+    _impute_fails_with_one_line(path, tmp_path / "out", capsys, recwarn,
+                                "the total cost overflows to a non-finite value")
 
 
 class _Stop(Exception):
