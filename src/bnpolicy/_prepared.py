@@ -12,10 +12,11 @@ same tables.  Those fits read the same derived quantities:
   abar_hat = (1/J) H e it implies and that exposure's sensitivity
   d abar_hat / d gamma.
 
-``PreparedData`` computes each of these on first use, keeps it read-only
-and hands the same value to every later fit.  Each value comes from the
-operations a fit on its own would run, on the same inputs, so sharing it
-keeps every bit.  The object lives as long as its bundle's work: the lab
+``PreparedData`` checks once that H has one row per outcome unit and one
+column per intervention unit and that each treatment is 0 or 1.  It computes
+each derived quantity on first use, keeps it read-only and hands the same
+value to every later fit.  Each value comes from the operations a fit on its
+own would run, on the same inputs, so sharing it keeps every bit.  The object lives as long as its bundle's work: the lab
 builds one per replication, a command one per run, and each public fit
 (``fit_q``, ``fit_a``, the effect functions) one per call.
 """
@@ -62,16 +63,30 @@ class PreparedData:
 
     ``abar`` is given for a fit on a supplied exposure (``fit_q`` and the
     public A-learning systems); otherwise it is the realized exposure of
-    ``intv.a`` under ``h``.  Nothing is checked at construction: each fit
-    checks what it reads, in the order it would on its own.  The object
-    fills itself as it is read, so one thread at a time uses it.
+    ``intv.a`` under ``h``, computed when first read.  The constructor
+    rejects a map whose shape does not match the tables, a treatment other
+    than 0 or 1 and an ``abar`` without one entry per outcome unit.  The
+    object fills itself as it is read, so one thread at a time uses it.
     """
 
     def __init__(self, out: OutcomeTable, intv: InterventionTable | None = None,
                  h: InterferenceMap | None = None, abar=None):
+        if h is not None and h.n != out.n:
+            raise DataValidationError(f"interference map has {h.n} rows but the outcome "
+                                      f"table has {out.n}")
+        if h is not None and intv is not None and h.j != intv.j:
+            raise DataValidationError(f"interference map has {h.j} columns but the "
+                                      f"intervention table has {intv.j}")
+        if intv is not None and np.any((intv.a != 0.0) & (intv.a != 1.0)):
+            raise DataValidationError("treatments must be exactly 0 or 1")
         self.out, self.intv, self.h = out, intv, h
-        self._given_abar = abar
         self._memo = {}
+        if abar is not None:
+            abar = np.asarray(abar, dtype=float)
+            if abar.shape != (out.n,):
+                raise DataValidationError(f"abar must have shape ({out.n},) to match "
+                                          f"the outcome table, got {abar.shape}")
+            self._memo["abar"] = _read_only(abar)
 
     def _once(self, key, compute):
         if key not in self._memo:  # a compute that raises stores nothing
@@ -80,15 +95,8 @@ class PreparedData:
 
     @property
     def abar(self) -> np.ndarray:
-        """The exposure of the outcome units, checked to have one entry per unit."""
-        def compute():
-            abar = (self.h.exposure(self.intv.a) if self._given_abar is None
-                    else np.asarray(self._given_abar, dtype=float))
-            if abar.shape != (self.out.n,):
-                raise DataValidationError(f"abar must have shape ({self.out.n},) to match "
-                                          f"the outcome table, got {abar.shape}")
-            return _read_only(abar)
-        return self._once("abar", compute)
+        """The exposure of the outcome units, one entry per unit."""
+        return self._once("abar", lambda: _read_only(self.h.exposure(self.intv.a)))
 
     def row_mass(self) -> np.ndarray:
         """The per-unit transport mass c_i = (1/J) sum_j H_ij."""

@@ -63,10 +63,7 @@ def _iv_system(data: PreparedData, abar_hat, spec: OutcomeModelSpec):
 
     Z is D with its effect block replaced by c (abar - abar_hat) * FA.
     """
-    out, h = data.out, data.h
-    if h.n != out.n:
-        raise DataValidationError(f"interference map has {h.n} rows but the outcome "
-                                  f"table has {out.n}")
+    out = data.out
     abar_hat = np.asarray(abar_hat, dtype=float)
     if abar_hat.shape != (out.n,):
         raise DataValidationError(f"abar_hat must have shape ({out.n},) to match the "
@@ -178,14 +175,10 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
 def _fit_a(data: PreparedData, spec: OutcomeModelSpec,
            prop_basis: FeatureMap | None = None, propensities=None) -> AFit:
     """``fit_a`` on ``data``, which fits each propensity basis and builds each design once."""
-    out, intv, h = data.out, data.intv, data.h
+    out, h = data.out, data.h
     if (prop_basis is None) == (propensities is None):
         raise DataValidationError(
             "provide exactly one of prop_basis or propensities")
-    if h.n != out.n or h.j != intv.j:
-        raise DataValidationError("bundle dimensions do not match")
-    if np.any((intv.a != 0.0) & (intv.a != 1.0)):
-        raise DataValidationError("treatments must be exactly 0 or 1")
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         terms = (data.known_propensities(propensities) if prop_basis is None

@@ -103,10 +103,9 @@ def _out_path(args, name) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def _coef_report(path, names, estimates, cov, level):
+def _coef_report(path, names, estimates, se, level):
     from ._normal import ndtr, ndtri
 
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     z = ndtri(0.5 + level / 2.0)
     safe = np.where(se > 0, se, 1.0)
     p = np.where(se > 0, 2.0 * ndtr(-np.abs(estimates) / safe),
@@ -148,12 +147,12 @@ def cmd_fit(args) -> int:
     names = ([f"f0:{n}" for n in fit.spec.basis_f0.names(p, "x")]
              + [f"fa:{n}" for n in fit.spec.basis_fa.names(p, "x")])
     _coef_report(_out_path(args, "outcome_coefficients.csv"), names, fit.theta,
-                 fit.cov_theta, args.level)
-    if args.estimator == "a" and fit.gamma_fit is not None:
+                 np.sqrt(np.clip(np.diag(fit.cov_theta), 0.0, None)), args.level)
+    if args.estimator == "a":  # the fit estimated the propensity model
         g = fit.gamma_fit
         _coef_report(_out_path(args, "propensity_coefficients.csv"),
                      [f"e:{n}" for n in g.basis.names(run.data.intv.q, "z")], g.gamma,
-                     np.diag(g.standard_errors() ** 2), args.level)
+                     g.standard_errors(), args.level)
     print(f"fit written to {args.out_dir}")
     return EXIT_OK
 

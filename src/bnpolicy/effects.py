@@ -34,10 +34,6 @@ class EffectTable:
 def _effect_basis(data: PreparedData, beta, basis_fa: FeatureMap):
     """(FA, beta): the prepared effect basis at the outcome units, and beta checked
     against it."""
-    h, out = data.h, data.out
-    if h.n != out.n:
-        raise DataValidationError(f"interference map has {h.n} rows but the outcome "
-                                  f"table has {out.n}")
     beta = np.asarray(beta, dtype=float)
     fa = data.outcome_basis(basis_fa)
     if beta.shape != fa.shape[1:]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._prepared import PreparedData
 from .data import FeatureMap, InterferenceMap, OutcomeTable
-from .effects import _effect_basis
+from .effects import _effect_basis, benefit_cost
 from .errors import DataValidationError
 
 
@@ -93,9 +93,7 @@ def _greedy(te, cost, budget, n_out, order_key, method):
 def knapsack_policy(te, cost, budget: float, n_out: int) -> PolicySolution:
     """Budgeted allocation ranked by effect-to-cost ratio (most negative first)."""
     te, cost = _effects_and_costs(te, cost, n_out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(cost > 0, te / np.where(cost > 0, cost, 1.0), np.inf)
-    return _greedy(te, cost, budget, n_out, ratio, "bc_greedy")
+    return _greedy(te, cost, budget, n_out, benefit_cost(te, cost), "bc_greedy")
 
 
 def te_ranked_policy(te, cost, budget: float, n_out: int) -> PolicySolution:

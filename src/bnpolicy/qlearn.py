@@ -20,7 +20,7 @@ import numpy as np
 from ._blas import pivoted_qr, solve_upper
 from ._prepared import PreparedData
 from .data import FeatureMap, OutcomeTable
-from .errors import DataValidationError, EstimationError, RankDeficiencyError, _finite
+from .errors import EstimationError, RankDeficiencyError, _finite
 
 RANK_RTOL = 1e-10
 # what to rescale when an outcome-model fit overflows

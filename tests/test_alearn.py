@@ -5,7 +5,8 @@ import pytest
 
 from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap, InterventionTable,
                       OutcomeModelSpec, OutcomeTable, SimConfig, SingularSystemError,
-                      fit_a, fit_q, generate_dgp, splitmix64)
+                      effect_table, fit_a, fit_q, generate_dgp, policy_count, splitmix64,
+                      total_effects)
 from bnpolicy import _prepared, alearn
 from bnpolicy.alearn import a_covariance, a_equations, a_system, gamma_sensitivity
 from bnpolicy.propensity import logistic
@@ -145,15 +146,24 @@ def test_public_systems_check_the_exposure_lengths(rng, wrong):
 
 def test_public_systems_check_the_map_rows(rng):
     out, intv, h, *_ = _make_data(rng, n=20, j=5)
-    h = InterferenceMap(np.vstack([h.h, np.ones((1, 5))]))  # 21 rows for 20 outcomes
+    out = OutcomeTable(x=out.x, y=out.y, person_years=np.full(20, 1000.0))
+    tall = InterferenceMap(np.vstack([h.h, np.ones((1, 5))]))  # 21 rows for 20 outcomes
     abar = np.full(20, 0.5)
-    args = (out, h, abar, abar - 0.1, LIN)
+    args = (out, tall, abar, abar - 0.1, LIN)
     alpha, beta = np.zeros(3), np.zeros(3)
-    for call in (lambda: a_system(*args), lambda: a_equations(*args, alpha, beta),
-                 lambda: a_covariance(*args, alpha, beta, np.eye(6))):
+    for call in (lambda: fit_a(out, intv, tall, LIN, prop_basis=FeatureMap("linear")),
+                 lambda: a_system(*args), lambda: a_equations(*args, alpha, beta),
+                 lambda: a_covariance(*args, alpha, beta, np.eye(6)),
+                 lambda: total_effects(tall, out, beta, LIN.basis_fa),
+                 lambda: effect_table(tall, out, beta, np.eye(3), LIN.basis_fa),
+                 lambda: policy_count(np.ones(5), tall, out, beta, LIN.basis_fa)):
         with pytest.raises(DataValidationError,
-                           match="interference map has 21 rows but the outcome table has 20"):
+                           match="^interference map has 21 rows but the outcome table has 20$"):
             call()
+    narrow = InterferenceMap(h.h[:, :4])  # 4 columns for 5 plants
+    with pytest.raises(DataValidationError, match="^interference map has 4 columns but the "
+                                                  "intervention table has 5$"):
+        fit_a(out, intv, narrow, LIN, prop_basis=FeatureMap("linear"))
 
 
 def test_zero_map_fit_raises_singular(rng):

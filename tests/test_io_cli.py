@@ -1,3 +1,5 @@
+import ast
+import glob
 import importlib
 import inspect
 import json
@@ -1127,6 +1129,35 @@ def test_every_annotation_in_the_package_resolves():
                 except NameError as exc:
                     unresolved.append(f"{module.__name__}.{name}: {exc}")
     assert unresolved == []
+
+
+def _imports(node, scope):
+    """(import statement, the module or function whose names it binds) under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, scope
+        inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _imports(child, inner)
+
+
+def test_no_module_of_the_package_imports_a_name_it_never_reads():
+    # no linter is installed, so this is the unused-import rule; an import
+    # kept on purpose carries "# noqa" on its line
+    unused = []
+    for path in sorted(glob.glob(os.path.join(bnpolicy.__path__[0], "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        lines, tree = source.splitlines(), ast.parse(source)
+        for stmt, scope in _imports(tree, tree):
+            if (isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"
+                    or any("# noqa" in line for line in lines[stmt.lineno - 1:stmt.end_lineno])):
+                continue
+            read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{os.path.basename(path)}:{stmt.lineno} {name}")
+    assert unused == []
 
 
 def _smoke_bundle(monkeypatch, out_dir):
