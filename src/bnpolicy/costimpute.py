@@ -9,13 +9,16 @@ prediction, is an error that names the model and the input to rescale.
 
 The regression forest is self-contained: bootstrap per tree, a random
 feature subset per split, variance-reduction splitting, and node-purity
-importance (summed SSE reduction per feature, averaged over trees).  Most
-of its time goes to numpy calls on small nodes, so the grower makes few
-per node: a node holds its covariates one contiguous row per feature, a
-child gathers them only when it is large enough to split, and when the
-subset is a single feature (as it is for q <= 3) the draws come from the
-tree's generator in blocks.  Prediction walks ``TREE_BLOCK`` trees down
-together, one numpy pass per level.
+importance (summed SSE reduction per feature, averaged over trees).  Its
+nodes are small and numpy calls cost more than their arithmetic, so
+``TREE_BLOCK`` trees grow in lockstep: each step takes the next node of
+every tree in the block, in that tree's own depth-first preorder, and
+searches their splits in one set of padded 2-D arrays.  A block keeps
+its trees' rows in one buffer that each split reorders in place, so a
+node is a range of rows.  A tree draws its split features from its own
+generator, in blocks when the subset is a single feature (as it is for
+q <= 3), and grows to the same bits in any block.  Prediction walks
+``TREE_BLOCK`` trees down together, one numpy pass per level.
 """
 from __future__ import annotations
 
@@ -26,14 +29,15 @@ from functools import partial
 
 import numpy as np
 
-from ._blas import map_in_order
+from ._blas import map_in_order, usable_cpus
 from .errors import DataValidationError, EstimationError, SingularSystemError, _finite
 from .seeding import splitmix64
 
 NMAE_DENOM_GUARD = 1e-12
 RESCALE_PLANTS = "rescale the costs or covariates of the plant table"  # when a model fails
 FEATURE_BLOCK = 64  # one-feature split draws taken from a tree's generator at once
-TREE_BLOCK = 32  # trees RegressionForest.predict walks down together
+TREE_BLOCK = 32  # forest trees grown together, and walked down together by predict
+BLOCK_ROWS = 16384  # most rows a block of growing trees holds; bounds its padded arrays
 
 
 @dataclass(frozen=True)
@@ -72,42 +76,26 @@ def nmae(actual, predicted) -> float:
     return float(np.mean(np.abs(actual - predicted) / np.abs(predicted)))
 
 
-def _best_split(cols, y, features, min_leaf, mean, cuts):
-    """(feature, threshold, sse_reduction) of the best variance-reducing split.
-
-    ``cols`` holds the node's covariates, one contiguous row per feature.  A
-    cut after sorted row k leaves k + 1 rows on the left, so only the cuts
-    k in [min_leaf - 1, n - min_leaf) are scored, and none between equal values.
-    ``mean`` is y's mean, ``np.add.reduce(y) / n``, which the caller has already,
-    and ``cuts`` holds the left and right row counts of those cuts (``_cut_sizes``).
-    """
-    n = y.shape[0]
-    parent_sse = float(np.add.reduce((y - mean) ** 2))
-    lo, hi = min_leaf - 1, n - min_leaf
-    sizes, rest = cuts
-    best = None
-    for f in features:
-        col = cols[f]
-        order = col.argsort(kind="stable")
-        xs, ys = col[order], y[order]
-        csum, csq = ys.cumsum(), (ys**2).cumsum()
-        left_sum, left_sq = csum[lo:hi], csq[lo:hi]
-        left_sse = left_sq - left_sum**2 / sizes
-        right_sse = (csq[-1] - left_sq) - (csum[-1] - left_sum)**2 / rest
-        red = np.where(xs[lo:hi] < xs[lo + 1:hi + 1],
-                       parent_sse - (left_sse + right_sse), -np.inf)
-        k = int(red.argmax())
-        if red[k] <= 1e-12:
-            continue
-        if best is None or red[k] > best[2]:
-            best = (f, float(0.5 * (xs[lo + k] + xs[lo + k + 1])), float(red[k]))
-    return best
+def _integer(value, name, least=1):
+    """``value``, checked to be an integer of at least ``least``, 1 or 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise DataValidationError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
 
 
-def _cut_sizes(span, n, min_leaf):
-    """(left rows, right rows) of each cut ``_best_split`` scores in n rows, as
-    views of ``span`` = ``np.arange(m + 1.0)`` for any m >= n."""
-    return span[min_leaf:n - min_leaf + 1], span[n - min_leaf:min_leaf - 1:-1]
+def _checked_rows(x, y):
+    """``x`` and ``y`` as floats, checked to be n >= 1 rows of q >= 1 covariates
+    and one target per row."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or 0 in x.shape:
+        raise DataValidationError(f"x must be an (n, q) array with n, q >= 1, "
+                                  f"got shape {x.shape}")
+    if y.shape != x.shape[:1]:
+        raise DataValidationError(f"y must hold one target per row of x ({x.shape[0]}), "
+                                  f"got shape {y.shape}")
+    return x, y
 
 
 class RegressionTree:
@@ -121,76 +109,240 @@ class RegressionTree:
     is drawn, the next of a block of ``integers(q, size=FEATURE_BLOCK)``,
     which consumes the stream exactly as that many ``choice(q, 1,
     replace=False)`` calls do and returns the same features, else ``choice``
-    without replacement.  A node holds its covariates one contiguous row per
-    feature, and a child too small to split gathers only its targets.
+    without replacement.  A split's threshold is the midpoint of the two
+    values it falls between, or the lower value where the midpoint rounds
+    outside them (next to +inf, say), so rows always go where the split was
+    scored.  Trees grow in blocks (``_grow``); ``fit`` grows a block of one.
     """
 
     def __init__(self, min_leaf=5, max_features=None, seed=0):
-        self.min_leaf = min_leaf
-        self.max_features = max_features
-        self.seed = seed
+        self.min_leaf = _integer(min_leaf, "min_leaf")
+        self.max_features = (None if max_features is None
+                             else _integer(max_features, "max_features"))
+        self.seed = _integer(seed, "seed", least=0)
         self.nodes = None
         self.importance_ = None
 
     def fit(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        q = x.shape[1]
-        n_features = min(self.max_features or q, q)
-        min_split = 2 * self.min_leaf
-        rng = np.random.default_rng(self.seed)
-        drawn = iter(())  # one-feature draws not used yet
-        feature, threshold, left, right, value = [], [], [], [], []
-        self.importance_ = np.zeros(q)
-        # a node's covariates (None when it is too small to split) and rows,
-        # and the split it is the right child of
-        stack = [(np.ascontiguousarray(x.T), y, -1)]
-        span = np.arange(y.shape[0] + 1.0)  # every node's cut sizes are views of it
-        while stack:
-            node_x, node_y, parent = stack.pop()
-            node = len(value)
-            if parent >= 0:
-                right[parent] = node
-            n = node_y.shape[0]
-            mean = np.add.reduce(node_y) / n
-            value.append(float(mean))
-            best = None
-            if n >= min_split and np.count_nonzero(node_y != node_y[0]):
-                if n_features == 1:
-                    f = next(drawn, None)
-                    if f is None:
-                        drawn = iter(rng.integers(q, size=FEATURE_BLOCK).tolist())
-                        f = next(drawn)
-                    features = (f,)
-                else:
-                    features = rng.choice(q, size=n_features, replace=False)
-                best = _best_split(node_x, node_y, features, self.min_leaf, mean,
-                                   _cut_sizes(span, n, self.min_leaf))
-            if best is None:
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                continue
-            f, thr, red = best
-            self.importance_[f] += red
-            feature.append(f)
-            threshold.append(thr)
-            left.append(node + 1)
-            right.append(-1)
-            goes_left = node_x[f] <= thr
-            for rows, right_of in ((~goes_left, node), (goes_left, -1)):
-                child_y = node_y[rows]
-                child_x = (node_x.compress(rows, axis=1) if child_y.shape[0] >= min_split
-                           else None)
-                stack.append((child_x, child_y, right_of))
-        self.nodes = (np.array(feature), np.array(threshold), np.array(left),
-                      np.array(right), np.array(value))
+        x, y = _checked_rows(x, y)
+        # copies, never the caller's arrays: the grower reorders its rows in place
+        _grow([self], np.array(x.T, order="C"), y.copy(), [(0, y.shape[0])])
         return self
 
     def predict(self, x):
         """Leaf value of each row: the one-tree case of ``_walk``."""
         return _walk([self], np.asarray(x, dtype=float))[0]
+
+
+class _Growing:
+    """A tree while its block grows: its generator, the one-feature draws it
+    has not used yet, its stack of nodes to visit, each (first row, end row,
+    the split it is the right child of), and its node lists and importances."""
+
+    __slots__ = ("tree", "rng", "drawn", "stack", "nodes", "importance")
+
+    def __init__(self, tree, start, end, q):
+        self.tree = tree
+        self.rng = np.random.default_rng(tree.seed)
+        self.drawn = iter(())
+        self.stack = [(start, end, -1)]
+        self.nodes = ([], [], [], [], [])  # feature, threshold, left, right, value
+        self.importance = [0.0] * q
+
+    def features(self, q, n_features):
+        """The candidate features of the tree's next split."""
+        if n_features > 1:
+            return self.rng.choice(q, size=n_features, replace=False).tolist()
+        f = next(self.drawn, None)
+        if f is None:
+            self.drawn = iter(self.rng.integers(q, size=FEATURE_BLOCK).tolist())
+            f = next(self.drawn)
+        return (f,)
+
+
+def _grow(trees, cols, y, spans):
+    """Grow ``trees``, which share ``min_leaf`` and ``max_features``: tree i
+    from the rows ``spans[i]`` = (start, end) of ``cols`` (the covariates,
+    one contiguous row per feature) and ``y``.
+
+    Each split reorders its node's rows in place, its right child's rows
+    first, each child's in their order in the node, so every node's rows
+    are one contiguous range.  The trees grow in lockstep.  Each step, every
+    tree still growing pops nodes in its own depth-first preorder: a node
+    too small to split becomes a leaf whose value waits for the end, and
+    the first node large enough ends the tree's turn.  ``_search`` then
+    scores all the popped nodes at once, and ``_partition`` splits them.
+    At the end, the leaves of each size get their means from one row-wise
+    ``np.add.reduce``, which sums each row as it sums the row alone.
+    """
+    q = cols.shape[0]
+    min_leaf = trees[0].min_leaf
+    min_split = 2 * min_leaf
+    n_features = min(trees[0].max_features or q, q)
+    everyone = [_Growing(tree, start, end, q) for tree, (start, end) in zip(trees, spans)]
+    leaves = {}  # rows -> (value list, node, first row) of each leaf waiting for its mean
+    growing = everyone
+    while growing:
+        popped = []  # (tree, node, first row, end row)
+        for growth in growing:
+            feature, threshold, left, right, value = growth.nodes
+            stack = growth.stack
+            while stack:
+                start, end, parent = stack.pop()
+                node = len(value)
+                if parent >= 0:
+                    right[parent] = node
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                value.append(0.0)
+                if end - start < min_split:
+                    leaves.setdefault(end - start, []).append((value, node, start))
+                else:
+                    popped.append((growth, node, start, end))
+                    break
+        if popped:
+            splits, rows, goes_left = _search(popped, cols, y, n_features, min_leaf)
+            if splits:
+                _partition(popped, splits, rows, goes_left, cols, y)
+        growing = [growth for growth in growing if growth.stack]
+    for n, waiting in leaves.items():
+        rows = np.array([start for *_, start in waiting])[:, None] + np.arange(n)
+        means = np.add.reduce(y.take(rows), axis=1) / n
+        for (value, node, _), mean in zip(waiting, means.tolist()):
+            value[node] = mean
+    for grown in everyone:
+        grown.tree.nodes = tuple(np.array(column) for column in grown.nodes)
+        grown.tree.importance_ = np.array(grown.importance)
+
+
+def _search(popped, cols, y, n_features, min_leaf):
+    """Record each popped node's mean and search its best variance-reducing
+    split.  Returns the splits found, each (node's index in ``popped``, its
+    pair's index, feature, threshold, SSE reduction), the rows of their
+    nodes one node after another, and which of those rows go left.
+
+    The search runs on every (node, candidate feature) pair at once, one
+    padded row each.  The covariates are padded with NaN, so a stable row
+    sort keeps a node's own NaNs ahead of the padding and its rows sort as
+    they would alone; the targets repeat a node's first one.  A cut after
+    sorted row k leaves k + 1 rows on the left, and only the cuts k in
+    [min_leaf - 1, n - min_leaf) between unequal values are scored.  Each
+    node's mean and parent SSE are 1-D sums of its own rows, since a sum
+    over a padded row would add in another order.
+    """
+    q, n_cols = cols.shape
+    starts = [start for _, _, start, _ in popped]
+    n_rows = [end - start for _, _, start, end in popped]
+    width = max(n_rows)
+    counts = np.array(n_rows)
+    span = np.arange(width)
+    inside = span < counts[:, None]
+    grid = np.array(starts)[:, None] + span  # each node's rows, then the padding
+    y_pad = y.take(grid, mode="clip")
+    np.copyto(y_pad, y_pad[:, :1], where=~inside)
+    varies = (y_pad != y_pad[:, :1]).any(axis=1).tolist()
+    means = np.array([np.add.reduce(y[start:start + n])
+                      for start, n in zip(starts, n_rows)]) / counts
+    for (growth, node, _, _), mean in zip(popped, means.tolist()):
+        growth.nodes[4][node] = mean
+    deviation = y_pad - means[:, None]
+    deviation **= 2
+    pairs, pair_f, parent_sse, tried = [], [], [], []
+    for r, vary in enumerate(varies):
+        if vary:
+            features = popped[r][0].features(q, n_features)
+            tried.append((r, features))
+            sse = np.add.reduce(deviation[r, :n_rows[r]])
+            for f in features:
+                pairs.append(r)
+                pair_f.append(f)
+                parent_sse.append(sse)
+    del deviation  # each padded array goes once read, which holds a block's peak down
+    if not pairs:
+        return [], None, None
+    pair_inside = inside[pairs]
+    x_pad = cols.take(grid[pairs] + (np.array(pair_f) * n_cols)[:, None], mode="clip")
+    np.copyto(x_pad, np.nan, where=~pair_inside)
+    row_at = np.arange(0, len(pairs) * width, width)  # where each pair's row starts, flat
+    order = x_pad.argsort(axis=1, kind="stable")
+    order += row_at[:, None]
+    xs = x_pad.take(order)
+    ys = y_pad[pairs].take(order)
+    del order, y_pad
+    csum = ys.cumsum(1)
+    ys **= 2
+    csq = ys.cumsum(1, out=ys)
+    n = counts[pairs]
+    last = row_at + n - 1
+    lo, hi = min_leaf - 1, width - min_leaf
+    sizes = np.arange(min_leaf, hi + 1.0)  # left rows of each cut
+    left_sum, left_sq = csum[:, lo:hi], csq[:, lo:hi]
+    red = left_sum**2
+    red /= sizes
+    np.subtract(left_sq, red, out=red)  # left SSE
+    right = csum.take(last)[:, None] - left_sum
+    right **= 2
+    rest = n[:, None] - sizes
+    right /= np.maximum(rest, 1.0, out=rest)  # a cut past a node's rows is not scored
+    np.subtract(np.subtract(csq.take(last)[:, None], left_sq, out=rest), right,
+                out=right)  # right SSE
+    red += right
+    np.subtract(np.array(parent_sse)[:, None], red, out=red)
+    del csum, csq, ys, right, rest, left_sum, left_sq
+    scored = xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
+    scored &= pair_inside[:, 2 * min_leaf - 1:]  # min_leaf rows right of the cut
+    np.copyto(red, -np.inf, where=~scored)
+    k = red.argmax(axis=1)
+    best_red = red.max(axis=1).tolist()
+    below = xs.take(row_at + lo + k)
+    above = xs.take(row_at + lo + k + 1)
+    with np.errstate(over="ignore"):  # an overflowing midpoint falls back below
+        mid = 0.5 * (below + above)
+    best_thr = np.where((below <= mid) & (mid < above), mid, below).tolist()
+    splits, i = [], 0
+    for r, features in tried:
+        best = None
+        for f in features:
+            if not best_red[i] <= 1e-12 and (best is None or best_red[i] > best[4]):
+                best = (r, i, f, best_thr[i], best_red[i])
+            i += 1
+        if best is not None:
+            splits.append(best)
+    if not splits:
+        return [], None, None
+    nodes = [split[0] for split in splits]
+    split_inside = inside[nodes]
+    goes_left = (x_pad[[split[1] for split in splits]]
+                 <= np.array([split[3] for split in splits])[:, None])
+    return splits, grid[nodes][split_inside], goes_left[split_inside]
+
+
+def _partition(popped, splits, rows, goes_left, cols, y):
+    """Record each split, move its node's rows into its two children in place,
+    and push the right child, then the left one.
+
+    ``rows`` are the split nodes' rows one node after another, and one stable
+    argsort on 2 * split + goes_left groups them by child and keeps their
+    order within each child.
+    """
+    n_rows = [popped[r][3] - popped[r][2] for r, *_ in splits]
+    tag = np.arange(0, 2 * len(splits), 2, dtype=np.min_scalar_type(2 * len(splits)))
+    key = np.repeat(tag, n_rows) + goes_left  # small integers sort by radix
+    moved = rows.take(key.argsort(kind="stable"))
+    for values in (y, *cols):
+        values[rows] = values.take(moved)
+    n_left = np.bincount(key, minlength=2 * len(splits))[1::2].tolist()
+    for (r, _, f, thr, red), to_left in zip(splits, n_left):
+        growth, node, start, end = popped[r]
+        feature, threshold, left, _, _ = growth.nodes
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = node + 1
+        growth.importance[f] += red
+        growth.stack.append((start, end - to_left, node))
+        growth.stack.append((end - to_left, end, -1))
 
 
 def _walk(trees, x):
@@ -218,36 +370,49 @@ def _walk(trees, x):
     return value[at].reshape(len(trees), m)
 
 
-def _bagged_tree(x, y, max_features, tree_seed):
-    """One forest tree, grown on its own bootstrap draw of the rows."""
+def _bagged_block(x, y, max_features, tree_seeds):
+    """Forest trees grown as one block, one per seed, each on its own
+    bootstrap draw of the rows."""
     n = y.shape[0]
-    idx = np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
-    return RegressionTree(max_features=max_features, seed=tree_seed).fit(x[idx], y[idx])
+    rows = np.concatenate([np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
+                           for tree_seed in tree_seeds])
+    cols, y = np.ascontiguousarray(x.T).take(rows, axis=1), y.take(rows)
+    del rows
+    trees = [RegressionTree(max_features=max_features, seed=tree_seed)
+             for tree_seed in tree_seeds]
+    _grow(trees, cols, y, [(t * n, (t + 1) * n) for t in range(len(trees))])
+    return trees
 
 
 class RegressionForest:
     """Bagged trees, each on a bootstrap sample with max(1, ceil(q / 3)) features per split.
 
-    Tree t is grown from seed ``splitmix64(seed, t)``, in a pool of
-    ``n_workers`` processes when that is above 1; importances and
+    Tree t is grown from seed ``splitmix64(seed, t)``.  Consecutive trees
+    grow together in blocks of ``TREE_BLOCK``, or of fewer where a block
+    would hold more than ``BLOCK_ROWS`` bootstrap rows, or where that gives
+    each process of the pool (``n_workers``, at most one per usable CPU) a
+    block.  A tree grows to the same bits in any block, and importances and
     predictions are summed in tree order, so every bit of the fit is the
     same for any worker count.
     """
 
     def __init__(self, n_trees=500, seed=0, n_workers=1):
-        self.n_trees = n_trees
-        self.seed = seed
-        self.n_workers = n_workers
+        self.n_trees = _integer(n_trees, "n_trees")
+        self.seed = _integer(seed, "seed", least=0)
+        self.n_workers = _integer(n_workers, "n_workers")
         self.trees: list[RegressionTree] = []
         self.importance_ = None
 
     def fit(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = _checked_rows(x, y)
         q = x.shape[1]
-        grow = partial(_bagged_tree, x, y, max(1, math.ceil(q / 3)))
-        self.trees = map_in_order(grow, (splitmix64(self.seed, t) for t in range(self.n_trees)),
-                                  self.n_workers)
+        seeds = [splitmix64(self.seed, t) for t in range(self.n_trees)]
+        size = min(TREE_BLOCK, max(1, BLOCK_ROWS // y.shape[0]),
+                   -(-self.n_trees // min(self.n_workers, usable_cpus())))
+        grow = partial(_bagged_block, x, y, max(1, math.ceil(q / 3)))
+        blocks = map_in_order(grow, (seeds[start:start + size]
+                                     for start in range(0, self.n_trees, size)), self.n_workers)
+        self.trees = [tree for block in blocks for tree in block]
         self.importance_ = np.zeros(q)
         for tree in self.trees:
             self.importance_ += tree.importance_

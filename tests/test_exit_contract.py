@@ -1,8 +1,11 @@
-"""The exit-code contract of the bundle commands, on generated malformed input.
+"""The exit-code contract of the bundle commands and of ``impute-costs``, on
+generated malformed input.
 
 Each example mutates one file of the benchmark's smoke bundle (n=600, J=40,
 H as triplets): a cell, a row, a column, a unit id or a triplet index.  It
-then runs one bundle command in process.  Whatever the input:
+then runs one bundle command in process.  The ``impute-costs`` examples make
+the same mutations, but the triplet index, to the smoke plant table (40
+plants, 14 costs blank).  Whatever the input:
 
 - the exit code is 0, 2, 3 or 4, and no exception escapes ``main``;
 - a nonzero exit prints one line and writes no output file;
@@ -25,23 +28,33 @@ from hypothesis import strategies as st
 from bnpolicy.cli import main
 from bnpolicy.io import read_intervention_csv
 
-# writes the benchmark's smoke bundle without leaving bytecode next to it
+# writes one of the benchmark's smoke inputs without leaving bytecode next to it
 WRITE_SMOKE = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from inputs import SMOKE, write_bundle
-write_bundle(sys.argv[2], 0, SMOKE)
+import inputs
+getattr(inputs, sys.argv[3])(sys.argv[2], 0, inputs.SMOKE)
 """
+
+
+def _write_smoke(root, writer):
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    subprocess.run([sys.executable, "-B", "-c", WRITE_SMOKE, str(perfbench), str(root), writer],
+                   check=True)
+    return root
 
 
 @pytest.fixture(scope="module")
 def smoke(tmp_path_factory):
     """The directory of the smoke bundle's outcomes.csv, interventions.csv and h.csv."""
-    root = tmp_path_factory.mktemp("contract")
-    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-    subprocess.run([sys.executable, "-B", "-c", WRITE_SMOKE, str(perfbench), str(root)],
-                   check=True)
-    return root
+    return _write_smoke(tmp_path_factory.mktemp("contract"), "write_bundle")
+
+
+@pytest.fixture(scope="module")
+def smoke_plants(tmp_path_factory):
+    """The smoke plant table with blank costs, plants_missing_cost.csv."""
+    root = _write_smoke(tmp_path_factory.mktemp("plants"), "write_plants")
+    return root / "plants_missing_cost.csv"
 
 
 CELLS = ["1e308", "-1e308", "1e300", "1e-300", "5e-324", "0", "-1", "nan", "inf", "-inf",
@@ -56,6 +69,15 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("index"), st.just("h"), ROW, st.sampled_from([0, 1]),
               st.sampled_from(["-1", "n", "j", "1.5", "2e0"])),
     st.tuples(st.sampled_from(["drop_column", "add_column"]), FILES, st.integers(0, 10)),
+)
+PLANT_MUTATIONS = st.one_of(  # the bundle's, on the one plant table
+    st.tuples(st.just("cell"), st.just("plants"), ROW, st.integers(0, 10),
+              st.sampled_from(CELLS)),
+    st.tuples(st.just("drop"), st.just("plants"), ROW),
+    st.tuples(st.just("repeat"), st.just("plants"), ROW),
+    st.tuples(st.just("same_id"), st.just("plants"), ROW, ROW),
+    st.tuples(st.sampled_from(["drop_column", "add_column"]), st.just("plants"),
+              st.integers(0, 10)),
 )
 COMMANDS = st.sampled_from([
     ["effects", "--estimator", "a"],
@@ -102,6 +124,8 @@ def _mutate(lines, mutation):
 
 
 def _number(text):
+    if text.startswith("np.float64(") and text.endswith(")"):  # importance.csv's cells
+        text = text[len("np.float64("):-1]
     try:
         return float(text)
     except ValueError:
@@ -129,6 +153,28 @@ def _assert_finite_outputs(out_dir, plants):
                 assert name == "benefit_cost" and raw_cost[k] <= 0, (path.name, k, name, cell)
 
 
+def _run(argv, out_dir):
+    """(exit code, everything printed) of one command run in process."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = main([*argv, "--out-dir", str(out_dir)])
+    return code, printed.getvalue()
+
+
+def _assert_the_contract(code, said, out_dir, plants):
+    """The module docstring's three assertions on a finished command; then
+    its outputs are removed."""
+    try:
+        assert code in (0, 2, 3, 4), said
+        if code:
+            assert said.count("\n") == 1, said
+            assert not out_dir.exists(), said
+        else:
+            _assert_finite_outputs(out_dir, plants)
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutation=MUTATIONS, command=COMMANDS)
@@ -141,17 +187,19 @@ def test_every_bundle_command_keeps_the_exit_code_contract(smoke, mutation, comm
     with open(paths[name], "w", encoding="utf-8") as fh:
         fh.write("\n".join(edited) + "\n")
     out_dir = smoke / "out"
-    printed = io.StringIO()
-    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
-        code = main([*command, "--outcomes", paths["outcomes"], "--interventions",
-                     paths["interventions"], "--h", paths["h"], "--out-dir", str(out_dir)])
-    said = printed.getvalue()
-    try:
-        assert code in (0, 2, 3, 4), said
-        if code:
-            assert said.count("\n") == 1, said
-            assert not out_dir.exists(), said
-        else:
-            _assert_finite_outputs(out_dir, paths["interventions"])
-    finally:
-        shutil.rmtree(out_dir, ignore_errors=True)
+    _assert_the_contract(*_run([*command, "--outcomes", paths["outcomes"], "--interventions",
+                                paths["interventions"], "--h", paths["h"]], out_dir),
+                         out_dir, paths["interventions"])
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=PLANT_MUTATIONS)
+def test_impute_costs_keeps_the_exit_code_contract(smoke_plants, mutation):
+    _, edited = _mutate({"plants": smoke_plants.read_text(encoding="utf-8").splitlines()},
+                        mutation)
+    path = smoke_plants.with_name("edited.csv")
+    path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    out_dir = smoke_plants.with_name("out")
+    _assert_the_contract(*_run(["impute-costs", "--interventions", str(path), "--seed", "3"],
+                               out_dir), out_dir, str(path))

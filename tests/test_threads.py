@@ -12,7 +12,7 @@ import bnpolicy
 from bnpolicy import (DataValidationError, RegressionForest, SimConfig, _blas, costimpute,
                       run_monte_carlo)
 from bnpolicy._blas import map_in_order, one_blas_thread
-from bnpolicy.costimpute import _bagged_tree
+from bnpolicy.costimpute import _bagged_block
 from bnpolicy.cli import main
 from bnpolicy.io import sim_report_to_dict
 
@@ -185,9 +185,9 @@ def _forest_fit(n_workers):
 
 
 @pytest.mark.parametrize("n_workers, cpus, expected", [
-    (5000, 64, (40, 1)),   # capped by the 40 trees
-    (5000, 3, (3, 3)),     # capped by the usable CPUs; 40 // (4 * 3) trees a chunk
-    (2, 8, (2, 5)),
+    (5000, 64, (40, 1)),   # capped by the 40 trees, in blocks of one
+    (5000, 3, (3, 1)),     # capped by the usable CPUs: blocks of 14, 14 and 12 trees
+    (2, 8, (2, 1)),        # two blocks of 20 trees
     (5000, None, None),    # no affinity mask and unknown CPU count: serial
     (1, 8, None),
 ])
@@ -218,16 +218,17 @@ def test_pools_run_serially_where_the_platform_cannot_fork(monkeypatch):
     assert sim_report_to_dict(report) == sim_report_to_dict(run_monte_carlo(SMALL))
 
 
-def _tree_with_blas_counts(*args):
-    tree = _bagged_tree(*args)
-    tree.blas_counts = _counts()
-    return tree
+def _block_with_blas_counts(*args):
+    trees = _bagged_block(*args)
+    for tree in trees:
+        tree.blas_counts = _counts()
+    return trees
 
 
 def test_forest_pool_workers_run_one_blas_thread(libs, monkeypatch):
     if _blas.usable_cpus() < 2:
         pytest.skip("the forest grows its trees serially on one CPU")
-    monkeypatch.setattr(costimpute, "_bagged_tree", _tree_with_blas_counts)
+    monkeypatch.setattr(costimpute, "_bagged_block", _block_with_blas_counts)
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal((40, 3)), rng.standard_normal(40)
     forest = RegressionForest(n_trees=8, n_workers=2).fit(x, y)
