@@ -27,10 +27,8 @@ import ctypes
 import functools
 import glob
 import importlib.util
-import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -196,7 +194,10 @@ def map_in_order(fn, items, n_workers):
     in ~10 ms on a 2-core host, where workers started by spawn or forkserver
     (the default from Python 3.14 on Linux) import numpy and the package
     again and take ~1 s, about what a 500-tree forest saves on two cores.
-    Where the platform cannot fork, the items run in this process.
+    Where the platform cannot fork, the items run in this process.  The
+    pool's modules are imported only where a pool starts, so a serial map,
+    and any command that makes none, loads neither ``multiprocessing`` nor
+    ``concurrent.futures``.
     """
     if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
         raise DataValidationError(
@@ -204,8 +205,12 @@ def map_in_order(fn, items, n_workers):
     items = list(items)
     n_workers = min(n_workers, len(items), usable_cpus())
     with one_blas_thread():
-        if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-            return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * n_workers))))
+        if n_workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            if "fork" in multiprocessing.get_all_start_methods():
+                with ProcessPoolExecutor(max_workers=n_workers,
+                                         mp_context=multiprocessing.get_context("fork")) as pool:
+                    return list(pool.map(fn, items,
+                                         chunksize=max(1, len(items) // (4 * n_workers))))
+        return [fn(item) for item in items]

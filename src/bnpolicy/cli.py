@@ -41,6 +41,8 @@ def _load_sim_config(path):
             raise DataValidationError(
                 f"config parse error at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataValidationError(f"{path}: not UTF-8 text") from exc
     if not isinstance(doc, dict):
         raise DataValidationError(f"config must be a JSON object, got {type(doc).__name__}")
     known = {f.name for f in dataclass_fields(SimConfig)}

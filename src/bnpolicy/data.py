@@ -191,9 +191,11 @@ def _sorted_triplets(shape, rows, cols, data):
     if outside.any():
         k = int(np.argmax(outside))
         raise DataValidationError(f"triplet ({rows[k]}, {cols[k]}) outside {n}x{j}")
-    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+    rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
     keys = rows * j + cols
-    order = np.argsort(keys, kind="stable")  # row-major input is already sorted
+    if np.all(keys[1:] > keys[:-1]):  # row-major and no pair twice: kept as given
+        return tuple(_read_only(arr.copy()) for arr in (rows, cols, data))
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     repeat = keys[1:] == keys[:-1]
     if repeat.any():

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import stat
 from collections import Counter
 
 import numpy as np
@@ -49,12 +51,30 @@ def _is_row(line):
     return bool(line.strip()) and not line.startswith("#")
 
 
-def _parse(lines, header, dtype):
-    """Rows of ``lines`` by numpy's C reader; ``dtype`` None reads a float matrix."""
+def _parse(lines, header, dtype, skiprows=0):
+    """Rows by numpy's C reader, after the first ``skiprows`` lines.
+
+    ``lines`` is an iterable of lines, or a path that numpy reads in
+    chunks; ``dtype`` None reads a float matrix.
+    """
     cost_cells = {k: _cost_cell for k, name in enumerate(header) if name == "cost"}
-    return np.loadtxt(lines, delimiter=",", comments=None,
-                      dtype=float if dtype is None else dtype,
+    return np.loadtxt(lines, delimiter=",", comments=None, skiprows=skiprows,
+                      encoding="utf-8-sig", dtype=float if dtype is None else dtype,
                       converters=cost_cells or None, ndmin=2 if dtype is None else 1)
+
+
+def _by_descriptor(fh):
+    """A path that opens the regular file of ``fh`` again, or None.
+
+    The path goes through ``/proc/self/fd``, so the name that ``fh`` was
+    opened by plays no part: a pipe opened again would lose what ``fh``
+    has buffered, and numpy decompresses a file by its name's suffix.
+    None for anything but a regular file, and where no ``/proc/self/fd``
+    exists.
+    """
+    fd = fh.fileno()
+    path = f"/proc/self/fd/{fd}"
+    return path if stat.S_ISREG(os.fstat(fd).st_mode) and os.path.exists(path) else None
 
 
 def _load(path, row_dtype):
@@ -62,45 +82,62 @@ def _load(path, row_dtype):
 
     ``row_dtype(header)`` is the dtype of the rows after the header, or None
     when the first line is already a row of a float matrix.  When the file
-    opens with its header and a row, the reader takes the open file as it
-    is.  A file it rejects, and a file that opens otherwise, is read again
-    through a filter that drops blank and '#' lines and counts lines, so an
-    error names the line at fault.
+    opens with its header and a row, the reader takes the rest of the file
+    as it is: by a path that opens the same file again (``_by_descriptor``),
+    which numpy reads in chunks, or else from the open file, whose lines
+    numpy pulls one at a time.  A file it rejects, and a file that opens
+    otherwise, is read again through a filter that drops blank and '#'
+    lines and counts lines, so an error names the line at fault.  A file
+    that is not UTF-8 text is rejected.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        if _is_row(first):
-            header = [c.strip() for c in first.split(",")]
-            dtype = row_dtype(header)
-            head = first if dtype is None else fh.readline()
-            if _is_row(head):
-                try:
-                    data = _parse(itertools.chain([head], fh), header, dtype)
-                except ValueError:
-                    pass
-                else:
-                    # blank lines are skipped by the reader as by the filter,
-                    # and a '#' line fails every numeric first column; only an
-                    # id column can hold one as a row
-                    if dtype is None or "id" not in dtype.names or not any(
-                            uid.startswith("#") for uid in data["id"].tolist()):
-                        return header, data
-        fh.seek(0)
-        where = [0]  # number of the last line read, for error messages
-        lines = (line for where[0], line in enumerate(fh, start=1) if _is_row(line))
-        first = next(lines, "")
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return _load_open(fh, path, row_dtype)
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text") from exc
+
+
+def _load_open(fh, path, row_dtype):
+    """``_load`` of the file ``path`` opened as ``fh``."""
+    first = fh.readline()
+    if _is_row(first):
         header = [c.strip() for c in first.split(",")]
         dtype = row_dtype(header)
-        head = first if dtype is None else next(lines, "")
-        if not head:
-            raise DataValidationError(f"{path}: no data rows")
-        try:
-            data = _parse(itertools.chain([head], lines), header, dtype)
-        except ValueError as exc:
-            cause = exc.__cause__  # numpy wraps what a converter raises
-            reason = (str(cause) if isinstance(cause, DataValidationError)
-                      else str(exc).split(" at row ")[0])
-            raise DataValidationError(f"{path}, line {where[0]}: {reason}") from exc
+        head = first if dtype is None else fh.readline()
+        if _is_row(head):
+            reopened = _by_descriptor(fh)
+            try:
+                if reopened is None:
+                    data = _parse(itertools.chain([head], fh), header, dtype)
+                else:
+                    data = _parse(reopened, header, dtype, skiprows=int(dtype is not None))
+            except ValueError:
+                pass
+            else:
+                # blank lines are skipped by the reader as by the filter,
+                # and a '#' line fails every numeric first column; only an
+                # id column can hold one as a row
+                if dtype is None or "id" not in dtype.names or not any(
+                        uid.startswith("#") for uid in data["id"].tolist()):
+                    return header, data
+    fh.seek(0)
+    where = [0]  # number of the last line read, for error messages
+    lines = (line for where[0], line in enumerate(fh, start=1) if _is_row(line))
+    first = next(lines, "")
+    header = [c.strip() for c in first.split(",")]
+    dtype = row_dtype(header)
+    head = first if dtype is None else next(lines, "")
+    if not head:
+        raise DataValidationError(f"{path}: no data rows")
+    try:
+        data = _parse(itertools.chain([head], lines), header, dtype)
+    except UnicodeDecodeError:
+        raise
+    except ValueError as exc:
+        cause = exc.__cause__  # numpy wraps what a converter raises
+        reason = (str(cause) if isinstance(cause, DataValidationError)
+                  else str(exc).split(" at row ")[0])
+        raise DataValidationError(f"{path}, line {where[0]}: {reason}") from exc
     return header, data
 
 

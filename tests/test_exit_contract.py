@@ -2,7 +2,8 @@
 generated malformed input.
 
 Each example mutates one file of the benchmark's smoke bundle (n=600, J=40,
-H as triplets): a cell, a row, a column, a unit id or a triplet index.  It
+H as triplets): a cell (to a number, text or bytes that are not UTF-8), a
+row, a column, a unit id or a triplet index.  It
 then runs one bundle command in process.  The ``impute-costs`` examples make
 the same mutations, but the triplet index, to the smoke plant table (40
 plants, 14 costs blank).  Whatever the input:
@@ -18,8 +19,6 @@ import json
 import math
 import pathlib
 import shutil
-import subprocess
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,37 +27,22 @@ from hypothesis import strategies as st
 from bnpolicy.cli import main
 from bnpolicy.io import read_intervention_csv
 
-# writes one of the benchmark's smoke inputs without leaving bytecode next to it
-WRITE_SMOKE = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import inputs
-getattr(inputs, sys.argv[3])(sys.argv[2], 0, inputs.SMOKE)
-"""
-
-
-def _write_smoke(root, writer):
-    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-    subprocess.run([sys.executable, "-B", "-c", WRITE_SMOKE, str(perfbench), str(root), writer],
-                   check=True)
-    return root
-
-
 @pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
+def smoke(tmp_path_factory, write_smoke):
     """The directory of the smoke bundle's outcomes.csv, interventions.csv and h.csv."""
-    return _write_smoke(tmp_path_factory.mktemp("contract"), "write_bundle")
+    return write_smoke(tmp_path_factory.mktemp("contract"), "write_bundle")
 
 
 @pytest.fixture(scope="module")
-def smoke_plants(tmp_path_factory):
+def smoke_plants(tmp_path_factory, write_smoke):
     """The smoke plant table with blank costs, plants_missing_cost.csv."""
-    root = _write_smoke(tmp_path_factory.mktemp("plants"), "write_plants")
+    root = write_smoke(tmp_path_factory.mktemp("plants"), "write_plants")
     return root / "plants_missing_cost.csv"
 
 
+# "\udcff\udcfe" is written by surrogateescape as the bytes ff fe: not UTF-8 text
 CELLS = ["1e308", "-1e308", "1e300", "1e-300", "5e-324", "0", "-1", "nan", "inf", "-inf",
-         "abc", ""]
+         "abc", "", "\udcff\udcfe"]
 ROW = st.integers(1, 10**6)  # taken modulo the number of data rows
 FILES = st.sampled_from(["outcomes", "interventions", "h"])
 MUTATIONS = st.one_of(
@@ -184,7 +168,7 @@ def test_every_bundle_command_keeps_the_exit_code_contract(smoke, mutation, comm
              for name, path in paths.items()}
     name, edited = _mutate(lines, mutation)
     paths[name] = str(smoke / "edited.csv")
-    with open(paths[name], "w", encoding="utf-8") as fh:
+    with open(paths[name], "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write("\n".join(edited) + "\n")
     out_dir = smoke / "out"
     _assert_the_contract(*_run([*command, "--outcomes", paths["outcomes"], "--interventions",
@@ -199,7 +183,7 @@ def test_impute_costs_keeps_the_exit_code_contract(smoke_plants, mutation):
     _, edited = _mutate({"plants": smoke_plants.read_text(encoding="utf-8").splitlines()},
                         mutation)
     path = smoke_plants.with_name("edited.csv")
-    path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    path.write_text("\n".join(edited) + "\n", encoding="utf-8", errors="surrogateescape")
     out_dir = smoke_plants.with_name("out")
     _assert_the_contract(*_run(["impute-costs", "--interventions", str(path), "--seed", "3"],
                                out_dir), out_dir, str(path))

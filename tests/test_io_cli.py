@@ -290,6 +290,42 @@ def test_cli_impute_costs_loads_no_scipy(tmp_path):
     assert here == [] and workers == [[], []]
 
 
+# a probe that runs one command and then lists the process-pool modules loaded
+# in this process and counts the processes it forked
+POOL_PROBE = """
+import json, os, sys
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+from bnpolicy.cli import main
+
+code = main(sys.argv[1:])
+pools = sorted(m for m in sys.modules
+               if m.split(".")[0] in ("multiprocessing", "concurrent"))
+print(json.dumps([code, pools, len(forks)]))
+"""
+
+
+def test_cli_a_bundle_command_loads_no_pool_module(tmp_path):
+    paths, *_ = make_fixture(tmp_path)
+    out = _run_python("-c", POOL_PROBE, "effects", "--outcomes", paths["outcomes"],
+                      "--interventions", paths["interventions"], "--h", paths["h"],
+                      "--out-dir", str(tmp_path / "out"))
+    code, pools, forks = json.loads(out.splitlines()[-1])
+    assert code == 0 and (tmp_path / "out" / "effects.csv").exists()
+    assert pools == [] and forks == 0
+
+
+def test_cli_impute_costs_still_forks_its_workers(tmp_path):
+    if usable_cpus() < 2:
+        pytest.skip("impute-costs runs its forest serially on one CPU")
+    out = _run_python("-c", POOL_PROBE, "impute-costs", "--interventions",
+                      _plants_with_a_nonlinear_cost(tmp_path), "--out-dir",
+                      str(tmp_path / "out"), BNPOLICY_THREADS="2")
+    code, pools, forks = json.loads(out.splitlines()[-1])
+    assert code == 0 and (tmp_path / "out" / "importance.csv").exists()
+    assert {"concurrent.futures.process", "multiprocessing"} <= set(pools) and forks > 0
+
+
 # every public name of the package: its modules and what they export
 PUBLIC_NAMES = [
     "AFit", "BnpolicyError", "CELLS", "CellResult", "CellSpec", "CellStats",
@@ -346,6 +382,15 @@ def test_cli_unknown_config_key_rejected(tmp_path, capsys):
     code = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")])
     assert code == 2
     assert "snrr" in capsys.readouterr().err
+
+
+def test_cli_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"reps": 1, "n": 300, "\xff\xfe": 1}')
+    code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == f"validation failure: {cfg}: not UTF-8 text\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_invalid_bundle_exit_code(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """BLAS thread pinning, the worker pools of the study and the cost forest,
 and reports that depend on neither."""
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -152,7 +154,8 @@ def _set_usable_cpus(monkeypatch, cpus):
         monkeypatch.setattr(_blas.os, "cpu_count", lambda: None)
     else:
         monkeypatch.setattr(_blas.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(_blas, "ProcessPoolExecutor", _RecordingPool)
+    # map_in_order imports the pool where it starts one, so it is patched there
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     _RecordingPool.made = []
 
 
@@ -208,7 +211,7 @@ def test_pools_run_serially_where_the_platform_cannot_fork(monkeypatch):
     """Spawned workers would import the package again, which costs about what
     a forest saves on two cores; so without fork the items run in-process."""
     _set_usable_cpus(monkeypatch, 8)
-    monkeypatch.setattr(_blas.multiprocessing, "get_all_start_methods",
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
     fit = _forest_fit(2)
     report = run_monte_carlo(SMALL, n_workers=2)
