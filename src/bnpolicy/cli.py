@@ -8,6 +8,14 @@ no other module of the package, and none of them loads scipy.  The imports
 stay local and are never bound to this module's globals: a profiler that
 swaps module attributes for a while must see every later call go through
 the current attribute.
+
+Where the process may run on more than one CPU, a bundle command (fit,
+effects, policy, sweep) forks a child at its start that parses the first
+three quarters of a regular transport file while the command imports its
+fit modules and reads the two unit tables.  Where it would have read the
+file, the command parses the rest and joins the child's rows to it, so
+outputs, messages and exit codes are the same on one CPU or more; where
+either part fails, the command reads the whole file itself.
 """
 from __future__ import annotations
 
@@ -62,28 +70,33 @@ def _fit_bundle(args, need_cost=False) -> _Run:
 
     ``need_cost`` rejects an intervention file without a complete cost
     column before the transport file is read; ``--trim``, ``--level`` and
-    the three basis kinds are checked before any file is.  The fit fills
-    the returned PreparedData, and each command reads the effect basis FA
-    from it rather than expanding it again.
+    the three basis kinds are checked before any file is.  On more than one
+    CPU, a forked child parses most of a regular transport file while this
+    process imports the fit modules and reads the two tables
+    (``io.parsing_in_child``); its rows are taken where the transport file
+    is read, so every error comes in the same order.  The fit fills the
+    returned PreparedData, and each command reads the effect basis FA from
+    it rather than expanding it again.
     """
-    from ._prepared import PreparedData
-    from .alearn import _fit_a
     from .data import FeatureMap, validate_bundle
-    from .propensity import apply_trim, fit_propensity, trim_by_propensity
-    from .qlearn import OutcomeModelSpec, _fit_q
 
     if args.trim is not None and not 0.0 <= args.trim < 1.0:
         raise DataValidationError("trim quantile must lie in [0, 1)")
     if not 0.0 < getattr(args, "level", 0.5) < 1.0:
         raise DataValidationError("confidence level must lie in (0, 1)")
-    spec = OutcomeModelSpec(basis_f0=FeatureMap(args.f0_basis),
-                            basis_fa=FeatureMap(args.fa_basis))
-    prop_basis = FeatureMap(args.prop_basis)
-    _, out = bio.read_outcome_csv(args.outcomes)
-    ids, intv, _ = bio.read_intervention_csv(args.interventions)
-    if need_cost and intv.cost is None:
-        raise DataValidationError(f"{args.command} command needs a complete cost column")
-    h = bio.read_interference_csv(args.h, n=out.n, j=intv.j)
+    f0_basis, fa_basis, prop_basis = (FeatureMap(kind) for kind in (
+        args.f0_basis, args.fa_basis, args.prop_basis))
+    with bio.parsing_in_child(args.h, usable_cpus() > 1) as h_path:
+        from ._prepared import PreparedData
+        from .alearn import _fit_a
+        from .propensity import apply_trim, fit_propensity, trim_by_propensity
+        from .qlearn import OutcomeModelSpec, _fit_q
+
+        _, out = bio.read_outcome_csv(args.outcomes)
+        ids, intv, _ = bio.read_intervention_csv(args.interventions)
+        if need_cost and intv.cost is None:
+            raise DataValidationError(f"{args.command} command needs a complete cost column")
+        h = bio.read_interference_csv(h_path, n=out.n, j=intv.j)
     issues = validate_bundle(h, out, intv)
     if issues:
         raise DataValidationError("invalid bundle: " + "; ".join(issues))
@@ -92,6 +105,7 @@ def _fit_bundle(args, need_cost=False) -> _Run:
         h, intv = apply_trim(h, intv, trim)
         ids = [ids[k] for k in trim.kept]
     data = PreparedData(out, intv, h)
+    spec = OutcomeModelSpec(basis_f0=f0_basis, basis_fa=fa_basis)
     if args.estimator == "q":
         fit = _fit_q(data, spec)
     else:

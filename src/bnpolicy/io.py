@@ -9,8 +9,11 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import shutil
 import stat
+import tempfile
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -64,37 +67,54 @@ def _parse(lines, header, dtype, skiprows=0):
 
 
 def _by_descriptor(fh):
-    """A path that opens the regular file of ``fh`` again, or None.
+    """A path that opens the file of ``fh`` again, or None.
 
     The path goes through ``/proc/self/fd``, so the name that ``fh`` was
-    opened by plays no part: a pipe opened again would lose what ``fh``
-    has buffered, and numpy decompresses a file by its name's suffix.
-    None for anything but a regular file, and where no ``/proc/self/fd``
-    exists.
+    opened by plays no part: numpy decompresses a file by its name's
+    suffix.  None where no ``/proc/self/fd`` exists.
     """
-    fd = fh.fileno()
-    path = f"/proc/self/fd/{fd}"
-    return path if stat.S_ISREG(os.fstat(fd).st_mode) and os.path.exists(path) else None
+    path = f"/proc/self/fd/{fh.fileno()}"
+    return path if os.path.exists(path) else None
 
 
 def _load(path, row_dtype):
     """Header and rows of a CSV file without blank or '#' lines, by numpy's C reader.
 
     ``row_dtype(header)`` is the dtype of the rows after the header, or None
-    when the first line is already a row of a float matrix.  When the file
-    opens with its header and a row, the reader takes the rest of the file
-    as it is: by a path that opens the same file again (``_by_descriptor``),
-    which numpy reads in chunks, or else from the open file, whose lines
-    numpy pulls one at a time.  A file it rejects, and a file that opens
-    otherwise, is read again through a filter that drops blank and '#'
-    lines and counts lines, so an error names the line at fault.  A file
-    that is not UTF-8 text is rejected.
+    when the first line is already a row of a float matrix.  An input that is
+    not a regular file, a pipe say, is read from a temporary copy of its
+    bytes, since it can be read only once.  When the file opens with its
+    header and a row, the reader takes the rest of the file as it is: by a
+    path that opens the same file again (``_by_descriptor``), which numpy
+    reads in chunks, or else from the open file, whose lines numpy pulls one
+    at a time.  A file it rejects, and a file that opens otherwise, is read
+    again through a filter that drops blank and '#' lines and counts lines,
+    so an error names the line at fault.  A file that is not UTF-8 text is
+    rejected.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return _load_open(fh, path, row_dtype)
+        with open(path, "rb") as raw:
+            if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+                with open(raw.fileno(), "r", encoding="utf-8-sig", closefd=False) as fh:
+                    return _load_open(fh, path, row_dtype)
+            with tempfile.TemporaryFile("w+", encoding="utf-8-sig") as fh:
+                shutil.copyfileobj(raw, fh.buffer)
+                fh.seek(0)
+                return _load_open(fh, path, row_dtype)
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path}: not UTF-8 text") from exc
+
+
+def _copied(data, encoding):
+    """The bytes ``data`` in an anonymous temporary file, open as text at its start."""
+    copy = tempfile.TemporaryFile("w+", encoding=encoding)
+    try:
+        copy.buffer.write(data)
+        copy.seek(0)
+    except BaseException:
+        copy.close()
+        raise
+    return copy
 
 
 def _load_open(fh, path, row_dtype):
@@ -192,19 +212,153 @@ def read_intervention_csv(path):
     return ids, _build(path, InterventionTable, x=x, a=a, cost=cost), raw_cost
 
 
+def _transport_dtype(header):
+    """``_load``'s row dtype of a transport file: a triplet row, else None (dense)."""
+    if header[:3] != ["i", "j", "value"]:
+        return None
+    return np.dtype([("i", np.int64), ("j", np.int64), ("value", float)])
+
+
+class _Parsing(str):
+    """The path of a regular transport file, which a child forked here parses
+    with the caller.
+
+    The file is cut after the line that holds the byte at three quarters of
+    its size.  The child parses the lines before the cut, from a temporary
+    copy of them, with ``_load``'s reader, and sends the header and rows
+    down a pipe.  ``take``, called where the file would be read, parses the
+    lines after the cut while the child may still run, then joins the two
+    parts.  numpy parses each line on its own, so the joined rows are the
+    bits that the whole file gives.  Where no child starts, a part fails,
+    or the parts do not join, ``take`` gives None, and the reader reads the
+    whole file itself, with the messages it always gives.
+    """
+
+    def __init__(self, path):
+        import pickle
+
+        self.pid = self.fd = None
+        fds = ()
+        try:
+            fds = os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return
+        if pid == 0:  # the child, which never returns
+            code = 1
+            try:
+                os.close(fds[0])
+                with open(path, "rb") as raw:
+                    cut = self.cut(raw)
+                    raw.seek(0)
+                    with _copied(raw.read(cut), "utf-8-sig") as fh:
+                        parsed = _load_open(fh, path, _transport_dtype)
+                with os.fdopen(fds[1], "wb") as pipe:
+                    pickle.dump(parsed, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(fds[1])
+        self.pid, self.fd = pid, fds[0]
+
+    @staticmethod
+    def cut(raw):
+        """The offset of the cut in the binary file ``raw``, which is left there."""
+        raw.seek(os.fstat(raw.fileno()).st_size * 3 // 4)
+        raw.readline()
+        return raw.tell()
+
+    def _tail(self):
+        """Rows of the lines after the cut, as the whole file's first pass
+        parses them: () where they are blank, None where they fail, the
+        temporary copy included."""
+        try:
+            with open(self, "rb") as raw:
+                first = raw.readline()
+                self.cut(raw)
+                tail = raw.read()
+            if not tail.strip():
+                return ()
+            if tail.startswith(b"\xef\xbb\xbf"):  # a mark that numpy would drop here
+                return None
+            header = [c.strip() for c in first.decode("utf-8-sig").split(",")]
+            with _copied(tail, "utf-8") as fh:
+                return _parse(_by_descriptor(fh) or fh, header, _transport_dtype(header))
+        except (OSError, ValueError):  # UnicodeDecodeError included
+            return None
+
+    def take(self):
+        """The header and rows of the whole file, waiting for the child's
+        part; None where no child ran, a part failed or they do not join."""
+        import pickle
+
+        if self.pid is None:
+            return None
+        tail = self._tail()
+        fd, self.fd = self.fd, None
+        try:
+            with os.fdopen(fd, "rb") as pipe:
+                parsed = pickle.load(pipe)
+        except Exception:  # the child sent nothing, or not all of it
+            parsed = None
+        pid, self.pid = self.pid, None
+        if os.waitpid(pid, 0)[1] != 0 or parsed is None or tail is None:
+            return None
+        if not len(tail):
+            return parsed
+        header, head = parsed
+        if head.dtype != tail.dtype or head.shape[1:] != tail.shape[1:]:
+            return None  # a header only the filtered reread reads, or rows of two lengths
+        return header, np.concatenate([head, tail])
+
+    def stop(self):
+        """Close the pipe, and kill and reap the child unless ``take`` did."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+@contextmanager
+def parsing_in_child(path, fork):
+    """``path``, which a forked child parses in part as a transport file while the block runs.
+
+    The block gets a ``_Parsing`` of ``path`` where ``fork`` is true, the
+    platform can fork and ``path`` is a regular file, else ``path`` itself;
+    ``read_interference_csv`` parses the rest of a ``_Parsing`` and joins it
+    to the child's part.  A pipe stays with the caller: once a child had
+    read it, it could not be read again.  Whatever the block does, the
+    child is reaped on the way out, and killed first if it still runs.
+    """
+    try:
+        fork = fork and hasattr(os, "fork") and stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # a missing file fails where the reader opens it
+        fork = False
+    parsing = _Parsing(path) if fork else path
+    try:
+        yield parsing
+    finally:
+        if fork:
+            parsing.stop()
+
+
 def read_interference_csv(path, n, j):
     """Dense (n rows x J numeric columns) or triplet (header i,j,value).
 
     A dense file is held as a numpy array, a triplet file, its rows in any
     order, as a sparse ``InterferenceMap``, which sorts and checks the
-    triplets; neither imports scipy.
+    triplets; neither imports scipy.  A ``path`` from ``parsing_in_child``
+    is read in two parts, by its child and here (``_Parsing.take``).
     """
-    def row_dtype(header):
-        if header[:3] != ["i", "j", "value"]:
-            return None
-        return np.dtype([("i", np.int64), ("j", np.int64), ("value", float)])
-
-    _, data = _load(path, row_dtype)
+    parsed = path.take() if isinstance(path, _Parsing) else None
+    _, data = parsed or _load(path, _transport_dtype)
     if data.dtype.names is None:
         if data.shape != (n, j):
             raise DataValidationError(f"{path}: matrix shape {data.shape}, expected ({n}, {j})")

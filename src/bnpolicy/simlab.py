@@ -120,8 +120,10 @@ class SimConfig:
             raise DataValidationError("calibration tolerances must be positive")
         if not 0 < self.target_mean_propensity < 1:
             raise DataValidationError("target_mean_propensity must lie in (0, 1)")
-        if self.n < 10 or self.j < 2 or self.p < 1 or self.q < 1:
-            raise DataValidationError("n, j, p, q out of range")
+        for key, least in (("n", 10), ("j", 2), ("p", 1), ("q", 1)):
+            value = getattr(self, key)
+            if value < least:
+                raise DataValidationError(f"{key} must be at least {least}, got {value!r}")
         if self.covariate_source not in ("synthetic_gaussian", "user_supplied"):
             raise DataValidationError(f"unknown covariate_source {self.covariate_source!r}")
         if self.h_source not in ("synthetic_lognormal", "synthetic_lognormal_iid",

@@ -259,11 +259,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def _run_python(*argv, **env):
-    """stdout of a fresh interpreter that imports the package from this checkout."""
+def _run_python(*argv, stdin=None, **env):
+    """stdout of a fresh interpreter that imports the package from this checkout,
+    with the text ``stdin`` piped to it."""
     src = os.path.dirname(os.path.dirname(bnpolicy.__file__))
     done = subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=src, **env),
-                          capture_output=True, text=True, check=True)
+                          input=stdin, capture_output=True, text=True, check=True)
     return done.stdout
 
 
@@ -291,12 +292,17 @@ def test_cli_impute_costs_loads_no_scipy(tmp_path):
 
 
 # a probe that runs one command and then lists the process-pool modules loaded
-# in this process and counts the processes it forked
+# in this process and counts the processes it forked; PROBE_CPUS, where set,
+# is the number of usable CPUs a bundle command sees
 POOL_PROBE = """
 import json, os, sys
 forks = []
 os.register_at_fork(after_in_parent=lambda: forks.append(1))
+from bnpolicy import cli
 from bnpolicy.cli import main
+
+if "PROBE_CPUS" in os.environ:
+    cli.usable_cpus = lambda: int(os.environ["PROBE_CPUS"])
 
 code = main(sys.argv[1:])
 pools = sorted(m for m in sys.modules
@@ -306,13 +312,29 @@ print(json.dumps([code, pools, len(forks)]))
 
 
 def test_cli_a_bundle_command_loads_no_pool_module(tmp_path):
+    """A bundle command starts no process pool. It forks one child to parse a
+    regular transport file on more than one usable CPU, and none on one CPU or
+    for a pipe, which only the command itself can read."""
     paths, *_ = make_fixture(tmp_path)
-    out = _run_python("-c", POOL_PROBE, "effects", "--outcomes", paths["outcomes"],
-                      "--interventions", paths["interventions"], "--h", paths["h"],
-                      "--out-dir", str(tmp_path / "out"))
-    code, pools, forks = json.loads(out.splitlines()[-1])
-    assert code == 0 and (tmp_path / "out" / "effects.csv").exists()
-    assert pools == [] and forks == 0
+    with open(paths["h"], encoding="utf-8") as fh:
+        h_text = fh.read()
+    # case: usable CPUs the command sees (None: as many as it has), forks expected
+    cases = [("one_cpu", "1", 0)]
+    if os.path.exists("/dev/stdin"):
+        cases.append(("piped", "2", 0))
+    if usable_cpus() >= 2:
+        cases.append(("regular", None, 1))
+    for case, cpus, expected_forks in cases:
+        out_dir = tmp_path / case
+        out = _run_python("-c", POOL_PROBE, "effects", "--outcomes", paths["outcomes"],
+                          "--interventions", paths["interventions"],
+                          "--h", "/dev/stdin" if case == "piped" else paths["h"],
+                          "--out-dir", str(out_dir),
+                          stdin=h_text if case == "piped" else None,
+                          **({} if cpus is None else {"PROBE_CPUS": cpus}))
+        code, pools, forks = json.loads(out.splitlines()[-1])
+        assert code == 0 and (out_dir / "effects.csv").exists(), case
+        assert pools == [] and forks == expected_forks, case
 
 
 def test_cli_impute_costs_still_forks_its_workers(tmp_path):
@@ -993,7 +1015,7 @@ BAD_CONFIG_SHAPES = {
     "text_snr": ({**_SMALL_STUDY, "snr": "3"}, "snr must be a finite number, got '3'"),
     "zero_propensity_tol": ({**_SMALL_STUDY, "propensity_tol": 0},
                             "calibration tolerances must be positive"),
-    "n_below_ten": ({**_SMALL_STUDY, "n": 9}, "n, j, p, q out of range"),
+    "n_below_ten": ({**_SMALL_STUDY, "n": 9}, "n must be at least 10, got 9"),
     "unknown_covariate_source": ({**_SMALL_STUDY, "covariate_source": "survey"},
                                  "unknown covariate_source 'survey'"),
     "h_local_frac_one": ({**_SMALL_STUDY, "h_local_frac": 1},

@@ -1,9 +1,11 @@
 """The two routes by which a reader hands a table to numpy's C reader.
 
 A regular file is read in chunks, by a path that opens the same file again
-through ``/proc/self/fd``; anything else, a pipe say, is read line by line
-from the file the reader opened.  Either way a reader returns the same bits
-and names the same line at fault, and a file that is not UTF-8 text exits 2.
+through ``/proc/self/fd``; where the platform has no ``/proc/self/fd``, it
+is read line by line from the file the reader opened.  A pipe is first
+copied into a temporary file and then read as a regular file is.  Either
+way a reader returns the same bits and names the same line at fault, and a
+file that is not UTF-8 text exits 2.
 """
 import gzip
 import os
@@ -75,7 +77,8 @@ CHUNKED = {"plain", "byte_order_mark", "crlf"}
 
 
 def _by_line(patch):
-    """Readers see every file as one that cannot be opened again: a pipe's route."""
+    """Readers see every file as one that cannot be opened again: the route
+    where the platform has no ``/proc/self/fd``."""
     patch.setattr(bio, "_by_descriptor", lambda fh: None)
 
 
@@ -133,6 +136,79 @@ def test_both_routes_name_the_same_line(tmp_path, monkeypatch, case):
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"{path}, line {line}: ")
+
+
+def _whole_and_in_parts(path, kind):
+    """What ``read_interference_csv`` makes of the transport file ``path``, read
+    whole and read in two parts by a forked child and this process: the bits
+    of the map's arrays, or the message."""
+    results = []
+    for in_parts in (False, True):
+        source = bio._Parsing(str(path)) if in_parts else str(path)
+        try:
+            h = read_interference_csv(source, n=N, j=J)
+            results.append([a.tobytes() for a in ([h.h] if kind == "dense"
+                                                   else [h.rows, h.cols, h.data])])
+        except DataValidationError as exc:
+            results.append(str(exc))
+        finally:
+            if in_parts:
+                source.stop()
+    return results
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.parametrize("kind", ["dense", "triplets"])
+@pytest.mark.parametrize("layout", sorted(CHUNKED))
+def test_a_transport_file_read_in_two_parts_gives_the_bits_of_the_whole(tmp_path, kind,
+                                                                        layout):
+    path = tmp_path / "h.csv"
+    path.write_text(LAYOUTS[layout](_tables()[kind]), encoding="utf-8", newline="")
+    with path.open("rb") as raw:
+        assert 0 < bio._Parsing.cut(raw) < path.stat().st_size
+    parsing = bio._Parsing(str(path))
+    try:
+        assert parsing.take() is not None  # the parts joined
+    finally:
+        parsing.stop()
+    whole, in_parts = _whole_and_in_parts(path, kind)
+    assert isinstance(whole, list) and in_parts == whole
+    # lines after the cut that are all blank, which numpy would read as no data
+    with path.open("a", encoding="utf-8", newline="") as fh:
+        fh.write("\n" * path.stat().st_size)
+    assert _whole_and_in_parts(path, kind) == [whole, whole]
+
+
+# a line that the whole file's first pass skips, or fails on, put in next to
+# where a transport file is cut in two: the parts must read as the whole does
+ODD_LINES = {
+    "blank": lambda row: "",
+    "spaces": lambda row: "   ",
+    "comment": lambda row: "# a note",
+    "bad_cell": lambda row: "x" + row,
+    "short_row": lambda row: row.rpartition(",")[0],
+    "byte_order_mark": lambda row: "\ufeff" + row,
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.parametrize("kind", ["dense", "triplets"])
+@pytest.mark.parametrize("odd", ODD_LINES)
+def test_a_transport_file_read_in_two_parts_fails_and_skips_as_the_whole(tmp_path, kind, odd):
+    lines = _tables()[kind]
+    text = "\n".join(lines) + "\n"
+    cut_line = text[:len(text.encode()) * 3 // 4].count("\n")
+    path = tmp_path / "h.csv"
+    for at in sorted({0, 1, cut_line - 1, cut_line, cut_line + 1, cut_line + 2, len(lines)}):
+        edited = [*lines[:at], ODD_LINES[odd](lines[-1]), *lines[at:]]
+        path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+        whole, in_parts = _whole_and_in_parts(path, kind)
+        assert in_parts == whole, at
+    # every line after the cut made odd: the parts may each read, but not join
+    edited = lines[:cut_line + 1] + [ODD_LINES[odd](line) for line in lines[cut_line + 1:]]
+    path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    whole, in_parts = _whole_and_in_parts(path, kind)
+    assert in_parts == whole
 
 
 def test_a_plain_table_named_like_a_compressed_file_reads_as_plain_text(tmp_path, parsed):
@@ -197,43 +273,81 @@ def test_impute_costs_on_a_gzip_file_exits_2_naming_the_file(tmp_path, capsys):
 
 
 def _effects_run(paths, out_dir):
-    """(exit code, stdout with ``out_dir`` named <out>, stderr, output files) of
-    ``effects`` in a fresh interpreter."""
+    """(exit code, stdout with ``out_dir`` named <out>, stderr with each input
+    named by its kind, output files) of ``effects`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(bnpolicy.__file__))
     done = subprocess.run(
         [sys.executable, "-m", "bnpolicy.cli", "effects", "--outcomes", str(paths["outcomes"]),
          "--interventions", str(paths["interventions"]), "--h", str(paths["h"]),
          "--out-dir", str(out_dir)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    stderr = done.stderr
+    for name, path in paths.items():
+        stderr = stderr.replace(str(path), f"<{name}>")
     files = {f: (out_dir / f).read_bytes() for f in sorted(os.listdir(out_dir))
              } if out_dir.exists() else {}
-    return done.returncode, done.stdout.replace(str(out_dir), "<out>"), done.stderr, files
+    return done.returncode, done.stdout.replace(str(out_dir), "<out>"), stderr, files
+
+
+def _feed(fifo, data):
+    """Write ``data`` into the named pipe ``fifo``, until its reader closes it."""
+    try:
+        fifo.write_bytes(data)
+    except BrokenPipeError:
+        pass
+
+
+def _commented(lines):
+    return [*lines[:2], "# a note", *lines[2:]]
+
+
+# edit of the outcome or the triplet file's lines, by file; the exit code that follows
+PIPED = {
+    "as_written": ({}, 0),
+    "commented": ({"outcomes": _commented, "h": _commented}, 0),
+    "bad_outcome_row": ({"outcomes": lambda lines: [
+        *lines[:4], "o_bad,1.0,2.0,abc,0.1,0.2", *lines[4:]]}, 2),
+    "bad_triplet_row": ({"h": lambda lines: [*lines[:5], "1.5,0,1.0", *lines[5:]]}, 2),
+}
+
+
+def _effects_run_piped(regular, texts, root):
+    """``_effects_run`` with the outcome and triplet file's ``texts`` fed through
+    named pipes under ``root``, in place of the files in ``regular``."""
+    piped, writers = dict(regular), []
+    for name in ("outcomes", "h"):
+        piped[name] = root / f"{name}.fifo"
+        os.mkfifo(piped[name])
+        writers.append(threading.Thread(target=_feed, args=(piped[name], texts[name]),
+                                        daemon=True))
+        writers[-1].start()
+    try:
+        return _effects_run(piped, root / "out")
+    finally:
+        for name, writer in zip(("outcomes", "h"), writers):
+            if writer.is_alive():  # the command never opened this pipe: unblock its writer
+                os.close(os.open(piped[name], os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=5)
+            assert not writer.is_alive()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_effects_reads_pipes_as_it_reads_regular_files(tmp_path, write_smoke):
     """A pipe cannot be opened again without losing what was read into the
-    reader's buffer; the smoke bundle's outcome and triplet files are several
-    such buffers long."""
+    reader's buffer, nor read again to name a bad line; the smoke bundle's
+    outcome and triplet files are several such buffers long."""
     files = write_smoke(tmp_path, "write_bundle")
-    regular = {name: files / f"{name}.csv" for name in ("outcomes", "interventions", "h")}
-    expected = _effects_run(regular, tmp_path / "from_files")
-    assert expected[0] == 0 and expected[3]
-
-    piped = dict(regular)
-    writers = []
-    for name in ("outcomes", "h"):
-        piped[name] = tmp_path / f"{name}.fifo"
-        os.mkfifo(piped[name])
-        text = regular[name].read_bytes()
-        writers.append(threading.Thread(target=piped[name].write_bytes, args=(text,),
-                                        daemon=True))
-        writers[-1].start()
-    try:
-        got = _effects_run(piped, tmp_path / "from_pipes")
-    finally:
-        for name, writer in zip(("outcomes", "h"), writers):
-            writer.join(timeout=5)
-            if writer.is_alive():  # the command never opened this pipe: unblock its writer
-                os.close(os.open(piped[name], os.O_RDONLY | os.O_NONBLOCK))
-    assert got == expected
+    for case, (edits, code) in PIPED.items():
+        root = tmp_path / case
+        root.mkdir()
+        regular = {name: files / f"{name}.csv" for name in ("outcomes", "interventions", "h")}
+        texts = {}
+        for name in ("outcomes", "h"):
+            lines = regular[name].read_text(encoding="utf-8").splitlines()
+            lines = edits[name](lines) if name in edits else lines
+            texts[name] = ("\n".join(lines) + "\n").encode()
+            regular[name] = root / f"{name}.csv"
+            regular[name].write_bytes(texts[name])
+        expected = _effects_run(regular, root / "from_files")
+        assert expected[0] == code and bool(expected[3]) == (code == 0), case
+        assert _effects_run_piped(regular, texts, root) == expected, case

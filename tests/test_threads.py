@@ -1,18 +1,23 @@
 """BLAS thread pinning, the worker pools of the study and the cost forest,
-and reports that depend on neither."""
+reports that depend on neither, and the child that a bundle command forks
+to parse its transport file."""
 import concurrent.futures
 import json
 import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
 import bnpolicy
-from bnpolicy import (DataValidationError, RegressionForest, SimConfig, _blas, costimpute,
-                      run_monte_carlo)
+from bnpolicy import (DataValidationError, RegressionForest, SimConfig, _blas, cli,
+                      costimpute, run_monte_carlo)
+from bnpolicy import io as bio
 from bnpolicy._blas import map_in_order, one_blas_thread
 from bnpolicy.costimpute import _bagged_block
 from bnpolicy.cli import main
@@ -310,3 +315,182 @@ def test_reports_are_identical_for_any_worker_and_blas_thread_count(tmp_path):
                              "sim_report.txt"]
     for other in rest:
         assert other == first
+
+
+BUNDLE_COMMANDS = (["fit"], ["effects"], ["policy", "--budget-frac", "0.2"], ["sweep"])
+
+
+def _edited(path, edit, name):
+    """A copy of the text file ``path``, named ``name``, with ``edit`` applied to its lines."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    copy = path.with_name(name)
+    copy.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return copy
+
+
+def _dense(lines):
+    """The lines of a dense file holding the transport map of triplet lines."""
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    i, j = rows[:, 0].astype(int), rows[:, 1].astype(int)
+    h = np.zeros((i.max() + 1, j.max() + 1))
+    h[i, j] = rows[:, 2]
+    return [",".join(map(repr, row)) for row in h.tolist()]
+
+
+@pytest.fixture
+def count_forks(monkeypatch):
+    """The list that gets one entry for each ``os.fork`` call in this process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: (forks.append(1), fork())[1])
+    return forks
+
+
+def _on_cpus(monkeypatch, cpus):
+    """Bundle commands run as on ``cpus`` usable CPUs: with more than one, they fork."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+
+
+def _bundle_argv(files, h):
+    return ["--outcomes", str(files["outcomes"]), "--interventions",
+            str(files["interventions"]), "--h", str(h)]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _outputs(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.parametrize("layout", ["triplets", "dense"])
+def test_bundle_commands_write_the_same_bytes_on_one_cpu_or_two(
+        tmp_path, monkeypatch, write_smoke, count_forks, layout):
+    """On two CPUs a child forked by the command parses the transport file; on
+    one the command parses it itself. The outputs are the same bytes."""
+    root = write_smoke(tmp_path, "write_bundle")
+    files = {name: root / f"{name}.csv" for name in ("outcomes", "interventions", "h")}
+    h = files["h"] if layout == "triplets" else _edited(files["h"], _dense, "dense.csv")
+    runs = {}
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus{cpus}"
+        for argv in BUNDLE_COMMANDS:
+            assert main([*argv, *_bundle_argv(files, h), "--out-dir",
+                         str(out_dir / argv[0])]) == 0
+            _assert_no_child_left()
+        runs[cpus] = _outputs(out_dir)
+    assert len(count_forks) == len(BUNDLE_COMMANDS)  # all on two CPUs
+    assert sorted(runs[1]) == ["effects/effects.csv", "fit/outcome_coefficients.csv",
+                               "fit/propensity_coefficients.csv", "policy/policy.json",
+                               "sweep/sweep.csv"]
+    assert runs[1] == runs[2]
+
+
+def _failing(owner, name, failure, where="child"):
+    """A patch of ``owner.name`` that runs ``failure(real, *args)`` in its place in
+    a forked child, in this process or in ``both``, and the real one elsewhere."""
+    parent, real = os.getpid(), getattr(owner, name)
+
+    def patched(*args, **kwargs):
+        if where == "both" or (os.getpid() == parent) == (where == "parent"):
+            return failure(real, *args, **kwargs)
+        return real(*args, **kwargs)
+    return owner, name, patched
+
+
+def _no_fork():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+def _no_temporary_file(real, *args, **kwargs):
+    raise OSError(30, "Read-only file system")
+
+
+# a child, or the part this process parses, that fails: the patch that makes it fail
+PART_FAILURES = {
+    "fork_fails": lambda: (os, "fork", _no_fork),
+    "exits_without_rows": lambda: _failing(bio, "_load_open", lambda real, *args: os._exit(0)),
+    "killed": lambda: _failing(bio, "_load_open",
+                               lambda real, *args: os.kill(os.getpid(), signal.SIGKILL)),
+    "raises": lambda: _failing(bio, "_load_open", lambda real, *args: 1 / 0),
+    "sends_half": lambda: _failing(pickle, "dump", lambda real, obj, pipe, **kwargs: pipe.write(
+        pickle.dumps(obj)[:len(pickle.dumps(obj)) // 2])),
+    # no temporary file can be made: a regular file is then read without one
+    **{f"no_temporary_file_{where}": lambda where=where: _failing(
+        tempfile, "TemporaryFile", _no_temporary_file, where)
+       for where in ("child", "parent", "both")},
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.parametrize("failure", PART_FAILURES)
+def test_a_bundle_command_reads_the_transport_file_itself_where_a_part_fails(
+        tmp_path, monkeypatch, write_smoke, failure):
+    root = write_smoke(tmp_path, "write_bundle")
+    files = {name: root / f"{name}.csv" for name in ("outcomes", "interventions", "h")}
+    argv = ["effects", *_bundle_argv(files, files["h"])]
+    _on_cpus(monkeypatch, 1)
+    assert main([*argv, "--out-dir", str(tmp_path / "alone")]) == 0
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(*PART_FAILURES[failure]())
+    assert main([*argv, "--out-dir", str(tmp_path / "part_failed")]) == 0
+    _assert_no_child_left()
+    assert _outputs(tmp_path / "alone") == _outputs(tmp_path / "part_failed")
+
+
+def _with_line(at, text):
+    """An edit that puts ``text`` in as line ``at`` (1-based) of a file."""
+    return lambda lines: [*lines[:at - 1], text, *lines[at - 1:]]
+
+
+def _no_cost(lines):
+    """Plant lines with the first unit's cost cell blank."""
+    cells = lines[1].split(",")
+    return [lines[0], ",".join([*cells[:2], "", *cells[3:]]), *lines[2:]]
+
+
+# a failing bundle command: command, the edit of each input file that has one,
+# whether the transport file is missing, the exit code and what stderr says;
+# where both tables are sound, a bad transport file fails last
+FAILURES = {
+    "bad_outcome_row": ("effects", {"outcomes": _with_line(5, "o_bad,1.0,2.0,abc,0.1,0.2"),
+                                    "h": _with_line(6, "1.5,0,1.0")},
+                        False, 2, "outcomes.csv, line 5: "),
+    "policy_without_cost": ("policy", {"interventions": _no_cost,
+                                       "h": _with_line(6, "1.5,0,1.0")},
+                            False, 2, "policy command needs a complete cost column"),
+    "bad_triplet_row": ("sweep", {"h": _with_line(6, "1.5,0,1.0")},
+                        False, 2, "h.csv, line 6: "),
+    "missing_h": ("fit", {}, True, 4, "i/o failure: [Errno 2] No such file or directory"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.parametrize("case", FAILURES)
+def test_a_bundle_command_fails_alike_on_one_cpu_or_two(
+        tmp_path, monkeypatch, capsys, write_smoke, count_forks, case):
+    """The child's result is used only where the command reads the transport
+    file, so the same error comes first; a child is never left behind."""
+    command, edits, missing_h, code, message = FAILURES[case]
+    root = write_smoke(tmp_path, "write_bundle")
+    files = {}
+    for name in ("outcomes", "interventions", "h"):
+        path = root / f"{name}.csv"
+        files[name] = _edited(path, edits[name], f"{name}.csv") if name in edits else path
+    if missing_h:
+        files["h"] = root / "missing.csv"
+    results = {}
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        results[cpus] = (main([command, *_bundle_argv(files, files["h"]),
+                               "--out-dir", str(tmp_path / "out")]),
+                         capsys.readouterr().err)
+        _assert_no_child_left()
+    assert results[1] == results[2]
+    assert results[1][0] == code and message in results[1][1]
+    assert len(count_forks) == (0 if missing_h else 1)
+    assert not (tmp_path / "out").exists()
