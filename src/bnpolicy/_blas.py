@@ -27,13 +27,12 @@ import ctypes
 import functools
 import glob
 import importlib.util
-import numbers
 import os
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import _integer
 
 
 def _library_dirs(packages=("numpy", "scipy")) -> list:
@@ -199,9 +198,7 @@ def map_in_order(fn, items, n_workers):
     and any command that makes none, loads neither ``multiprocessing`` nor
     ``concurrent.futures``.
     """
-    if not isinstance(n_workers, numbers.Integral) or n_workers < 1:
-        raise DataValidationError(
-            f"n_workers must be a positive integer, got {n_workers!r}")
+    _integer(n_workers, "n_workers")
     items = list(items)
     n_workers = min(n_workers, len(items), usable_cpus())
     with one_blas_thread():

@@ -130,28 +130,12 @@ def _coef_report(path, names, estimates, se, level):
                                estimates - z * se, estimates + z * se, p)
 
 
-def _worker_count(threads, default) -> int:
-    """Worker count from ``--threads``, else ``BNPOLICY_THREADS``, else ``default``."""
-    if threads is not None:
-        name, raw = "--threads", str(threads)
-    elif "BNPOLICY_THREADS" in os.environ:
-        name, raw = "BNPOLICY_THREADS", os.environ["BNPOLICY_THREADS"]
-    else:
-        return default
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise DataValidationError(f"{name} must be a positive integer, got {raw!r}")
-    return count
-
-
 def cmd_simulate(args) -> int:
     from .simlab import run_monte_carlo
 
-    n_workers = _worker_count(args.threads, 1)
-    report = run_monte_carlo(_load_sim_config(args.config), n_workers=n_workers)
+    if args.threads < 1:
+        raise DataValidationError(f"--threads must be a positive integer, got '{args.threads}'")
+    report = run_monte_carlo(_load_sim_config(args.config), n_workers=args.threads)
     print(bio.write_sim_report(_out_path(args, "sim_report.json"),
                                _out_path(args, "sim_report.txt"), report), end="")
     return EXIT_OK
@@ -238,7 +222,6 @@ def cmd_sweep(args) -> int:
 def cmd_impute_costs(args) -> int:
     from .costimpute import RESCALE_PLANTS, SplitSpec, fit_cost_models, predict_costs
 
-    n_workers = _worker_count(None, usable_cpus())
     spec = SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
     ids, intv, raw_cost = bio.read_intervention_csv(args.interventions)
     if raw_cost is None:
@@ -247,7 +230,7 @@ def cmd_impute_costs(args) -> int:
     if observed.all():
         raise DataValidationError("no missing costs to impute")
     fit, leaderboard = fit_cost_models(intv.x[observed], raw_cost[observed], spec,
-                                       n_workers=n_workers)
+                                       n_workers=usable_cpus())
     predicted, n_clipped = predict_costs(fit, intv.x[~observed])
     costs = raw_cost.copy()
     costs[~observed] = predicted
@@ -287,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run the Monte Carlo validation study")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out-dir", required=True, dest="out_dir")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes for the replications (default 1); "
+                         "the output bytes are the same for any count")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fit", help="fit outcome and propensity models")

@@ -23,14 +23,14 @@ q <= 3), and grows to the same bits in any block.  Prediction walks
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from ._blas import map_in_order, usable_cpus
-from .errors import DataValidationError, EstimationError, SingularSystemError, _finite
+from .errors import (DataValidationError, EstimationError, SingularSystemError, _finite,
+                     _integer)
 from .seeding import splitmix64
 
 NMAE_DENOM_GUARD = 1e-12
@@ -48,9 +48,7 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise DataValidationError("train_fraction must lie in (0, 1)")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise DataValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _integer(self.seed, "seed", least=0)
 
 
 def split_train_val(n_labeled: int, spec: SplitSpec):
@@ -74,14 +72,6 @@ def nmae(actual, predicted) -> float:
     if np.any(np.abs(predicted) < NMAE_DENOM_GUARD):
         raise DataValidationError("zero prediction: NMAE undefined")
     return float(np.mean(np.abs(actual - predicted) / np.abs(predicted)))
-
-
-def _integer(value, name, least=1):
-    """``value``, checked to be an integer of at least ``least``, 1 or 0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        kind = "positive" if least == 1 else "non-negative"
-        raise DataValidationError(f"{name} must be a {kind} integer, got {value!r}")
-    return value
 
 
 def _checked_rows(x, y):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the finiteness check that raises one."""
+"""Exception types shared across the package, and the finiteness and integer
+checks that raise one."""
+
+import numbers
 
 import numpy as np
 
@@ -44,3 +47,11 @@ def _finite(arr, what, remedy):
     if not np.all(np.isfinite(arr)):
         raise EstimationError(f"the {what} overflows to a non-finite value; {remedy}")
     return arr
+
+
+def _integer(value, name, least=1):
+    """``value``, checked to be an integer of at least ``least``, 1 or 0; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise DataValidationError(f"{name} must be a {kind} integer, got {value!r}")
+    return value

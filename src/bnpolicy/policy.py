@@ -8,7 +8,6 @@ for the relaxed program.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from ._prepared import PreparedData
 from .data import FeatureMap, InterferenceMap, OutcomeTable
 from .effects import _effect_basis, benefit_cost
-from .errors import DataValidationError
+from .errors import DataValidationError, _integer
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,7 @@ def _effects_and_costs(te, cost, n_out):
     ``cost`` may be None.  ``n_out``, the number of outcome units that the
     value rate averages over, must be a positive integer.
     """
-    if not isinstance(n_out, numbers.Integral) or isinstance(n_out, bool) or n_out < 1:
-        raise DataValidationError(f"n_out must be a positive integer, got {n_out!r}")
+    _integer(n_out, "n_out")
     te = np.asarray(te, dtype=float)
     if not np.all(np.isfinite(te)):
         raise DataValidationError("total effects must be finite")

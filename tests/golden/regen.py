@@ -28,6 +28,7 @@ import json
 import os
 import shutil
 import sys
+from unittest import mock
 
 GOLDEN = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(GOLDEN))
@@ -76,14 +77,18 @@ def run(name, argv, in_dir, out_root):
     """(exit code, {file name: bytes}) of one command run in this process.
 
     The files are the command's outputs and ``stdout.txt``, its stdout with
-    the output root written as ``{out}``.
+    the output root written as ``{out}``.  ``impute-costs`` runs as on one
+    CPU, growing its forest without a process pool; its bytes are the same
+    for any worker count.
     """
-    from bnpolicy.cli import main
+    from bnpolicy import cli
 
     argv = [a.replace("{in}", in_dir).replace("{out}", out_root) for a in argv]
     buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = main(argv)
+    one_cpu = (mock.patch.object(cli, "usable_cpus", lambda: 1) if argv[0] == "impute-costs"
+               else contextlib.nullcontext())
+    with contextlib.redirect_stdout(buffer), one_cpu:
+        code = cli.main(argv)
     out_dir = os.path.join(out_root, name)
     files = {}
     if os.path.isdir(out_dir):
@@ -140,7 +145,6 @@ def digests(top) -> dict:
 def main() -> int:
     sys.dont_write_bytecode = True  # perfbench/ is only read
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    os.environ["BNPOLICY_THREADS"] = "1"
     inputs = importlib.import_module("inputs")
     for top in (INPUTS, OUTPUTS):
         shutil.rmtree(top, ignore_errors=True)

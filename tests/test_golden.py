@@ -4,7 +4,9 @@
 3, the outputs and stdout of 50 command lines run on them, and a manifest
 of their SHA-256 digests (see ``tests/golden/regen.py``, the only
 sanctioned way to change them).  The test reruns each command line on the
-stored inputs, so a change to the benchmark's input draw cannot move it.
+stored inputs, so a change to the benchmark's input draw cannot move it, and
+the effects and policy lines on a shuffled and a commented copy of the
+bundle, which must give the same bytes.
 
 OpenBLAS picks its kernel for the CPU it runs on, so on a numerical stack
 with another fingerprint than the recorded one the last bits may move.
@@ -15,6 +17,7 @@ and warns that it did so.
 import importlib
 import json
 import os
+import random
 import re
 import sys
 import warnings
@@ -42,7 +45,42 @@ def _tokens(text: str) -> list:
     return [float(p) if k % 2 else p for k, p in enumerate(parts)]
 
 
+def _variants(regen, root) -> dict:
+    """{variant: input directory} of copies of the golden bundle that the
+    readers must take to the same rows:
+
+    - ``shuffled``: h.csv's rows in a seeded random order after its header,
+      which the reader puts back in order with a stable argsort;
+    - ``commented``: each table with a byte-order mark, CRLF line endings, and
+      a '#' line and a blank line after its header, which the reader reads
+      again through its line filter.
+    """
+    texts = {}
+    for name in ("outcomes.csv", "interventions.csv", "h.csv"):
+        with open(os.path.join(regen.INPUTS, name), encoding="utf-8", newline="") as fh:
+            texts[name] = fh.read()
+    header, *rows = texts["h.csv"].splitlines(keepends=True)
+    random.Random(regen.SEED).shuffle(rows)
+    variants = {"shuffled": dict(texts, **{"h.csv": header + "".join(rows)}),
+                "commented": {}}
+    for name, text in texts.items():
+        header, rest = text.split("\n", 1)
+        variants["commented"][name] = ("\ufeff" + header + "\n# a comment\n\n"
+                                       + rest).replace("\n", "\r\n")
+    dirs = {}
+    for variant, tables in variants.items():
+        dirs[variant] = os.path.join(root, variant)
+        os.makedirs(dirs[variant])
+        for name, text in tables.items():
+            with open(os.path.join(dirs[variant], name), "w", encoding="utf-8",
+                      newline="") as fh:
+                fh.write(text)
+    return dirs
+
+
 def test_every_command_reproduces_its_golden_outputs(monkeypatch, tmp_path):
+    """Each command line on the stored inputs, and each effects and policy case
+    on the variants of ``_variants``, gives the stored outputs."""
     regen = _import(monkeypatch, GOLDEN, "regen")
     oracle = _import(monkeypatch, PERFBENCH, "oracle")
     with open(regen.MANIFEST, encoding="utf-8") as fh:
@@ -59,14 +97,18 @@ def test_every_command_reproduces_its_golden_outputs(monkeypatch, tmp_path):
     if not exact:
         warnings.warn("numerical stack differs from the recorded fingerprint; golden "
                       f"outputs compared by {route}, not byte for byte")
-    monkeypatch.setenv("BNPOLICY_THREADS", "1")
-    for case in cases:
-        name = case["name"]
-        code, files = regen.run(name, case["argv"], regen.INPUTS, str(tmp_path))
-        assert code == case["exit_code"], name
-        assert sorted(files) == sorted(case["files"]), name
+    # (case, input directory, variant); each variant writes under its own root
+    runs = [(case, regen.INPUTS, "stored") for case in cases]
+    for variant, in_dir in _variants(regen, str(tmp_path / "inputs")).items():
+        runs += [(case, in_dir, variant) for case in cases
+                 if case["name"].startswith(("effects-", "policy-q-", "policy-a-"))]
+    for case, in_dir, variant in runs:
+        name, inputs = case["name"], f" on the {variant} inputs"
+        code, files = regen.run(name, case["argv"], in_dir, str(tmp_path / variant))
+        assert code == case["exit_code"], name + inputs
+        assert sorted(files) == sorted(case["files"]), name + inputs
         for file_name, data in files.items():
-            where = f"{name}/{file_name} ({route})"
+            where = f"{name}/{file_name}{inputs} ({route})"
             if exact:
                 assert regen.sha256(data) == case["files"][file_name], where
             else:

@@ -206,21 +206,6 @@ def test_cli_simulate_thread_count_invariance(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("value", ["abc", "2.5", "", "0"])
-def test_cli_simulate_rejects_a_bad_threads_variable(tmp_path, capsys, monkeypatch,
-                                                     value):
-    config = {"n": 300, "j": 30, "p": 2, "q": 2, "reps": 1, "master_seed": 5}
-    cfg = _write(tmp_path / "cfg.json", json.dumps(config))
-    monkeypatch.setenv("BNPOLICY_THREADS", value)
-    out_dir = tmp_path / "out"
-    code = main(["simulate", "--config", cfg, "--out-dir", str(out_dir)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "BNPOLICY_THREADS" in err and repr(value) in err
-    assert "Traceback" not in err
-    assert not out_dir.exists()
-
-
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_cli_simulate_rejects_a_thread_count_below_one(tmp_path, capsys, value):
     config = {"n": 300, "j": 30, "p": 2, "q": 2, "reps": 1, "master_seed": 5}
@@ -268,24 +253,25 @@ def _run_python(*argv, stdin=None, **env):
     return done.stdout
 
 
-# a probe that runs impute-costs, then lists the scipy modules loaded in this
-# process and in each worker of a two-worker pool
+# a probe that runs impute-costs with two workers, then lists the scipy modules
+# loaded in this process and in each worker of a two-worker pool
 IMPUTE_PROBE = """
 import json, sys
+from bnpolicy import cli
 from bnpolicy._blas import map_in_order
-from bnpolicy.cli import main
 
 def scipy_modules(_=None):
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-code = main(["impute-costs", "--interventions", sys.argv[1], "--out-dir", sys.argv[2]])
+cli.usable_cpus = lambda: 2
+code = cli.main(["impute-costs", "--interventions", sys.argv[1], "--out-dir", sys.argv[2]])
 print(json.dumps([code, scipy_modules(), map_in_order(scipy_modules, range(2), 2)]))
 """
 
 
 def test_cli_impute_costs_loads_no_scipy(tmp_path):
     path = _plants_with_a_nonlinear_cost(tmp_path)
-    out = _run_python("-c", IMPUTE_PROBE, path, str(tmp_path / "out"), BNPOLICY_THREADS="2")
+    out = _run_python("-c", IMPUTE_PROBE, path, str(tmp_path / "out"))
     code, here, workers = json.loads(out.splitlines()[-1])
     assert code == 0 and (tmp_path / "out" / "importance.csv").exists()
     assert here == [] and workers == [[], []]
@@ -293,7 +279,7 @@ def test_cli_impute_costs_loads_no_scipy(tmp_path):
 
 # a probe that runs one command and then lists the process-pool modules loaded
 # in this process and counts the processes it forked; PROBE_CPUS, where set,
-# is the number of usable CPUs a bundle command sees
+# is the number of usable CPUs the command sees
 POOL_PROBE = """
 import json, os, sys
 forks = []
@@ -342,7 +328,7 @@ def test_cli_impute_costs_still_forks_its_workers(tmp_path):
         pytest.skip("impute-costs runs its forest serially on one CPU")
     out = _run_python("-c", POOL_PROBE, "impute-costs", "--interventions",
                       _plants_with_a_nonlinear_cost(tmp_path), "--out-dir",
-                      str(tmp_path / "out"), BNPOLICY_THREADS="2")
+                      str(tmp_path / "out"), PROBE_CPUS="2")
     code, pools, forks = json.loads(out.splitlines()[-1])
     assert code == 0 and (tmp_path / "out" / "importance.csv").exists()
     assert {"concurrent.futures.process", "multiprocessing"} <= set(pools) and forks > 0
@@ -814,28 +800,22 @@ def test_cli_ranges_checked_before_any_file_is_read(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
-# impute-costs or simulate argument out of range: argv before --out-dir, the
-# BNPOLICY_THREADS value or None, text the message must contain; checked
-# before the (missing) input file is read
+# impute-costs or simulate argument out of range: argv before --out-dir, text
+# the message must contain; checked before the (missing) input file is read
 BAD_RANGES_ONE_INPUT = {
-    "impute_negative_seed": (["impute-costs", "--seed", "-1"], None,
+    "impute_negative_seed": (["impute-costs", "--seed", "-1"],
                              "seed must be a non-negative integer"),
-    "impute_train_fraction": (["impute-costs", "--train-fraction", "1.5"], None,
+    "impute_train_fraction": (["impute-costs", "--train-fraction", "1.5"],
                               "train_fraction must lie in (0, 1)"),
-    "impute_bad_threads_variable": (["impute-costs"], "abc", "BNPOLICY_THREADS"),
-    "simulate_zero_threads": (["simulate", "--threads", "0"], None, "--threads"),
-    "simulate_bad_threads_variable": (["simulate"], "0", "BNPOLICY_THREADS"),
+    "simulate_zero_threads": (["simulate", "--threads", "0"],
+                              "--threads must be a positive integer, got '0'"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_RANGES_ONE_INPUT)
 def test_cli_impute_and_simulate_ranges_checked_before_the_file_is_read(
-        tmp_path, capsys, monkeypatch, case):
-    (command, *extra), threads, expected = BAD_RANGES_ONE_INPUT[case]
-    if threads is None:
-        monkeypatch.delenv("BNPOLICY_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("BNPOLICY_THREADS", threads)
+        tmp_path, capsys, case):
+    (command, *extra), expected = BAD_RANGES_ONE_INPUT[case]
     given = "--interventions" if command == "impute-costs" else "--config"
     out_dir = tmp_path / "out"
     code = main([command, given, str(tmp_path / "missing.csv"), *extra,
@@ -1074,11 +1054,8 @@ def _plants_with_a_nonlinear_cost(tmp_path, j=120):
 def test_cli_impute_costs_is_identical_for_any_worker_count(tmp_path, capsys, monkeypatch):
     path = _plants_with_a_nonlinear_cost(tmp_path)
     runs = {}
-    for tag, env in (("env1", "1"), ("env2", "2"), ("default", None)):
-        if env is None:
-            monkeypatch.delenv("BNPOLICY_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("BNPOLICY_THREADS", env)
+    for tag, cpus in (("cpus1", 1), ("cpus2", 2), ("default", usable_cpus())):
+        monkeypatch.setattr(cli, "usable_cpus", lambda n=cpus: n)
         out_dir = tmp_path / tag
         assert main(["impute-costs", "--interventions", path, "--seed", "2",
                      "--out-dir", str(out_dir)]) == 0
@@ -1089,21 +1066,6 @@ def test_cli_impute_costs_is_identical_for_any_worker_count(tmp_path, capsys, mo
     assert first[1].startswith("selected forest")
     for other in rest:
         assert other == first
-
-
-@pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-1"])
-def test_cli_impute_costs_rejects_a_bad_threads_variable(tmp_path, capsys, monkeypatch,
-                                                         value):
-    path = _plants_with_a_nonlinear_cost(tmp_path)
-    monkeypatch.setenv("BNPOLICY_THREADS", value)
-    out_dir = tmp_path / "out"
-    code = main(["impute-costs", "--interventions", path, "--out-dir", str(out_dir)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.count("\n") == 1
-    assert f"BNPOLICY_THREADS must be a positive integer, got {value!r}" in err
-    assert "Traceback" not in err
-    assert not out_dir.exists()
 
 
 # (column, value) of unit p1's cell in _plants_with_a_nonlinear_cost, and text
@@ -1156,8 +1118,7 @@ class _Stop(Exception):
 
 
 def test_each_command_has_its_own_default_worker_count(tmp_path, monkeypatch):
-    """simulate runs in one process unless told otherwise; impute-costs uses the
-    usable CPUs; BNPOLICY_THREADS sets both."""
+    """simulate runs --threads workers, else one; impute-costs one per usable CPU."""
     seen = {}
 
     def record(command):
@@ -1170,18 +1131,14 @@ def test_each_command_has_its_own_default_worker_count(tmp_path, monkeypatch):
     monkeypatch.setattr(bnpolicy.costimpute, "fit_cost_models", record("impute-costs"))
     cfg = _write(tmp_path / "cfg.json", json.dumps({"reps": 2}))
     plants = _plants_with_a_nonlinear_cost(tmp_path)
-    commands = (["simulate", "--config", cfg, "--out-dir", str(tmp_path / "s")],
-                ["impute-costs", "--interventions", plants, "--out-dir", str(tmp_path / "i")])
-    for env, expected in ((None, {"simulate": 1, "impute-costs": usable_cpus()}),
-                          ("3", {"simulate": 3, "impute-costs": 3})):
-        if env is None:
-            monkeypatch.delenv("BNPOLICY_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("BNPOLICY_THREADS", env)
-        for argv in commands:
-            with pytest.raises(_Stop):
-                main(argv)
-        assert seen == expected
+    simulate = ["simulate", "--config", cfg, "--out-dir", str(tmp_path / "s")]
+    impute = ["impute-costs", "--interventions", plants, "--out-dir", str(tmp_path / "i")]
+    for argv, command, expected in ((simulate, "simulate", 1),
+                                    ([*simulate, "--threads", "3"], "simulate", 3),
+                                    (impute, "impute-costs", usable_cpus())):
+        with pytest.raises(_Stop):
+            main(argv)
+        assert seen.pop(command) == expected
 
 
 def test_every_annotation_in_the_package_resolves():
@@ -1207,13 +1164,18 @@ def _imports(node, scope):
         yield from _imports(child, inner)
 
 
+def _package_sources():
+    """(file name, source) of each module of the package."""
+    for path in sorted(glob.glob(os.path.join(bnpolicy.__path__[0], "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path), fh.read()
+
+
 def test_no_module_of_the_package_imports_a_name_it_never_reads():
     # no linter is installed, so this is the unused-import rule; an import
     # kept on purpose carries "# noqa" on its line
     unused = []
-    for path in sorted(glob.glob(os.path.join(bnpolicy.__path__[0], "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
+    for file_name, source in _package_sources():
         lines, tree = source.splitlines(), ast.parse(source)
         for stmt, scope in _imports(tree, tree):
             if (isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"
@@ -1223,8 +1185,24 @@ def test_no_module_of_the_package_imports_a_name_it_never_reads():
             for alias in stmt.names:
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in read:
-                    unused.append(f"{os.path.basename(path)}:{stmt.lineno} {name}")
+                    unused.append(f"{file_name}:{stmt.lineno} {name}")
     assert unused == []
+
+
+def test_no_module_of_the_package_reads_its_environment():
+    # a run is explained by its arguments and inputs, so no module reads
+    # os.environ, os.environb or os.getenv, as attributes or imported by name
+    readers = {"environ", "environb", "getenv"}
+    reads = []
+    for file_name, source in _package_sources():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and node.attr in readers
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                reads.append(f"{file_name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{file_name}:{node.lineno} from os import {alias.name}"
+                          for alias in node.names if alias.name in readers]
+    assert reads == []
 
 
 def _smoke_bundle(monkeypatch, out_dir):

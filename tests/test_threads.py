@@ -127,7 +127,7 @@ def test_forked_workers_inherit_one_blas_thread_and_start_no_helper(libs):
     assert _counts() == [2] * len(libs)
 
 
-@pytest.mark.parametrize("n_workers", [0, -1, 2.5])
+@pytest.mark.parametrize("n_workers", [0, -1, 2.5, True])
 def test_run_monte_carlo_rejects_a_worker_count_below_one(n_workers):
     with pytest.raises(DataValidationError,
                        match=f"n_workers must be a positive integer, got {n_workers!r}"):
