@@ -480,9 +480,16 @@ def _cost_data():
      "seed must be a non-negative integer, got -1"),
     (lambda x, y: RegressionForest(n_trees=3, seed=2.5).fit(x, y),
      "seed must be a non-negative integer, got 2.5"),
+    (lambda x, y: RegressionForest(n_trees=3, n_workers=True).fit(x, y),
+     "n_workers must be a positive integer, got True"),
+    (lambda x, y: SplitSpec(seed=True),
+     "seed must be a non-negative integer, got True"),
+    (lambda x, y: SplitSpec(seed=2.5),
+     "seed must be a non-negative integer, got 2.5"),
 ], ids=["forest-n_trees-0", "fit_cost_models-n_trees-0", "min_leaf-minus-1", "min_leaf-0",
         "max_features-0", "tree-1d-x", "forest-1d-x", "tree-short-y", "forest-short-y",
-        "tree-seed-minus-1", "forest-seed-minus-1", "forest-seed-2.5"])
+        "tree-seed-minus-1", "forest-seed-minus-1", "forest-seed-2.5", "forest-n_workers-True",
+        "split-seed-True", "split-seed-2.5"])
 def test_the_forest_rejects_a_bad_argument_by_name(fit, message):
     x, y = _cost_data()
     with pytest.raises(DataValidationError, match=f"^{message}$"):

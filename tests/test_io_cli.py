@@ -220,6 +220,19 @@ def test_cli_simulate_rejects_a_thread_count_below_one(tmp_path, capsys, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "2.5", ""])
+def test_cli_simulate_rejects_a_threads_flag_that_is_not_an_integer(tmp_path, capsys, value):
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"reps": 1}))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--threads", value, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument --threads: invalid int value: {value!r}" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("key,value", [("reps", 2.5), ("n", 300.5), ("master_seed", 1.5),
                                        ("h_diffuse_degree", 2.5), ("reps", True)])
 def test_cli_simulate_rejects_a_non_integer_count(tmp_path, capsys, key, value):
@@ -1189,20 +1202,44 @@ def test_no_module_of_the_package_imports_a_name_it_never_reads():
     assert unused == []
 
 
-def test_no_module_of_the_package_reads_its_environment():
-    # a run is explained by its arguments and inputs, so no module reads
-    # os.environ, os.environb or os.getenv, as attributes or imported by name
+def _environment_reads(file_name, source):
+    """Each read of os.environ, os.environb or os.getenv in ``source``, as an
+    attribute or imported by name, as "<file name>:<line> <what>"."""
     readers = {"environ", "environb", "getenv"}
     reads = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in readers
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            reads.append(f"{file_name}:{node.lineno} os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [f"{file_name}:{node.lineno} from os import {alias.name}"
+                      for alias in node.names if alias.name in readers]
+    return reads
+
+
+def test_no_module_of_the_package_reads_its_environment():
+    # a run is explained by its arguments and inputs, so no module reads its
+    # environment
+    reads = []
     for file_name, source in _package_sources():
-        for node in ast.walk(ast.parse(source)):
-            if (isinstance(node, ast.Attribute) and node.attr in readers
-                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
-                reads.append(f"{file_name}:{node.lineno} os.{node.attr}")
-            elif isinstance(node, ast.ImportFrom) and node.module == "os":
-                reads += [f"{file_name}:{node.lineno} from os import {alias.name}"
-                          for alias in node.names if alias.name in readers]
+        reads += _environment_reads(file_name, source)
     assert reads == []
+
+
+# a source that reads its environment, and the read the rule must report
+ENVIRONMENT_READS = {
+    "environ": ("import os\nn = os.environ.get('N')\n", "m.py:2 os.environ"),
+    "environb": ("import os\n\nn = os.environb[b'N']\n", "m.py:3 os.environb"),
+    "getenv": ("import os\nn = int(os.getenv('N', '1'))\n", "m.py:2 os.getenv"),
+    "imported": ("from os import path, getenv\n", "m.py:1 from os import getenv"),
+}
+
+
+@pytest.mark.parametrize("case", ENVIRONMENT_READS)
+def test_the_environment_rule_reports_each_kind_of_read(case):
+    source, expected = ENVIRONMENT_READS[case]
+    assert _environment_reads("m.py", source) == [expected]
+    assert _environment_reads("m.py", "import os\nsep = os.sep\n") == []
 
 
 def _smoke_bundle(monkeypatch, out_dir):

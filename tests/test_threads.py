@@ -134,6 +134,16 @@ def test_run_monte_carlo_rejects_a_worker_count_below_one(n_workers):
         run_monte_carlo(SMALL, n_workers=n_workers)
 
 
+@pytest.mark.parametrize("n_workers", [0, 2.5, True])
+def test_map_in_order_rejects_a_worker_count_that_is_not_a_positive_integer(n_workers):
+    # checked before any item runs: a bool is not a worker count
+    ran = []
+    with pytest.raises(DataValidationError,
+                       match=f"^n_workers must be a positive integer, got {n_workers!r}$"):
+        map_in_order(ran.append, range(2), n_workers)
+    assert ran == []
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its arguments, starts nothing."""
     made = []
