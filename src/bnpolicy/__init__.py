@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it exports; every module is exported as well
 _EXPORTS = {
-    "alearn": ("AFit", "a_covariance", "a_equations", "a_system", "fit_a"),
+    "alearn": ("AFit", "a_covariance", "fit_a"),
     "data": ("FeatureMap", "InterferenceMap", "InterventionTable", "OutcomeTable",
              "standardize", "validate_bundle"),
     "effects": ("EffectTable", "benefit_cost", "effect_table", "total_effects"),
@@ -20,6 +20,7 @@ _EXPORTS = {
                "RankDeficiencyError", "SingularSystemError"),
     "policy": ("PolicySolution", "budget_sweep", "knapsack_policy", "policy_count",
                "te_ranked_policy", "truncate_fractional", "unconstrained_policy"),
+    "prepared": ("PreparedData",),
     "propensity": ("PropensityFit", "TrimReport", "apply_trim",
                    "calibrate_propensity_intercept", "fit_propensity", "trim_by_propensity"),
     "qlearn": ("OutcomeFit", "OutcomeModelSpec", "fit_q"),

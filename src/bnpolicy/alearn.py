@@ -28,8 +28,8 @@ Only Z and what follows from it belong to one fit.  D, FA, abar and the
 row mass, and for each propensity basis kind the fitted model, abar_hat
 and d abar_hat / d gamma, come from a ``PreparedData`` that computes each
 once: a replication of the lab shares one among its four A-learning cells,
-so each propensity basis is fitted once per replication, and ``fit_a``
-builds its own for one call.
+so each propensity basis is fitted once per replication.  The table-form
+``fit_a`` and ``a_covariance`` build their own for one call.
 """
 from __future__ import annotations
 
@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._prepared import PreparedData, gamma_sensitivity
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable
 from .errors import DataValidationError, EstimationError, SingularSystemError, _finite
+from .prepared import PreparedData, gamma_sensitivity
 from .propensity import PropensityFit
 from .qlearn import RESCALE_BUNDLE, OutcomeFit, OutcomeModelSpec
 
@@ -107,20 +107,6 @@ def _factor(m):
     return cond, x + x @ (np.eye(s.shape[0]) - m @ x)
 
 
-def a_system(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
-             spec: OutcomeModelSpec):
-    """Mean-form linear system M theta = rhs: M = Z^T D / n, rhs = Z^T y / n."""
-    d, z, _ = _iv_system(PreparedData(out, h=h, abar=abar), abar_hat, spec)
-    return z.T @ d / out.n, z.T @ out.y / out.n
-
-
-def a_equations(out: OutcomeTable, h: InterferenceMap, abar, abar_hat,
-                spec: OutcomeModelSpec, alpha, beta) -> np.ndarray:
-    """Averaged estimating equations Z^T (y - D theta) / n; zero at the fit."""
-    d, z, _ = _iv_system(PreparedData(out, h=h, abar=abar), abar_hat, spec)
-    return z.T @ (out.y - d @ np.concatenate([alpha, beta])) / out.n
-
-
 def _covariance(z, lam, r, m_inv, j, g, cov_gamma):
     """(cov_theta, omega_phi, omega_gamma, sigma_gamma) at residual r.
 
@@ -167,7 +153,9 @@ def fit_a(out: OutcomeTable, intv: InterventionTable, h: InterferenceMap,
     Either ``prop_basis`` is given and the propensity model is estimated
     from ``intv``, or ``propensities`` supplies known treatment
     probabilities, in which case the propensity-noise covariance term is
-    identically zero.
+    identically zero.  Unlike ``fit_q`` it takes tables, not a ``PreparedData``,
+    as the benchmark's memory probe (``perfbench/child.py``) calls it; the lab
+    and the commands call ``_fit_a`` on the bundle they prepared.
     """
     return _fit_a(PreparedData(out, intv, h), spec, prop_basis, propensities)
 

@@ -87,10 +87,10 @@ def _fit_bundle(args, need_cost=False) -> _Run:
     f0_basis, fa_basis, prop_basis = (FeatureMap(kind) for kind in (
         args.f0_basis, args.fa_basis, args.prop_basis))
     with bio.parsing_in_child(args.h, usable_cpus() > 1) as h_path:
-        from ._prepared import PreparedData
         from .alearn import _fit_a
+        from .prepared import PreparedData
         from .propensity import apply_trim, fit_propensity, trim_by_propensity
-        from .qlearn import OutcomeModelSpec, _fit_q
+        from .qlearn import OutcomeModelSpec, fit_q
 
         _, out = bio.read_outcome_csv(args.outcomes)
         ids, intv, _ = bio.read_intervention_csv(args.interventions)
@@ -107,7 +107,7 @@ def _fit_bundle(args, need_cost=False) -> _Run:
     data = PreparedData(out, intv, h)
     spec = OutcomeModelSpec(basis_f0=f0_basis, basis_fa=fa_basis)
     if args.estimator == "q":
-        fit = _fit_q(data, spec)
+        fit = fit_q(data, spec)
     else:
         fit = _fit_a(data, spec, prop_basis)
     return _Run(ids, data, fit)
@@ -158,11 +158,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_effects(args) -> int:
-    from .effects import _effect_table
+    from .effects import effect_table
 
     run = _fit_bundle(args)
-    table = _effect_table(run.data, run.fit.beta, run.fit.cov_beta(),
-                          run.fit.spec.basis_fa, run.data.intv.cost, args.level)
+    table = effect_table(run.data, run.fit.beta, run.fit.cov_beta(),
+                         run.fit.spec.basis_fa, run.data.intv.cost, args.level)
     bio.write_effects_csv(_out_path(args, "effects.csv"), run.ids, table)
     print(f"effects written to {args.out_dir}; note: one-sided p-values are "
           "exploratory and carry no multiplicity correction")
@@ -170,8 +170,8 @@ def cmd_effects(args) -> int:
 
 
 def cmd_policy(args) -> int:
-    from .effects import _total_effects
-    from .policy import (_policy_count, knapsack_policy, te_ranked_policy,
+    from .effects import total_effects
+    from .policy import (knapsack_policy, policy_count, te_ranked_policy,
                          truncate_fractional, unconstrained_policy)
 
     if args.budget_frac is None:
@@ -182,7 +182,7 @@ def cmd_policy(args) -> int:
         raise DataValidationError("budget fraction must be finite and >= 0")
     run = _fit_bundle(args, need_cost=True)
     beta, basis_fa = run.fit.beta, run.fit.spec.basis_fa
-    te = _total_effects(run.data, beta, basis_fa)
+    te = total_effects(run.data, beta, basis_fa)
     cost, n = run.data.intv.cost, run.data.out.n
     if args.budget_frac is None:
         sol = unconstrained_policy(te, n, cost=cost)
@@ -193,14 +193,14 @@ def cmd_policy(args) -> int:
         if args.integral:
             sol = truncate_fractional(sol, te, cost, n)
     count = (None if run.data.out.person_years is None
-             else _policy_count(sol.pi, run.data, beta, basis_fa))
+             else policy_count(sol.pi, run.data, beta, basis_fa))
     bio.write_policy_json(_out_path(args, "policy.json"), sol, run.ids, count)
     print(f"policy ({sol.method}) value_rate={sol.value_rate!r} spent={sol.spent!r}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    from .effects import _total_effects
+    from .effects import total_effects
     from .policy import budget_fractions, budget_sweep
 
     try:
@@ -209,7 +209,7 @@ def cmd_sweep(args) -> int:
         raise DataValidationError(f"bad --fractions value: {exc}") from None
     fractions = budget_fractions(fractions)
     run = _fit_bundle(args, need_cost=True)
-    pairs = budget_sweep(_total_effects(run.data, run.fit.beta, run.fit.spec.basis_fa),
+    pairs = budget_sweep(total_effects(run.data, run.fit.beta, run.fit.spec.basis_fa),
                          run.data.intv.cost, fractions, run.data.out.n)
     # the ratio ranking is optimal, so its value is at most the naive one's,
     # up to the rounding of the two sums

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtr, ndtri
-from ._prepared import PreparedData
-from .data import FeatureMap, InterferenceMap, OutcomeTable
+from .data import FeatureMap
 from .errors import DataValidationError, EstimationError
+from .prepared import PreparedData
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,9 @@ class EffectTable:
 
 def _effect_basis(data: PreparedData, beta, basis_fa: FeatureMap):
     """(FA, beta): the prepared effect basis at the outcome units, and beta checked
-    against it."""
+    against it; ``data`` must hold the interference map."""
+    if data.h is None:
+        raise DataValidationError("the effects need the interference map of the bundle")
     beta = np.asarray(beta, dtype=float)
     fa = data.outcome_basis(basis_fa)
     if beta.shape != fa.shape[1:]:
@@ -42,34 +44,21 @@ def _effect_basis(data: PreparedData, beta, basis_fa: FeatureMap):
     return fa, beta
 
 
-def total_effects(h: InterferenceMap, out: OutcomeTable, beta,
-                  basis_fa: FeatureMap) -> np.ndarray:
+def total_effects(data: PreparedData, beta, basis_fa: FeatureMap) -> np.ndarray:
     """Aggregate effect of treating each unit: (1/J) sum_i H_ij fa(x_i) . beta."""
-    return _total_effects(PreparedData(out, h=h), beta, basis_fa)
-
-
-def _total_effects(data: PreparedData, beta, basis_fa: FeatureMap) -> np.ndarray:
-    """``total_effects`` on the effect basis that ``data`` holds."""
     fa, beta = _effect_basis(data, beta, basis_fa)
     return data.h.aggregate(fa @ beta)
 
 
-def effect_table(h: InterferenceMap, out: OutcomeTable, beta,
-                 cov_beta: np.ndarray, basis_fa: FeatureMap,
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
+def effect_table(data: PreparedData, beta, cov_beta: np.ndarray, basis_fa: FeatureMap,
                  cost=None, level: float = 0.95) -> EffectTable:
-    """Assemble the full per-unit effect report.
+    """Assemble the full per-unit effect report on the bundle ``data``.
 
     The totals are W beta with rows w_j = (1/J) sum_i H_ij fa(x_i), so their
     standard errors are sqrt(w_j' cov_beta w_j); ``cov_beta`` must already be
     on the per-sample scale (the variance of beta_hat itself).
     """
-    return _effect_table(PreparedData(out, h=h), beta, cov_beta, basis_fa, cost, level)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
-def _effect_table(data: PreparedData, beta, cov_beta, basis_fa: FeatureMap, cost,
-                  level: float) -> EffectTable:
-    """``effect_table`` on the effect basis that ``data`` holds."""
     if not 0.0 < level < 1.0:
         raise DataValidationError("confidence level must lie in (0, 1)")
     h = data.h

@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._prepared import PreparedData
-from .data import FeatureMap, InterferenceMap, OutcomeTable
+from .data import FeatureMap
 from .effects import _effect_basis, benefit_cost
 from .errors import DataValidationError, _integer
+from .prepared import PreparedData
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,15 @@ def _value_rate(te, pi, n_out) -> float:
 
 
 def _effects_and_costs(te, cost, n_out):
-    """``te`` and ``cost`` as float arrays, each finite, of equal length.
+    """``te`` and ``cost`` as one-dimensional float arrays, each finite, of equal length.
 
     ``cost`` may be None.  ``n_out``, the number of outcome units that the
     value rate averages over, must be a positive integer.
     """
     _integer(n_out, "n_out")
     te = np.asarray(te, dtype=float)
+    if te.ndim != 1:
+        raise DataValidationError(f"total effects must be a 1-d array, got shape {te.shape}")
     if not np.all(np.isfinite(te)):
         raise DataValidationError("total effects must be finite")
     if cost is not None:
@@ -106,36 +108,31 @@ def truncate_fractional(sol: PolicySolution, te, cost, n_out: int) -> PolicySolu
     Keeps the original budget and reports the lower spend.
     """
     te, cost = _effects_and_costs(te, cost, n_out)
-    pi = sol.pi.copy()
+    pi = np.array(sol.pi, dtype=float)
+    if pi.shape != te.shape:
+        raise DataValidationError(f"the allocation has shape {pi.shape}, not {te.shape}")
     frac = np.flatnonzero((pi > 0.0) & (pi < 1.0))
     pi[frac] = 0.0
     return replace(sol, pi=pi, spent=float(pi @ cost),
                    value_rate=_value_rate(te, pi, n_out), method=sol.method + "_integral")
 
 
-def policy_count(pi, h: InterferenceMap, out: OutcomeTable, beta,
-                 basis_fa: FeatureMap) -> float:
+def policy_count(pi, data: PreparedData, beta, basis_fa: FeatureMap) -> float:
     """Count-scale value of an allocation: the change in expected events.
 
     Outcome unit i's rate changes by delta_i = (1/J) (H pi)_i fa(x_i) . beta,
     per 10,000 person-years, so the value is sum_i delta_i person_years_i / 10000.
     Its rate-scale counterpart is ``PolicySolution.value_rate``.
     """
-    return _policy_count(pi, PreparedData(out, h=h), beta, basis_fa)
-
-
-def _policy_count(pi, data: PreparedData, beta, basis_fa: FeatureMap) -> float:
-    """``policy_count`` on the effect basis that ``data`` holds."""
-    h, out = data.h, data.out
-    if out.person_years is None:
+    if data.out.person_years is None:
         raise DataValidationError("the count-scale value needs person_years")
-    pi = np.asarray(pi, dtype=float)
+    fa, beta = _effect_basis(data, beta, basis_fa)
+    h, pi = data.h, np.asarray(pi, dtype=float)
     if pi.shape != (h.j,):
         raise DataValidationError(f"pi must have shape ({h.j},), got {pi.shape}")
     if not np.all((pi >= 0.0) & (pi <= 1.0)):
         raise DataValidationError("allocations must be finite and lie in [0, 1]")
-    fa, beta = _effect_basis(data, beta, basis_fa)
-    return float((h.exposure(pi) * (fa @ beta)) @ out.person_years / 1e4)
+    return float((h.exposure(pi) * (fa @ beta)) @ data.out.person_years / 1e4)
 
 
 def budget_fractions(fractions) -> list:

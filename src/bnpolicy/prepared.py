@@ -16,9 +16,9 @@ same tables.  Those fits read the same derived quantities:
 column per intervention unit and that each treatment is 0 or 1.  It computes
 each derived quantity on first use, keeps it read-only and hands the same
 value to every later fit.  Each value comes from the operations a fit on its
-own would run, on the same inputs, so sharing it keeps every bit.  The object lives as long as its bundle's work: the lab
-builds one per replication, a command one per run, and each public fit
-(``fit_q``, ``fit_a``, the effect functions) one per call.
+own would run, on the same inputs, so sharing it keeps every bit.
+``fit_q``, the effect functions and ``simlab.run_cell`` take it; the lab
+builds one per replication and a command one per run.
 """
 from __future__ import annotations
 
@@ -61,12 +61,12 @@ class PreparedData:
     """An outcome table, and optionally its intervention table and map, with
     what the fits derive from them.
 
-    ``abar`` is given for a fit on a supplied exposure (``fit_q`` and the
-    public A-learning systems); otherwise it is the realized exposure of
-    ``intv.a`` under ``h``, computed when first read.  The constructor
-    rejects a map whose shape does not match the tables, a treatment other
-    than 0 or 1 and an ``abar`` without one entry per outcome unit.  The
-    object fills itself as it is read, so one thread at a time uses it.
+    ``abar`` is given for a fit on a supplied exposure, as
+    ``PreparedData(out, abar=abar)`` for ``fit_q``; otherwise it is the
+    realized exposure of ``intv.a`` under ``h``, computed when first read.
+    The constructor rejects a map whose shape does not match the tables, a
+    treatment other than 0 or 1 and an ``abar`` without one entry per outcome
+    unit.  The object fills itself as it is read, so one thread at a time uses it.
     """
 
     def __init__(self, out: OutcomeTable, intv: InterventionTable | None = None,
@@ -96,6 +96,9 @@ class PreparedData:
     @property
     def abar(self) -> np.ndarray:
         """The exposure of the outcome units, one entry per unit."""
+        if "abar" not in self._memo and (self.h is None or self.intv is None):
+            raise DataValidationError("the exposure needs an abar, or the intervention "
+                                      "table and the interference map")
         return self._once("abar", lambda: _read_only(self.h.exposure(self.intv.a)))
 
     def row_mass(self) -> np.ndarray:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import pivoted_qr, solve_upper
-from ._prepared import PreparedData
-from .data import FeatureMap, OutcomeTable
+from .data import FeatureMap
 from .errors import EstimationError, RankDeficiencyError, _finite
+from .prepared import PreparedData
 
 RANK_RTOL = 1e-10
 # what to rescale when an outcome-model fit overflows
@@ -54,11 +54,6 @@ class OutcomeFit:
         return np.sqrt(np.diag(self.cov_theta))
 
 
-def q_design(out: OutcomeTable, abar, spec: OutcomeModelSpec):
-    """(D = [F0 | abar * FA], FA) for a supplied exposure, as either fit builds them."""
-    return PreparedData(out, abar=abar).design(spec.basis_f0, spec.basis_fa)
-
-
 def _block(col, d_alpha):
     return "baseline" if col < d_alpha else "treatment"
 
@@ -78,20 +73,16 @@ def _check_scales(design, d_alpha):
             "rescale the covariates or transport weights")
 
 
-def fit_q(out: OutcomeTable, abar, spec: OutcomeModelSpec) -> OutcomeFit:
-    """Least-squares fit of the linear-exposure outcome model.
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
+def fit_q(data: PreparedData, spec: OutcomeModelSpec) -> OutcomeFit:
+    """Least-squares fit of the linear-exposure outcome model to ``data``.
 
+    A caller with its own exposure passes ``PreparedData(out, abar=abar)``.
     Solved through one pivoted QR, D[:, piv] = Q R, rather than normal
     equations; a diagonal entry of R at or below RANK_RTOL times the
     largest declares rank deficiency and names the dependent column, unless
     the design's column scales alone span more than 1/RANK_RTOL.
     """
-    return _fit_q(PreparedData(out, abar=abar), spec)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
-def _fit_q(data: PreparedData, spec: OutcomeModelSpec) -> OutcomeFit:
-    """``fit_q`` on the design that ``data`` builds once for every fit that reads it."""
     out = data.out
     design, _ = data.design(spec.basis_f0, spec.basis_fa)
     n, k = design.shape
@@ -120,8 +111,3 @@ def _fit_q(data: PreparedData, spec: OutcomeModelSpec) -> OutcomeFit:
     return OutcomeFit(alpha=theta[:d_alpha], beta=theta[d_alpha:], cov_theta=cov,
                       spec=spec)
 
-
-def q_score_norm(fit: OutcomeFit, out: OutcomeTable, abar) -> float:
-    """Max-norm of design' residuals; small at any proper least-squares solution."""
-    design, _ = q_design(out, abar, fit.spec)
-    return float(np.max(np.abs(design.T @ (out.y - design @ fit.theta))))

@@ -42,13 +42,13 @@ import numpy as np
 
 from ._blas import map_in_order
 from ._normal import ndtri
-from ._prepared import PreparedData
 from .alearn import _fit_a
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, standardize
-from .effects import _total_effects
+from .effects import total_effects
 from .errors import BnpolicyError, DataValidationError, EstimationError, _finite
+from .prepared import PreparedData
 from .propensity import calibrate_propensity_intercept, logistic
-from .qlearn import OutcomeModelSpec, _fit_q
+from .qlearn import OutcomeModelSpec, fit_q
 from .seeding import splitmix64
 
 Z95 = float(ndtri(0.975))
@@ -390,8 +390,8 @@ def run_cell(data: PreparedData, truth: Truth, cell: CellSpec,
     """Fit one estimator cell to a replication's prepared data and score it
     against the ground truth.
 
-    The fit is ``fit_q`` or ``fit_a`` on the tables of ``data``, reading
-    what ``data`` holds instead of computing it again.  Coverage compares
+    The fit (``fit_q`` or ``_fit_a``) and ``total_effects`` read what ``data``
+    holds instead of computing it again.  Coverage compares
     each effect coefficient's 95% CI against the truth; when a misspecified
     basis makes the fitted vector shorter, the shared leading coordinates
     are compared.
@@ -399,7 +399,7 @@ def run_cell(data: PreparedData, truth: Truth, cell: CellSpec,
     spec = OutcomeModelSpec(basis_f0=FeatureMap(cell.f0_kind), basis_fa=TRUTH_BASIS)
     try:
         if cell.estimator == "q":
-            fit = _fit_q(data, spec)
+            fit = fit_q(data, spec)
         else:
             fit = _fit_a(data, spec, FeatureMap(cell.prop_kind))
         beta = fit.beta
@@ -420,7 +420,7 @@ def run_cell(data: PreparedData, truth: Truth, cell: CellSpec,
     bias = float(np.linalg.norm(b_hat - b0))
     covered = (b_hat - Z95 * se_s <= b0) & (b0 <= b_hat + Z95 * se_s)
     coverage = float(np.mean(covered) * 100.0)
-    te_hat = _total_effects(data, beta, spec.basis_fa)
+    te_hat = total_effects(data, beta, spec.basis_fa)
     rmse = float(np.sqrt(np.mean((te_hat - truth.te_true) ** 2)))
     return CellResult(bias=bias, rmse=rmse, coverage=coverage)
 

@@ -6,8 +6,9 @@ The script draws the benchmark's SMOKE bundle and plant table at seed 3
 through ``perfbench/inputs.py``, runs every command line of
 ``command_lines`` on them in one process, and rewrites this directory:
 
-- ``inputs/``: the bundle, the plant table with blank costs and the
-  ``simulate`` config;
+- ``inputs/``: the bundle, a dense copy of its transport file
+  (``h_dense.csv``), the plant table with blank costs and the ``simulate``
+  config;
 - ``outputs/<case>/``: each command's output files and its stdout
   (``stdout.txt``), with the output directory written as ``{out}``;
 - ``manifest.json``: the SHA-256 of every input, each command line with its
@@ -50,6 +51,11 @@ BUNDLE_COMMANDS = {
     "policy-budget": ["policy", "--budget-frac", "0.2"],
     "policy-integral-te": ["policy", "--budget-frac", "0.2", "--integral", "--method", "te"],
 }
+# the commands rerun on the dense copy of the transport file, with both
+# estimators and with and without trimming; a dense map's products round
+# differently from the triplet map's, so these cases have digests of their own
+DENSE_COMMANDS = {"effects": ["effects"], "policy-budget": ["policy", "--budget-frac", "0.2"]}
+DENSE_BUNDLE = [*BUNDLE[:-1], "{in}/h_dense.csv"]
 
 
 def command_lines() -> list:
@@ -70,6 +76,12 @@ def command_lines() -> list:
     lines.append(("impute-costs", ["impute-costs", "--interventions",
                                    "{in}/plants_missing_cost.csv", "--seed", str(SEED),
                                    "--out-dir", "{out}/impute-costs"]))
+    for command, head in DENSE_COMMANDS.items():
+        for estimator in ("q", "a"):
+            for trim in ([], ["--trim", "0.05"]):
+                name = f"dense-{command}-{estimator}" + ("-trim" if trim else "")
+                lines.append((name, [*head, *DENSE_BUNDLE, "--estimator", estimator, *trim,
+                                     "--out-dir", f"{{out}}/{name}"]))
     return lines
 
 
@@ -142,6 +154,19 @@ def digests(top) -> dict:
     return found
 
 
+def write_dense(in_dir, n, j):
+    """Write ``h_dense.csv``, the n x J matrix of ``h.csv``'s triplets, with the
+    same value text in each filled cell and 0.0 in every other."""
+    dense = [["0.0"] * j for _ in range(n)]
+    with open(os.path.join(in_dir, "h.csv"), encoding="utf-8") as fh:
+        next(fh)
+        for line in fh:
+            i, c, value = line.rstrip("\n").split(",")
+            dense[int(i)][int(c)] = value
+    with open(os.path.join(in_dir, "h_dense.csv"), "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(row) + "\n" for row in dense)
+
+
 def main() -> int:
     sys.dont_write_bytecode = True  # perfbench/ is only read
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -150,6 +175,7 @@ def main() -> int:
         shutil.rmtree(top, ignore_errors=True)
         os.makedirs(top)
     inputs.write_bundle(INPUTS, SEED, inputs.SMOKE)
+    write_dense(INPUTS, inputs.SMOKE["n"], inputs.SMOKE["j"])
     inputs.write_plants(INPUTS, SEED, inputs.SMOKE)
     with open(os.path.join(INPUTS, "sim_config.json"), "w", encoding="utf-8") as fh:
         json.dump(SIM_CONFIG, fh, sort_keys=True)

@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from bnpolicy import (FeatureMap, InterferenceMap, InterventionTable,
-                      OutcomeModelSpec, OutcomeTable, SimConfig, fit_a,
+                      OutcomeModelSpec, OutcomeTable, PreparedData, SimConfig, fit_a,
                       fit_q, generate_dgp, knapsack_policy, nmae,
                       run_monte_carlo, splitmix64, split_train_val,
                       te_ranked_policy, total_effects)
-from bnpolicy.alearn import a_covariance, a_equations, a_system
+from bnpolicy.alearn import a_covariance
 from bnpolicy.cli import main
 from bnpolicy.costimpute import SplitSpec, fit_cost_models
 from bnpolicy.propensity import logistic
-from bnpolicy.qlearn import q_design, q_score_norm
+from oracles import a_equations, a_system, q_design, q_score_norm
 
 LIN = OutcomeModelSpec(basis_f0=FeatureMap("linear"), basis_fa=FeatureMap("linear"))
 
@@ -45,7 +45,7 @@ def test_criterion_01_exposure_and_effect_oracles():
         assert np.max(np.abs(abar - brute_abar)) <= 1e-12
         out = OutcomeTable(x=rng.standard_normal((n, p)), y=np.zeros(n))
         beta = rng.uniform(-2, 2, p + 1)
-        te = total_effects(h, out, beta, FeatureMap("linear"))
+        te = total_effects(PreparedData(out, h=h), beta, FeatureMap("linear"))
         fa_vals = FeatureMap("linear").expand(out.x) @ beta
         brute_te = np.array([sum(h.h[i, k] * fa_vals[i] for i in range(n)) / j
                              for k in range(j)])
@@ -65,13 +65,13 @@ def test_criterion_02_q_learning_exactness():
     beta0 = rng.uniform(-1, 1, 3)
     y = LIN.basis_f0.expand(x) @ alpha0 + abar * (LIN.basis_fa.expand(x) @ beta0)
     out = OutcomeTable(x=x, y=y)
-    fit = fit_q(out, abar, LIN)
+    fit = fit_q(PreparedData(out, abar=abar), LIN)
     assert np.max(np.abs(fit.theta - np.concatenate([alpha0, beta0]))) <= 1e-8
     # estimating-equation residual bound on every fit, noisy ones included
     for trial in range(10):
         yn = y + rng.standard_normal(300) * rng.uniform(0.01, 2.0)
         outn = OutcomeTable(x=x, y=yn)
-        fitn = fit_q(outn, abar, LIN)
+        fitn = fit_q(PreparedData(outn, abar=abar), LIN)
         bound = 1e-8 * 300 * max(1.0, float(np.max(np.abs(yn))))
         assert q_score_norm(fitn, outn, abar) <= bound
     _report(2, "noiseless recovery at 1e-8 and score max-norm within bound on "
@@ -120,7 +120,7 @@ def test_criterion_04_jacobians_match_finite_differences():
         abar = h.exposure(intv.a)
 
         # Q bread vs FD of the mean estimating function
-        qfit = fit_q(out, abar, LIN)
+        qfit = fit_q(PreparedData(out, abar=abar), LIN)
         design, _ = q_design(out, abar, LIN)
         bread = design.T @ design / n
         theta = qfit.theta

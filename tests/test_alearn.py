@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap, InterventionTable,
-                      OutcomeModelSpec, OutcomeTable, SimConfig, SingularSystemError,
-                      effect_table, fit_a, fit_q, generate_dgp, policy_count, splitmix64,
-                      total_effects)
-from bnpolicy import _prepared, alearn
-from bnpolicy.alearn import a_covariance, a_equations, a_system, gamma_sensitivity
+                      OutcomeModelSpec, OutcomeTable, PreparedData, SimConfig,
+                      SingularSystemError, effect_table, fit_a, fit_q, generate_dgp,
+                      policy_count, splitmix64, total_effects)
+from bnpolicy import alearn, prepared
+from bnpolicy.alearn import a_covariance, gamma_sensitivity
 from bnpolicy.propensity import logistic
+from oracles import a_equations, a_system
 
 LIN = OutcomeModelSpec(basis_f0=FeatureMap("linear"), basis_fa=FeatureMap("linear"))
 
@@ -93,7 +94,7 @@ def test_fit_a_rejects_known_propensities_outside_the_open_interval(rng, edge):
 @pytest.mark.parametrize("edge", [0.0, 1.0])
 def test_fit_a_rejects_a_fitted_propensity_rounded_to_zero_or_one(rng, monkeypatch, edge):
     out, intv, h, *_ = _make_data(rng)
-    fit_propensity = _prepared.fit_propensity
+    fit_propensity = prepared.fit_propensity
 
     def rounded(*args, **kwargs):
         fit = fit_propensity(*args, **kwargs)
@@ -101,7 +102,7 @@ def test_fit_a_rejects_a_fitted_propensity_rounded_to_zero_or_one(rng, monkeypat
         fitted[2] = edge
         return dataclasses.replace(fit, fitted=fitted)
 
-    monkeypatch.setattr(_prepared, "fit_propensity", rounded)
+    monkeypatch.setattr(prepared, "fit_propensity", rounded)
     with pytest.raises(DataValidationError, match=r"strictly in \(0, 1\)"):
         fit_a(out, intv, h, LIN, prop_basis=FeatureMap("linear"))
 
@@ -154,9 +155,7 @@ def test_public_systems_check_the_map_rows(rng):
     for call in (lambda: fit_a(out, intv, tall, LIN, prop_basis=FeatureMap("linear")),
                  lambda: a_system(*args), lambda: a_equations(*args, alpha, beta),
                  lambda: a_covariance(*args, alpha, beta, np.eye(6)),
-                 lambda: total_effects(tall, out, beta, LIN.basis_fa),
-                 lambda: effect_table(tall, out, beta, np.eye(3), LIN.basis_fa),
-                 lambda: policy_count(np.ones(5), tall, out, beta, LIN.basis_fa)):
+                 lambda: PreparedData(out, h=tall)):
         with pytest.raises(DataValidationError,
                            match="^interference map has 21 rows but the outcome table has 20$"):
             call()
@@ -198,7 +197,7 @@ def test_fixed_gamma_matches_q_learning_se_at_scale():
     out = OutcomeTable(x=x_out, y=y)
     intv = InterventionTable(x=x_int, a=a)
     afit = fit_a(out, intv, h, LIN, propensities=e_true)
-    qfit = fit_q(out, h.exposure(intv.a), LIN)
+    qfit = fit_q(PreparedData(out, abar=h.exposure(intv.a)), LIN)
     a_se = np.sqrt(np.diag(afit.cov_beta()))
     q_se = np.sqrt(np.diag(qfit.cov_beta()))
     assert np.all(np.abs(a_se / q_se - 1.0) <= 0.25)

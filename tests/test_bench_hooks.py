@@ -5,12 +5,17 @@ and ``perfbench/child.py`` calls ``fit_a``, ``generate_dgp``, ``CELLS`` and
 the three readers directly.  These tests install the tracer in-process and
 remove it again, and run the child's ``fit_a`` probe on the smoke-size
 inputs, so a refactor that renames, moves or re-signs one of these
-functions fails the tests instead of the traced benchmark run.  The harness
+functions fails the tests instead of the traced benchmark run.  A traced
+bundle command must also record the spans of the public fit and effect
+functions it runs, or the benchmark's layer timings read 0.  The harness
 is imported without writing bytecode, so its directory is only read.
 """
+import contextlib
 import importlib
+import io
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -78,3 +83,25 @@ def test_child_fit_a_probe_runs_on_smoke_inputs(monkeypatch, tmp_path, workload)
     else:
         spec["inputs"] = inputs.write_bundle(str(tmp_path), 0, smoke["bundle"])
     assert child.fit_a_peak_mb(spec) > 0.0
+
+
+def test_traced_bundle_commands_record_the_fit_and_effect_spans(monkeypatch, tmp_path):
+    tracer, inputs, workloads = _harness(monkeypatch, "tracer", "inputs", "workloads")
+    paths = inputs.write_bundle(str(tmp_path), 0, workloads.SIZES["smoke"]["bundle"])
+    bundle = ["--outcomes", paths["outcomes"], "--interventions", paths["interventions"],
+              "--h", paths["h"], "--estimator", "q"]
+    hooks, spans = tracer.Tracer(), {}
+    try:
+        hooks.install()
+        for command in (["effects"], ["policy", "--budget-frac", "0.2"]):
+            hooks.spans.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = bnpolicy.cli.main([*command, *bundle,
+                                          "--out-dir", str(tmp_path / command[0])])
+            assert code == 0, command
+            spans[command[0]] = Counter(span[0] for span in hooks.spans)
+    finally:
+        hooks.remove()
+    assert spans["effects"]["qlearn.fit_q"] == 1
+    assert spans["effects"]["effects.effect_table"] == 1
+    assert spans["policy"]["qlearn.fit_q"] == 1

@@ -9,7 +9,8 @@ from scipy.stats import norm
 
 import bnpolicy
 from bnpolicy import (DataValidationError, EstimationError, FeatureMap, InterferenceMap,
-                      OutcomeTable, benefit_cost, effect_table, total_effects)
+                      OutcomeTable, PreparedData, benefit_cost, effect_table, policy_count,
+                      total_effects)
 
 FA = FeatureMap("linear")
 
@@ -21,7 +22,7 @@ def _out(n, p=0, rng=None):
 
 def test_total_effects_hand_example():
     h = InterferenceMap(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    te = total_effects(h, _out(2), np.array([-1.0]), FA)
+    te = total_effects(PreparedData(_out(2), h=h), np.array([-1.0]), FA)
     assert np.allclose(te, [-2.0, -3.0])
 
 
@@ -29,9 +30,9 @@ def test_total_effects_zero_beta_and_scaling(rng):
     h = InterferenceMap(rng.random((6, 3)))
     out = _out(6, p=2, rng=rng)
     beta = rng.uniform(-1, 1, 3)
-    assert np.array_equal(total_effects(h, out, np.zeros(3), FA), np.zeros(3))
-    assert np.allclose(total_effects(h, out, 4.0 * beta, FA),
-                       4.0 * total_effects(h, out, beta, FA))
+    assert np.array_equal(total_effects(PreparedData(out, h=h), np.zeros(3), FA), np.zeros(3))
+    assert np.allclose(total_effects(PreparedData(out, h=h), 4.0 * beta, FA),
+                       4.0 * total_effects(PreparedData(out, h=h), beta, FA))
 
 
 def test_total_effects_brute_force_oracle(rng):
@@ -42,7 +43,7 @@ def test_total_effects_brute_force_oracle(rng):
         h = InterferenceMap(rng.random((n, j)))
         out = _out(n, p=p, rng=rng)
         beta = rng.uniform(-2, 2, p + 1)
-        te = total_effects(h, out, beta, FA)
+        te = total_effects(PreparedData(out, h=h), beta, FA)
         fa_vals = FA.expand(out.x) @ beta
         brute = np.zeros(j)
         for jj in range(j):
@@ -54,12 +55,19 @@ def test_total_effects_brute_force_oracle(rng):
 
 def test_effect_weights_reject_an_outcome_table_of_another_size(rng):
     h = InterferenceMap(rng.random((4, 3)))
-    out = _out(5, p=1, rng=rng)
     with pytest.raises(DataValidationError,
                        match="interference map has 4 rows but the outcome table has 5"):
-        effect_table(h, out, np.zeros(2), np.eye(2), FA)
-    with pytest.raises(DataValidationError, match="4 rows but the outcome table has 5"):
-        total_effects(h, out, np.zeros(2), FA)
+        PreparedData(_out(5, p=1, rng=rng), h=h)
+
+
+def test_the_effect_functions_need_the_map(rng):
+    out = OutcomeTable(x=np.zeros((4, 0)), y=np.zeros(4), person_years=np.ones(4))
+    data = PreparedData(out, abar=np.zeros(4))
+    for call in (lambda: total_effects(data, np.zeros(1), FA),
+                 lambda: effect_table(data, np.zeros(1), np.eye(1), FA),
+                 lambda: policy_count(np.zeros(3), data, np.zeros(1), FA)):
+        with pytest.raises(DataValidationError, match="^the effects need the interference map"):
+            call()
 
 
 @pytest.mark.parametrize("beta, cov, message", [
@@ -71,14 +79,14 @@ def test_effect_table_checks_beta_and_its_covariance_against_the_basis(rng, beta
                                                                        message):
     h = InterferenceMap(rng.random((6, 3)))
     with pytest.raises(DataValidationError, match=message):
-        effect_table(h, _out(6, p=4, rng=rng), beta, cov, FA)
+        effect_table(PreparedData(_out(6, p=4, rng=rng), h=h), beta, cov, FA)
 
 
 def test_effect_se_closed_form(rng):
     # intercept-only effect basis with identity covariance: se_j = s * c_j
     h = InterferenceMap(rng.random((5, 3)))
     s = 0.37
-    se = effect_table(h, _out(5), np.array([1.0]), np.array([[s**2]]), FA).se
+    se = effect_table(PreparedData(_out(5), h=h), np.array([1.0]), np.array([[s**2]]), FA).se
     expected = s * h.h.sum(axis=0) / h.j
     assert np.allclose(se, expected)
 
@@ -86,7 +94,7 @@ def test_effect_se_closed_form(rng):
 def test_zero_effect_gives_half_p(rng):
     h = InterferenceMap(rng.random((4, 2)))
     out = _out(4)
-    table = effect_table(h, out, np.array([0.0]), np.array([[0.5]]), FA)
+    table = effect_table(PreparedData(out, h=h), np.array([0.0]), np.array([[0.5]]), FA)
     assert np.array_equal(table.total_effect, np.zeros(2))
     assert np.allclose(table.p_one_sided, 0.5)
     assert np.all(table.ci_low <= table.total_effect)
@@ -96,7 +104,7 @@ def test_zero_effect_gives_half_p(rng):
 def test_p_values_monotone_in_standardized_effect(rng):
     h = InterferenceMap(rng.random((30, 8)) + 0.05)
     out = _out(30, p=1, rng=rng)
-    table = effect_table(h, out, rng.uniform(-1, 1, 2), 0.01 * np.eye(2), FA)
+    table = effect_table(PreparedData(out, h=h), rng.uniform(-1, 1, 2), 0.01 * np.eye(2), FA)
     z = table.total_effect / table.se
     order = np.argsort(z)
     assert np.all(np.diff(table.p_one_sided[order]) >= 0)
@@ -111,14 +119,14 @@ def test_se_invariant_to_outcome_permutation(rng):
     cov = rng.random((3, 3))
     cov = cov @ cov.T
     beta = rng.uniform(-1, 1, 3)
-    se1 = effect_table(InterferenceMap(h_mat), out1, beta, cov, FA).se
-    se2 = effect_table(InterferenceMap(h_mat[perm]), out2, beta, cov, FA).se
+    se1 = effect_table(PreparedData(out1, h=InterferenceMap(h_mat)), beta, cov, FA).se
+    se2 = effect_table(PreparedData(out2, h=InterferenceMap(h_mat[perm])), beta, cov, FA).se
     assert np.allclose(se1, se2)
 
 
 def test_structural_zero_column_flagged():
     h = InterferenceMap(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    table = effect_table(h, _out(2), np.array([-1.0]), np.array([[0.1]]), FA)
+    table = effect_table(PreparedData(_out(2), h=h), np.array([-1.0]), np.array([[0.1]]), FA)
     assert table.total_effect[1] == 0.0
     assert table.structural_zero.tolist() == [False, True]
 
@@ -127,14 +135,14 @@ def test_non_psd_covariance_rejected(rng):
     h = InterferenceMap(rng.random((4, 2)))
     out = _out(4)
     with pytest.raises(EstimationError, match="not positive semidefinite"):
-        effect_table(h, out, np.array([-1.0]), np.array([[-1.0]]), FA)
+        effect_table(PreparedData(out, h=h), np.array([-1.0]), np.array([[-1.0]]), FA)
 
 
 @pytest.mark.parametrize("beta, cov", [([1e308], [[0.1]]), ([-1.0], [[1e308]])])
 def test_an_overflowing_effect_or_se_is_rejected(beta, cov):
     h = InterferenceMap(np.array([[4.0, 1.0], [3.0, 0.0]]))
     with pytest.raises(EstimationError, match="overflows to a non-finite value"):
-        effect_table(h, _out(2), np.array(beta), np.array(cov), FA)
+        effect_table(PreparedData(_out(2), h=h), np.array(beta), np.array(cov), FA)
 
 
 def test_benefit_cost_examples():
@@ -166,8 +174,8 @@ def test_ndtr_ndtri_bitwise_equal_scipy_stats_norm():
 OUTCOME_EXPANSION = re.compile(r"\bbasis_f(0|a)\.expand\(|\.expand\((self\.)?out\.x\b")
 
 
-def test_only_q_design_and_the_effect_basis_expand_the_outcome_bases():
-    # q_design and the effect basis both read the prepared data's one expansion
+def test_only_the_prepared_data_expands_the_outcome_bases():
+    # the fits' design and the effect basis both read the prepared data's one expansion
     src = pathlib.Path(bnpolicy.__file__).parent
     owners = set()
     for path in sorted(src.glob("*.py")):
@@ -179,4 +187,4 @@ def test_only_q_design_and_the_effect_basis_expand_the_outcome_bases():
                 inner = max((f for f in functions if f.lineno <= k <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
                 owners.add(f"{path.stem}.{inner.name if inner else '<module>'}")
-    assert sorted(owners) == ["_prepared.outcome_basis"]
+    assert sorted(owners) == ["prepared.outcome_basis"]

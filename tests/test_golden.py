@@ -1,12 +1,15 @@
 """Every command reproduces its recorded outputs, byte for byte.
 
 ``tests/golden/`` holds the benchmark's SMOKE bundle and plant table at seed
-3, the outputs and stdout of 50 command lines run on them, and a manifest
-of their SHA-256 digests (see ``tests/golden/regen.py``, the only
-sanctioned way to change them).  The test reruns each command line on the
-stored inputs, so a change to the benchmark's input draw cannot move it, and
-the effects and policy lines on a shuffled and a commented copy of the
-bundle, which must give the same bytes.
+3, a dense copy of the bundle's transport file, the outputs and stdout of 58
+command lines run on them, and a manifest of their SHA-256 digests (see
+``tests/golden/regen.py``, the only sanctioned way to change them).  The
+test reruns each command line on the stored inputs, so a change to the
+benchmark's input draw cannot move it, and the effects and policy lines on a
+shuffled and a commented copy of the bundle, which must give the same bytes.
+Each run records its warnings: ``simulate`` gives exactly the lab's
+ill-conditioned A-learning fits of ``SIMULATE_WARNINGS``, every other line
+none.
 
 OpenBLAS picks its kernel for the CPU it runs on, so on a numerical stack
 with another fingerprint than the recorded one the last bits may move.
@@ -27,6 +30,11 @@ GOLDEN = os.path.join(TESTS, "golden")
 PERFBENCH = os.path.join(os.path.dirname(TESTS), "perfbench")
 # a number, with the sign that precedes it, as the writers print one
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf))")
+# the warnings of the simulate case, in order: two replications' A-learning
+# fits whose estimating system is ill-conditioned but still solved
+SIMULATE_WARNINGS = ["ill-conditioned estimating system (condition 4.202e+10)",
+                     "ill-conditioned estimating system (condition 3.458e+10)"]
+ILL_CONDITIONED = re.compile(r"ill-conditioned estimating system \(condition [0-9.e+]+\)")
 
 
 def _import(monkeypatch, directory, name):
@@ -78,6 +86,19 @@ def _variants(regen, root) -> dict:
     return dirs
 
 
+def _check_warnings(caught, expected, exact, where):
+    """``caught`` is one RuntimeWarning from the lab per message of ``expected``;
+    off the recorded stack, where condition numbers may move, each only reads
+    as an ill-conditioned fit."""
+    got = [(w.category, os.path.basename(w.filename), str(w.message)) for w in caught]
+    assert [g[:2] for g in got] == [(RuntimeWarning, "simlab.py")] * len(expected), \
+        f"{where}: {got}"
+    if exact:
+        assert [g[2] for g in got] == expected, where
+    else:
+        assert all(ILL_CONDITIONED.fullmatch(g[2]) for g in got), f"{where}: {got}"
+
+
 def test_every_command_reproduces_its_golden_outputs(monkeypatch, tmp_path):
     """Each command line on the stored inputs, and each effects and policy case
     on the variants of ``_variants``, gives the stored outputs."""
@@ -104,8 +125,12 @@ def test_every_command_reproduces_its_golden_outputs(monkeypatch, tmp_path):
                  if case["name"].startswith(("effects-", "policy-q-", "policy-a-"))]
     for case, in_dir, variant in runs:
         name, inputs = case["name"], f" on the {variant} inputs"
-        code, files = regen.run(name, case["argv"], in_dir, str(tmp_path / variant))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, files = regen.run(name, case["argv"], in_dir, str(tmp_path / variant))
         assert code == case["exit_code"], name + inputs
+        _check_warnings(caught, SIMULATE_WARNINGS if name == "simulate" else [], exact,
+                        name + inputs)
         assert sorted(files) == sorted(case["files"]), name + inputs
         for file_name, data in files.items():
             where = f"{name}/{file_name}{inputs} ({route})"

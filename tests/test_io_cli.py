@@ -352,14 +352,14 @@ PUBLIC_NAMES = [
     "AFit", "BnpolicyError", "CELLS", "CellResult", "CellSpec", "CellStats",
     "CostModelFit", "DataValidationError", "EffectTable", "EstimationError",
     "FeatureMap", "InterferenceMap", "InterventionTable", "OutcomeFit",
-    "OutcomeModelSpec", "OutcomeTable", "PolicySolution", "PropensityFit",
+    "OutcomeModelSpec", "OutcomeTable", "PolicySolution", "PreparedData", "PropensityFit",
     "RankDeficiencyError", "RegressionForest", "RegressionTree", "SimConfig",
     "SimReport", "SingularSystemError", "SplitSpec", "TrimReport", "Truth",
-    "a_covariance", "a_equations", "a_system", "alearn", "apply_trim", "benefit_cost",
+    "a_covariance", "alearn", "apply_trim", "benefit_cost",
     "budget_sweep", "calibrate_propensity_intercept", "costimpute", "data",
     "effect_table", "effects", "errors", "fit_a",
     "fit_cost_models", "fit_propensity", "fit_q", "generate_dgp", "knapsack_policy",
-    "nmae", "policy", "policy_count", "predict_costs", "propensity", "qlearn",
+    "nmae", "policy", "policy_count", "predict_costs", "prepared", "propensity", "qlearn",
     "run_cell", "run_monte_carlo", "run_replication", "seeding", "simlab",
     "split_train_val", "splitmix64", "standardize", "te_ranked_policy", "total_effects",
     "trim_by_propensity", "truncate_fractional", "unconstrained_policy",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap,
-                      OutcomeTable, budget_sweep, knapsack_policy, policy_count,
+                      OutcomeTable, PreparedData, budget_sweep, knapsack_policy, policy_count,
                       te_ranked_policy, truncate_fractional, unconstrained_policy)
 
 
@@ -99,10 +99,17 @@ def test_greedy_rejects_a_cost_that_is_not_finite(policy, cost):
         policy(np.array([-1.0, 0.5]), np.array(cost), 1.0, 2)
 
 
+# total effects that no policy takes, and the message each gives
+BAD_EFFECTS = [([np.nan, -1.0], "total effects must be finite"),
+               ([[-1.0], [0.5]], r"must be a 1-d array, got shape \(2, 1\)"),
+               (-1.0, r"must be a 1-d array, got shape \(\)")]
+
+
 @pytest.mark.parametrize("policy", GREEDY)
-def test_greedy_rejects_an_effect_that_is_not_finite(policy):
-    with pytest.raises(DataValidationError, match="total effects must be finite"):
-        policy(np.array([np.nan, -1.0]), np.ones(2), 1.0, 2)
+@pytest.mark.parametrize("te, message", BAD_EFFECTS, ids=["nan", "column", "scalar"])
+def test_greedy_rejects_effects_that_are_not_a_finite_vector(policy, te, message):
+    with pytest.raises(DataValidationError, match=message):
+        policy(np.array(te), np.ones(2), 1.0, 2)
 
 
 @pytest.mark.parametrize("policy", GREEDY)
@@ -112,25 +119,34 @@ def test_greedy_rejects_a_budget_that_is_not_finite(policy, budget):
         policy(np.array([-1.0, -2.0]), np.ones(2), budget, 2)
 
 
-def test_unconstrained_policy_checks_the_cost_length():
-    with pytest.raises(DataValidationError, match="equal length"):
-        unconstrained_policy(np.array([-1.0, 0.5, -0.2]), 3, cost=np.ones(2))
+@pytest.mark.parametrize("te, cost, message", [
+    ([-1.0, 0.5, -0.2], np.ones(2), "equal length"),
+    *[(te, None, message) for te, message in BAD_EFFECTS[1:]],
+], ids=["cost-length", "column", "scalar"])
+def test_unconstrained_policy_checks_the_effect_and_cost_shapes(te, cost, message):
+    with pytest.raises(DataValidationError, match=message):
+        unconstrained_policy(np.array(te), 10, cost=cost)
 
 
-@pytest.mark.parametrize("cost", [[np.nan, 1.0], [1.0, 1.0, 1.0]])
-def test_truncate_fractional_checks_the_costs(cost):
-    te = np.array([-1.0, -2.0])
-    sol = knapsack_policy(te, np.ones(2), 1.5, 2)
-    with pytest.raises(DataValidationError, match="finite|equal length"):
-        truncate_fractional(sol, te, np.array(cost), 2)
+@pytest.mark.parametrize("te, cost, message", [
+    ([-1.0, -2.0], [np.nan, 1.0], "costs must be finite"),
+    ([-1.0, -2.0], [1.0, 1.0, 1.0], "equal length"),
+    ([-1.0, -2.0, -0.5], [1.0, 1.0, 1.0],
+     r"the allocation has shape \(2,\), not \(3,\)"),
+], ids=["cost-nan", "cost-length", "allocation-length"])
+def test_truncate_fractional_checks_its_inputs(te, cost, message):
+    sol = knapsack_policy(np.array([-1.0, -2.0]), np.ones(2), 1.5, 2)
+    with pytest.raises(DataValidationError, match=message):
+        truncate_fractional(sol, np.array(te), np.array(cost), 3)
 
 
 def _count_context(rng, n=6, j=3, p=1):
-    """(h, out, beta, basis): a dense map, outcomes with person-years, a linear effect."""
+    """(data, beta, basis): the bundle of a dense map and outcomes with person-years,
+    and a linear effect."""
     h = InterferenceMap(rng.random((n, j)) + 0.1)
     out = OutcomeTable(x=rng.standard_normal((n, p)), y=np.zeros(n),
                        person_years=rng.uniform(1000, 9000, n))
-    return h, out, rng.uniform(-0.5, 0.2, p + 1), FeatureMap("linear")
+    return PreparedData(out, h=h), rng.uniform(-0.5, 0.2, p + 1), FeatureMap("linear")
 
 
 @pytest.mark.parametrize("pi", [[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]])
@@ -140,16 +156,16 @@ def test_policy_value_rejects_an_allocation_that_is_not_finite(rng, pi):
 
 
 def test_policy_count_rejects_a_beta_of_another_length(rng):
-    h, out, _, fa = _count_context(rng, p=4)  # a 5-column effect basis
+    data, _, fa = _count_context(rng, p=4)  # a 5-column effect basis
     with pytest.raises(DataValidationError, match=r"beta must have shape \(5,\)"):
-        policy_count(np.ones(3), h, out, np.zeros(3), fa)
+        policy_count(np.ones(3), data, np.zeros(3), fa)
 
 
 def test_policy_count_checks_the_allocation_shape(rng):
-    h, out, beta, fa = _count_context(rng)
+    data, beta, fa = _count_context(rng)
     for pi in (np.ones(2), np.ones((3, 1))):
         with pytest.raises(DataValidationError, match=r"pi must have shape \(3,\)"):
-            policy_count(pi, h, out, beta, fa)
+            policy_count(pi, data, beta, fa)
 
 
 @pytest.mark.parametrize("n_out", [0, -3, 2.5, True, None])
@@ -266,14 +282,14 @@ def test_truncate_fractional():
 
 
 def test_policy_value_basics(rng):
-    h, out, beta, fa = _count_context(rng)
-    assert policy_count(np.zeros(3), h, out, beta, fa) == 0.0
+    data, beta, fa = _count_context(rng)
+    assert policy_count(np.zeros(3), data, beta, fa) == 0.0
     pi = rng.uniform(0, 1, 3)
-    full = policy_count(pi, h, out, beta, fa)
-    assert policy_count(0.5 * pi, h, out, beta, fa) == pytest.approx(0.5 * full)
-    bare = OutcomeTable(x=out.x, y=out.y)
+    full = policy_count(pi, data, beta, fa)
+    assert policy_count(0.5 * pi, data, beta, fa) == pytest.approx(0.5 * full)
+    bare = OutcomeTable(x=data.out.x, y=data.out.y)
     with pytest.raises(DataValidationError, match="needs person_years"):
-        policy_count(pi, h, bare, beta, fa)
+        policy_count(pi, PreparedData(bare, h=data.h), beta, fa)
 
 
 def test_policy_value_checks_the_map_rows(rng):
@@ -282,7 +298,7 @@ def test_policy_value_checks_the_map_rows(rng):
     h = InterferenceMap(rng.random((21, 4)))  # 21 rows for 20 outcomes
     with pytest.raises(DataValidationError,
                        match="interference map has 21 rows but the outcome table has 20"):
-        policy_count(np.ones(4), h, out, np.zeros(3), FeatureMap("linear"))
+        policy_count(np.ones(4), PreparedData(out, h=h), np.zeros(3), FeatureMap("linear"))
 
 
 def test_policy_value_count_scale(rng):
@@ -294,7 +310,7 @@ def test_policy_value_count_scale(rng):
     fa = FeatureMap("linear")
     beta = np.array([-0.5, 0.2])
     pi = np.array([1.0, 0.0, 0.5])
-    count = policy_count(pi, h, out, beta, fa)
+    count = policy_count(pi, PreparedData(out, h=h), beta, fa)
     delta = (h.h @ pi / j) * (fa.expand(x) @ beta)
     assert count == pytest.approx(float(delta @ py / 1e4))
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from bnpolicy import (EstimationError, FeatureMap, InterferenceMap, InterventionTable,
-                      OutcomeModelSpec, OutcomeTable, RankDeficiencyError, fit_a,
-                      fit_q)
-from bnpolicy.qlearn import q_design, q_score_norm
+from bnpolicy import (DataValidationError, EstimationError, FeatureMap, InterferenceMap,
+                      InterventionTable, OutcomeModelSpec, OutcomeTable, PreparedData,
+                      RankDeficiencyError, fit_a, fit_q)
+from oracles import q_design, q_score_norm
 
 LIN = OutcomeModelSpec(basis_f0=FeatureMap("linear"), basis_fa=FeatureMap("linear"))
 
@@ -20,7 +20,7 @@ def _noiseless(rng, n=200, p=2):
 
 def test_noiseless_exact_recovery(rng):
     out, abar, alpha0, beta0 = _noiseless(rng)
-    fit = fit_q(out, abar, LIN)
+    fit = fit_q(PreparedData(out, abar=abar), LIN)
     assert np.max(np.abs(fit.alpha - alpha0)) <= 1e-8
     assert np.max(np.abs(fit.beta - beta0)) <= 1e-8
     assert np.max(np.abs(out.y - q_design(out, abar, LIN)[0] @ fit.theta)) <= 1e-10
@@ -30,7 +30,7 @@ def test_two_parameter_ols_by_hand():
     # intercept-only bases: regression of y on (1, abar)
     out = OutcomeTable(x=np.zeros((3, 0)), y=np.array([1.0, 2.0, 3.0]))
     abar = np.array([0.0, 1.0, 2.0])
-    fit = fit_q(out, abar, LIN)
+    fit = fit_q(PreparedData(out, abar=abar), LIN)
     assert np.allclose(fit.alpha, [1.0])
     assert np.allclose(fit.beta, [1.0])
 
@@ -38,7 +38,7 @@ def test_two_parameter_ols_by_hand():
 def test_zero_exposure_column_is_rank_deficient():
     out = OutcomeTable(x=np.zeros((5, 0)), y=np.arange(5.0))
     with pytest.raises(RankDeficiencyError) as err:
-        fit_q(out, np.zeros(5), LIN)
+        fit_q(PreparedData(out, abar=np.zeros(5)), LIN)
     assert err.value.column == 1
     assert "treatment" in str(err.value)
 
@@ -48,24 +48,33 @@ def test_duplicate_covariate_is_rank_deficient(rng):
     x = np.hstack([x1, x1])
     out = OutcomeTable(x=x, y=rng.standard_normal(50))
     with pytest.raises(RankDeficiencyError):
-        fit_q(out, rng.uniform(0, 1, 50), LIN)
+        fit_q(PreparedData(out, abar=rng.uniform(0, 1, 50)), LIN)
 
 
 def test_a_column_that_dwarfs_the_rest_is_a_scale_problem_not_a_dependence(rng):
     x = rng.standard_normal((50, 2))
     abar = rng.uniform(0, 1, 50)
     y = rng.standard_normal(50)
-    fit_q(OutcomeTable(x=x, y=y), abar, LIN)  # well posed at unit scale
+    fit_q(PreparedData(OutcomeTable(x=x, y=y), abar=abar), LIN)  # well posed at unit scale
     x[:, 0] *= 1e12
     with pytest.raises(EstimationError, match="baseline column 1 of the design is over "
                                               "1e\\+10 times the scale.*; rescale"):
-        fit_q(OutcomeTable(x=x, y=y), abar, LIN)
+        fit_q(PreparedData(OutcomeTable(x=x, y=y), abar=abar), LIN)
 
 
 def test_too_few_rows_rejected(rng):
     out = OutcomeTable(x=rng.standard_normal((3, 2)), y=rng.standard_normal(3))
     with pytest.raises(EstimationError):
-        fit_q(out, rng.uniform(0, 1, 3), LIN)
+        fit_q(PreparedData(out, abar=rng.uniform(0, 1, 3)), LIN)
+
+
+def test_fit_q_needs_an_exposure(rng):
+    out = OutcomeTable(x=rng.standard_normal((20, 1)), y=rng.standard_normal(20))
+    intv = InterventionTable(x=rng.standard_normal((4, 1)), a=np.array([1.0, 0.0, 1.0, 0.0]))
+    for data in (PreparedData(out), PreparedData(out, intv),
+                 PreparedData(out, h=InterferenceMap(np.ones((20, 4))))):
+        with pytest.raises(DataValidationError, match="^the exposure needs an abar"):
+            fit_q(data, LIN)
 
 
 def test_normal_equations_residual_bound(rng):
@@ -74,7 +83,7 @@ def test_normal_equations_residual_bound(rng):
         abar = rng.uniform(0, 1, 120)
         y = rng.standard_normal(120) * 3
         out = OutcomeTable(x=x, y=y)
-        fit = fit_q(out, abar, LIN)
+        fit = fit_q(PreparedData(out, abar=abar), LIN)
         bound = 1e-8 * 120 * max(1.0, float(np.max(np.abs(y))))
         assert q_score_norm(fit, out, abar) <= bound
 
@@ -83,7 +92,7 @@ def test_predict_decomposition_and_linearity(rng):
     out, abar, *_ = _noiseless(rng, n=80)
     y_noisy = out.y + 0.1 * rng.standard_normal(80)
     out2 = OutcomeTable(x=out.x, y=y_noisy)
-    fit = fit_q(out2, abar, LIN)
+    fit = fit_q(PreparedData(out2, abar=abar), LIN)
 
     def predict(exposure):
         return q_design(out2, exposure, LIN)[0] @ fit.theta
@@ -102,7 +111,7 @@ def test_bread_matches_finite_differences(rng):
     abar = rng.uniform(0, 1, 150)
     y = rng.standard_normal(150)
     out = OutcomeTable(x=x, y=y)
-    fit = fit_q(out, abar, LIN)
+    fit = fit_q(PreparedData(out, abar=abar), LIN)
     design, _ = q_design(out, abar, LIN)
     n = 150
     bread = design.T @ design / n
@@ -134,7 +143,7 @@ def test_sandwich_close_to_classical_ols_under_homoskedasticity():
     y = (LIN.basis_f0.expand(x) @ alpha0 + abar * (LIN.basis_fa.expand(x) @ beta0)
          + sigma * rng.standard_normal(n))
     out = OutcomeTable(x=x, y=y)
-    fit = fit_q(out, abar, LIN)
+    fit = fit_q(PreparedData(out, abar=abar), LIN)
     design, _ = q_design(out, abar, LIN)
     dof = n - design.shape[1]
     resid = y - design @ fit.theta
@@ -149,7 +158,7 @@ def test_covariance_equals_normal_equations_sandwich(rng):
     abar = rng.uniform(0, 1, 300)
     y = rng.standard_normal(300) * (1.0 + np.abs(x[:, 0]))
     out = OutcomeTable(x=x, y=y)
-    fit = fit_q(out, abar, LIN)
+    fit = fit_q(PreparedData(out, abar=abar), LIN)
     design, _ = q_design(out, abar, LIN)
     n = design.shape[0]
     resid = y - design @ fit.theta
@@ -168,7 +177,7 @@ def test_both_fits_are_equivariant_to_the_scale_of_y(rng, k):
     y = rng.standard_normal(n)
     c = 2.0**k
     out, scaled = OutcomeTable(x=x, y=y), OutcomeTable(x=x, y=c * y)
-    q, q_big = (fit_q(o, h.exposure(intv.a), LIN) for o in (out, scaled))
+    q, q_big = (fit_q(PreparedData(o, abar=h.exposure(intv.a)), LIN) for o in (out, scaled))
     a, a_big = (fit_a(o, intv, h, LIN, prop_basis=FeatureMap("linear"))
                 for o in (out, scaled))
     assert np.array_equal(q_big.theta, c * q.theta)

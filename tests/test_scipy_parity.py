@@ -12,7 +12,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.special
 
-from bnpolicy import FeatureMap, InterferenceMap, OutcomeModelSpec, OutcomeTable, fit_q
+from bnpolicy import (FeatureMap, InterferenceMap, OutcomeModelSpec, OutcomeTable,
+                      PreparedData, fit_q)
 from bnpolicy import _blas, _normal
 from bnpolicy.errors import RankDeficiencyError
 
@@ -81,9 +82,9 @@ def _q_problem(rng, n=800, dependent=False):
 
 def test_fit_q_has_the_same_bits_on_either_route(rng, monkeypatch):
     out, abar, spec = _q_problem(rng)
-    fast = fit_q(out, abar, spec)
+    fast = fit_q(PreparedData(out, abar=abar), spec)
     monkeypatch.setattr(_blas, "_lapack", lambda: None)
-    slow = fit_q(out, abar, spec)
+    slow = fit_q(PreparedData(out, abar=abar), spec)
     for name in ("alpha", "beta", "cov_theta"):
         _assert_same_bits(getattr(fast, name), getattr(slow, name))
 
@@ -91,10 +92,10 @@ def test_fit_q_has_the_same_bits_on_either_route(rng, monkeypatch):
 def test_a_rank_deficient_design_names_the_same_column_on_either_route(rng, monkeypatch):
     out, abar, spec = _q_problem(rng, dependent=True)
     with pytest.raises(RankDeficiencyError) as fast:
-        fit_q(out, abar, spec)
+        fit_q(PreparedData(out, abar=abar), spec)
     monkeypatch.setattr(_blas, "_lapack", lambda: None)
     with pytest.raises(RankDeficiencyError) as slow:
-        fit_q(out, abar, spec)
+        fit_q(PreparedData(out, abar=abar), spec)
     assert fast.value.column == slow.value.column
     assert str(fast.value) == str(slow.value)
 

@@ -14,7 +14,7 @@ from bnpolicy import (CELLS, BnpolicyError, CellResult, CellSpec, EstimationErro
                       InterferenceMap, OutcomeModelSpec, SimConfig, DataValidationError,
                       fit_a, fit_q, generate_dgp, run_cell, run_monte_carlo,
                       run_replication, splitmix64, total_effects)
-from bnpolicy._prepared import PreparedData
+from bnpolicy.prepared import PreparedData
 from bnpolicy.io import sim_report_to_dict, write_sim_report
 from bnpolicy.simlab import (THETA0_REFERENCE, TRUTH_BASIS, Z95, _draw_h, _smallest,
                              resolve_truth_coefficients)
@@ -296,8 +296,8 @@ def test_a_replication_computes_its_shared_work_once(monkeypatch):
     out, intv, h, _ = dgp
     monkeypatch.setattr(bnpolicy.simlab, "generate_dgp", lambda config, seed: dgp)
     calls, expanded = collections.Counter(), collections.Counter()
-    monkeypatch.setattr(bnpolicy._prepared, "fit_propensity", _counted(
-        calls, "fit_propensity", bnpolicy._prepared.fit_propensity))
+    monkeypatch.setattr(bnpolicy.prepared, "fit_propensity", _counted(
+        calls, "fit_propensity", bnpolicy.prepared.fit_propensity))
     monkeypatch.setattr(InterferenceMap, "exposure", _counted(
         calls, "exposure of a", InterferenceMap.exposure,
         lambda self, v: np.shape(v) == intv.a.shape and np.array_equal(v, intv.a)))
@@ -323,7 +323,7 @@ def _cell_through_the_public_fits(out, intv, h, truth, cell, se_fail_threshold):
     spec = OutcomeModelSpec(basis_f0=FeatureMap(cell.f0_kind), basis_fa=TRUTH_BASIS)
     try:
         if cell.estimator == "q":
-            fit = fit_q(out, h.exposure(intv.a), spec)
+            fit = fit_q(PreparedData(out, abar=h.exposure(intv.a)), spec)
         else:
             fit = fit_a(out, intv, h, spec, prop_basis=FeatureMap(cell.prop_kind))
         beta, cov_beta = fit.beta, fit.cov_beta()
@@ -337,7 +337,7 @@ def _cell_through_the_public_fits(out, intv, h, truth, cell, se_fail_threshold):
     shared = min(beta.shape[0], truth.beta0.shape[0])
     b_hat, b0, se_s = beta[:shared], truth.beta0[:shared], se[:shared]
     covered = (b_hat - Z95 * se_s <= b0) & (b0 <= b_hat + Z95 * se_s)
-    te_hat = total_effects(h, out, beta, spec.basis_fa)
+    te_hat = total_effects(PreparedData(out, h=h), beta, spec.basis_fa)
     return CellResult(bias=float(np.linalg.norm(b_hat - b0)),
                       rmse=float(np.sqrt(np.mean((te_hat - truth.te_true) ** 2))),
                       coverage=float(np.mean(covered) * 100.0))

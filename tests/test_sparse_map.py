@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap, OutcomeModelSpec,
-                      apply_trim, effect_table, fit_a, knapsack_policy, policy_count,
-                      trim_by_propensity)
+                      PreparedData, apply_trim, effect_table, fit_a, knapsack_policy,
+                      policy_count, trim_by_propensity)
 from bnpolicy.io import read_interference_csv, read_intervention_csv, read_outcome_csv
 
 N, J, DEG = 400, 30, 5
@@ -98,7 +98,8 @@ def test_a_triplet_file_is_held_sparse_and_matches_the_dense_file(bundle):
 def test_fit_effects_and_policy_value_agree(bundle):
     out, intv, maps, fits = _fits(bundle)
     _assert_fits_agree(*fits)
-    tables = [effect_table(h, out, fit.beta, fit.cov_beta(), SPEC.basis_fa, cost=intv.cost)
+    tables = [effect_table(PreparedData(out, h=h), fit.beta, fit.cov_beta(), SPEC.basis_fa,
+                           cost=intv.cost)
               for h, fit in zip(maps, fits)]
     for name in ("total_effect", "se", "p_one_sided", "ci_low", "ci_high", "benefit_cost"):
         assert _close(getattr(tables[1], name), getattr(tables[0], name)), name
@@ -106,7 +107,7 @@ def test_fit_effects_and_policy_value_agree(bundle):
     assert tables[1].structural_zero[J - 1]
     te = tables[0].total_effect
     pi = knapsack_policy(te, intv.cost, 0.3 * float(intv.cost.sum()), N).pi
-    values = [policy_count(pi, h, out, fits[0].beta, SPEC.basis_fa) for h in maps]
+    values = [policy_count(pi, PreparedData(out, h=h), fits[0].beta, SPEC.basis_fa) for h in maps]
     assert _close(values[1], values[0])
 
 
