@@ -9,12 +9,22 @@ replications and the cost forest's trees).  The libraries are found next
 to their packages without importing them, and driven through ctypes the
 way threadpoolctl does it.
 
+Pinning loads no library: ``one_blas_thread`` pins the bundled libraries
+this process has already loaded (numpy's, once numpy is imported), and
+``_lapack`` is the only code that loads scipy's.  Where it loads it inside
+a ``one_blas_thread`` block, it pins it at once, and the outermost block
+restores the count it had when it loaded.  So a command that calls no
+LAPACK (``impute-costs``, or an A-learning command) never maps scipy's
+24 MB library.
+
 No thread count is ever set in a forked worker.  OpenBLAS shuts its thread
 server down before a fork and the child inherits its parent's count, so
 the child of a pinned parent runs on one thread with no helper; a set call
 in the child would start the server again, one spinning helper thread per
 library taking CPU from the other workers.  For the same reason
-``one_blas_thread`` calls a setter only where the count differs.
+``one_blas_thread`` calls a setter only where the count differs, and a
+caller that will fork loads LAPACK first: a library starts a spinning
+helper when it loads, and the fork stops it.
 
 The pivoted QR and triangular solves of the least-squares fit call LAPACK
 in the OpenBLAS bundled with scipy the same way (``pivoted_qr``,
@@ -50,45 +60,87 @@ def _library_dirs(packages=("numpy", "scipy")) -> list:
     return dirs
 
 
+def _thread_calls(lib):
+    """(get_num_threads, set_num_threads) of the OpenBLAS ``lib``, or None."""
+    for suffix in ("64_", ""):
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _if_loaded(path):
+    """The library at ``path`` if this process has loaded it, else None.
+
+    Where the platform cannot ask without loading (no ``RTLD_NOLOAD``),
+    the library is loaded.
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return ctypes.CDLL(path)
+    try:
+        return ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    except OSError:  # not loaded
+        return None
+
+
 def _openblas() -> list:
-    """(path, get_num_threads, set_num_threads) of each bundled OpenBLAS."""
+    """(path, get_num_threads, set_num_threads) of each bundled OpenBLAS
+    this process has loaded."""
     found = []
     for libdir in _library_dirs():
         for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
-            lib = ctypes.CDLL(path)
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    break
-            else:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            found.append((path, get, put))
+            lib = _if_loaded(path)
+            calls = None if lib is None else _thread_calls(lib)
+            if calls is not None:
+                found.append((path, *calls))
     return found
+
+
+# each active one_blas_thread block's libraries, outermost first, as
+# (path, get, set, count to restore)
+_pinned: list = []
 
 
 @contextmanager
 def one_blas_thread():
     """Run the block with BLAS on one thread, then restore the caller's counts.
 
-    Yields ``[(library path, caller's thread count)]`` for the libraries it
-    pinned: an empty list, and no effect, when no OpenBLAS is found.  A
-    setter is called only where the count differs, since each call starts
-    the library's thread server if it is down, as it is after a fork.
+    Yields ``[(library path, caller's thread count)]`` for the loaded
+    libraries it pinned: an empty list, and no effect, when none is
+    found.  A setter is called only where the count differs, since each
+    call starts the library's thread server if it is down, as it is after
+    a fork.  A library that ``_lapack`` loads inside the block is pinned
+    then, and restored by the outermost block.
     """
-    libs = _openblas()
-    saved = [(path, get()) for path, get, _ in libs]
-    for (_, _, put), (_, count) in zip(libs, saved):
+    libs = [(path, get, put, get()) for path, get, put in _openblas()]
+    for _, _, put, count in libs:
         if count != 1:
             put(1)
+    _pinned.append(libs)
     try:
-        yield saved
+        yield [(path, count) for path, _, _, count in libs]
     finally:
-        for (_, get, put), (_, count) in zip(libs, saved):
+        _pinned.pop()
+        for _, get, put, count in libs:
             if get() != count:
                 put(count)
+
+
+def _pin_on_load(path, lib) -> None:
+    """Pin ``lib``, just loaded from ``path``, where a ``one_blas_thread``
+    block is active and none pinned it; the outermost block restores it."""
+    if not _pinned or any(path == pinned for libs in _pinned for pinned, *_ in libs):
+        return
+    calls = _thread_calls(lib)
+    if calls is not None:
+        get, put = calls
+        count = get()
+        if count != 1:
+            put(1)
+        _pinned[0].append((path, get, put, count))
 
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
@@ -99,9 +151,10 @@ def _lapack():
     """(dgeqp3, dorgqr, dtrtrs) of the OpenBLAS bundled with scipy, or None.
 
     These are the LAPACKE entry points of the library that ``scipy.linalg``
-    itself calls, so the results carry scipy's bits; ``cli.main`` has
-    already loaded that library to pin its threads.  None when no scipy
-    library exports all three with 32-bit integers.
+    itself calls, so the results carry scipy's bits.  This is the only
+    code that loads that library, and it pins it where a
+    ``one_blas_thread`` block is active.  None when no scipy library
+    exports all three with 32-bit integers.
     """
     c_int, c_char, ptr = ctypes.c_int, ctypes.c_char, ctypes.c_void_p
     signatures = {"dgeqp3": [c_int, c_int, c_int, ptr, c_int, ptr, ptr],
@@ -111,6 +164,7 @@ def _lapack():
     for libdir in _library_dirs(("scipy",)):
         for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
             lib = ctypes.CDLL(path)
+            _pin_on_load(path, lib)
             funcs = [getattr(lib, f"scipy_LAPACKE_{name}", None) for name in signatures]
             if all(funcs):
                 for fn, argtypes in zip(funcs, signatures.values()):

@@ -7,7 +7,9 @@ Each command imports the modules it runs inside its own body, so it loads
 no other module of the package, and none of them loads scipy.  The imports
 stay local and are never bound to this module's globals: a profiler that
 swaps module attributes for a while must see every later call go through
-the current attribute.
+the current attribute.  Only the commands that run LAPACK (``simulate``
+and ``--estimator q``) load the OpenBLAS bundled with scipy, before any
+fork; the others never map it.
 
 Where the process may run on more than one CPU, a bundle command (fit,
 effects, policy, sweep) forks a child at its start that parses the first
@@ -29,7 +31,7 @@ from dataclasses import fields as dataclass_fields
 import numpy as np
 
 from . import io as bio
-from ._blas import one_blas_thread, usable_cpus
+from ._blas import _lapack, one_blas_thread, usable_cpus
 from .errors import (BnpolicyError, DataValidationError, EstimationError,
                      RankDeficiencyError, SingularSystemError, _finite)
 
@@ -86,6 +88,8 @@ def _fit_bundle(args, need_cost=False) -> _Run:
         raise DataValidationError("confidence level must lie in (0, 1)")
     f0_basis, fa_basis, prop_basis = (FeatureMap(kind) for kind in (
         args.f0_basis, args.fa_basis, args.prop_basis))
+    if args.estimator == "q":
+        _lapack()  # its library starts a helper thread as it loads; the fork stops it
     with bio.parsing_in_child(args.h, usable_cpus() > 1) as h_path:
         from .alearn import _fit_a
         from .prepared import PreparedData
@@ -147,7 +151,7 @@ def cmd_fit(args) -> int:
     names = ([f"f0:{n}" for n in fit.spec.basis_f0.names(p, "x")]
              + [f"fa:{n}" for n in fit.spec.basis_fa.names(p, "x")])
     _coef_report(_out_path(args, "outcome_coefficients.csv"), names, fit.theta,
-                 np.sqrt(np.clip(np.diag(fit.cov_theta), 0.0, None)), args.level)
+                 fit.standard_errors(), args.level)
     if args.estimator == "a":  # the fit estimated the propensity model
         g = fit.gamma_fit
         _coef_report(_out_path(args, "propensity_coefficients.csv"),

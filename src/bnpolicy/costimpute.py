@@ -17,14 +17,17 @@ searches their splits in one set of padded 2-D arrays.  A block keeps
 its trees' rows in one buffer that each split reorders in place, so a
 node is a range of rows.  A tree draws its split features from its own
 generator, in blocks when the subset is a single feature (as it is for
-q <= 3), and grows to the same bits in any block.  Prediction walks
-``TREE_BLOCK`` trees down together, one numpy pass per level.
+q <= 3), and grows to the same bits in any block.  The forest keeps each
+block packed as the walk reads it (``_Block``): three arrays over the
+block's nodes and one importance row per tree, never an object per tree.
+Prediction walks a block's trees down together, one numpy pass per level.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +123,9 @@ class RegressionTree:
         return self
 
     def predict(self, x):
-        """Leaf value of each row: the one-tree case of ``_walk``."""
-        return _walk([self], np.asarray(x, dtype=float))[0]
+        """Leaf value of each row: the tree packed as a block of one and walked
+        as a forest's blocks are."""
+        return _walk(_pack([self]), np.asarray(x, dtype=float))[0]
 
 
 class _Growing:
@@ -335,34 +339,54 @@ def _partition(popped, splits, rows, goes_left, cols, y):
         growth.stack.append((end - to_left, end, -1))
 
 
-def _walk(trees, x):
-    """Leaf value of each row of ``x`` in each of ``trees``, one row of the
-    result per tree.
+class _Block(NamedTuple):
+    """Trees packed end to end in preorder, as the walk reads them.
 
-    The trees' node arrays are laid end to end, and every (tree, row) pair
-    still above a leaf steps down one level per numpy pass.
+    A split node sends rows with x[feature] <= cut to the next node and the
+    others to node ``right``, an index into the block; a leaf has feature
+    -1, its value as cut and right -1.  ``roots`` is where each tree starts,
+    and ``importance`` holds one row of SSE reductions per tree.
     """
-    m = x.shape[0]
+
+    feature: np.ndarray  # int32
+    cut: np.ndarray      # threshold at a split, value at a leaf
+    right: np.ndarray    # int32
+    roots: np.ndarray    # int32
+    importance: np.ndarray  # (trees, q)
+
+
+def _pack(trees) -> _Block:
+    """The ``_Block`` of ``trees``, from their node arrays and importances."""
     counts = [tree.nodes[0].shape[0] for tree in trees]
     roots = np.cumsum([0] + counts[:-1])
-    feature, threshold, left, right, value = (
+    feature, threshold, _, right, value = (
         np.concatenate(arrays) for arrays in zip(*(tree.nodes for tree in trees)))
-    shift = np.repeat(roots, counts)
-    left, right = left + shift, right + shift
+    split = feature >= 0
+    return _Block(feature.astype(np.int32), np.where(split, threshold, value),
+                  np.where(split, right + np.repeat(roots, counts), -1).astype(np.int32),
+                  roots.astype(np.int32), np.array([tree.importance_ for tree in trees]))
+
+
+def _walk(block, x):
+    """Leaf value of each row of ``x`` in each tree of ``block``, one row of
+    the result per tree: every (tree, row) pair still above a leaf steps
+    down one level per numpy pass."""
+    feature, cut, right, roots, _ = block
+    m = x.shape[0]
     at = np.repeat(roots, m)
-    row = np.tile(np.arange(m), len(trees))
+    row = np.tile(np.arange(m), roots.shape[0])
     live = np.flatnonzero(feature[at] >= 0)
     while live.size:
         node = at[live]
-        step = np.where(x[row[live], feature[node]] <= threshold[node], left[node], right[node])
+        step = np.where(x[row[live], feature[node]] <= cut[node], node + 1, right[node])
         at[live] = step
         live = live[feature[step] >= 0]
-    return value[at].reshape(len(trees), m)
+    return cut[at].reshape(roots.shape[0], m)
 
 
 def _bagged_block(x, y, max_features, tree_seeds):
     """Forest trees grown as one block, one per seed, each on its own
-    bootstrap draw of the rows."""
+    bootstrap draw of the rows, and returned packed."""
     n = y.shape[0]
     rows = np.concatenate([np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
                            for tree_seed in tree_seeds])
@@ -371,7 +395,7 @@ def _bagged_block(x, y, max_features, tree_seeds):
     trees = [RegressionTree(max_features=max_features, seed=tree_seed)
              for tree_seed in tree_seeds]
     _grow(trees, cols, y, [(t * n, (t + 1) * n) for t in range(len(trees))])
-    return trees
+    return _pack(trees)
 
 
 class RegressionForest:
@@ -381,16 +405,17 @@ class RegressionForest:
     grow together in blocks of ``TREE_BLOCK``, or of fewer where a block
     would hold more than ``BLOCK_ROWS`` bootstrap rows, or where that gives
     each process of the pool (``n_workers``, at most one per usable CPU) a
-    block.  A tree grows to the same bits in any block, and importances and
-    predictions are summed in tree order, so every bit of the fit is the
-    same for any worker count.
+    block.  The forest keeps each block as its ``_Block`` (``blocks``), in
+    tree order.  A tree grows to the same bits in any block, and
+    importances and predictions are summed in tree order, so every bit of
+    the fit is the same for any worker count.
     """
 
     def __init__(self, n_trees=500, seed=0, n_workers=1):
         self.n_trees = _integer(n_trees, "n_trees")
         self.seed = _integer(seed, "seed", least=0)
         self.n_workers = _integer(n_workers, "n_workers")
-        self.trees: list[RegressionTree] = []
+        self.blocks: list[_Block] = []
         self.importance_ = None
 
     def fit(self, x, y):
@@ -400,24 +425,25 @@ class RegressionForest:
         size = min(TREE_BLOCK, max(1, BLOCK_ROWS // y.shape[0]),
                    -(-self.n_trees // min(self.n_workers, usable_cpus())))
         grow = partial(_bagged_block, x, y, max(1, math.ceil(q / 3)))
-        blocks = map_in_order(grow, (seeds[start:start + size]
-                                     for start in range(0, self.n_trees, size)), self.n_workers)
-        self.trees = [tree for block in blocks for tree in block]
+        self.blocks = map_in_order(grow, (seeds[start:start + size]
+                                          for start in range(0, self.n_trees, size)),
+                                   self.n_workers)
         self.importance_ = np.zeros(q)
-        for tree in self.trees:
-            self.importance_ += tree.importance_
+        for block in self.blocks:
+            for tree_importance in block.importance:
+                self.importance_ += tree_importance
         self.importance_ /= self.n_trees
         return self
 
     def predict(self, x):
-        """Mean of the trees' predictions, walked down ``TREE_BLOCK`` trees at a
-        time and added in tree order."""
+        """Mean of the trees' predictions, walked down a block at a time and
+        added in tree order."""
         x = np.asarray(x, dtype=float)
         acc = np.zeros(x.shape[0])
-        for start in range(0, len(self.trees), TREE_BLOCK):
-            for leaf_values in _walk(self.trees[start:start + TREE_BLOCK], x):
+        for block in self.blocks:
+            for leaf_values in _walk(block, x):
                 acc += leaf_values
-        return acc / len(self.trees)
+        return acc / self.n_trees
 
 
 class LinearModel:

@@ -51,7 +51,9 @@ class OutcomeFit:
         return self.cov_theta[da:, da:]
 
     def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov_theta))
+        """Square roots of the covariance diagonal; a variance that rounding
+        leaves below 0 gives 0."""
+        return np.sqrt(np.clip(np.diag(self.cov_theta), 0.0, None))
 
 
 def _block(col, d_alpha):

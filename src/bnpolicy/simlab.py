@@ -40,7 +40,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._blas import map_in_order
+from ._blas import _lapack, map_in_order
 from ._normal import ndtri
 from .alearn import _fit_a
 from .data import FeatureMap, InterferenceMap, InterventionTable, OutcomeTable, standardize
@@ -443,6 +443,9 @@ def run_monte_carlo(config: SimConfig, n_workers: int = 1) -> SimReport:
     The pool has at most one worker per replication and per usable CPU.
     """
     alpha0, beta0, gamma_slopes = resolve_truth_coefficients(config)
+    # the Q-learning cells call LAPACK: loaded ahead of the pool's forks, which
+    # stop the helper thread a library starts when it loads
+    _lapack()
     per_rep = map_in_order(partial(run_replication, config), range(config.reps), n_workers)
 
     cells = {}

@@ -132,8 +132,9 @@ def fingerprint() -> dict:
     """
     import numpy as np
 
-    from bnpolicy._blas import _openblas
+    from bnpolicy._blas import _lapack, _openblas
 
+    _lapack()  # loads scipy's library, so both are listed
     libraries = []
     for path, _, _ in _openblas():
         lib = ctypes.CDLL(path)

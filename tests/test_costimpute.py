@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from bnpolicy import (DataValidationError, RegressionForest, RegressionTree,
                       SingularSystemError, SplitSpec, costimpute, fit_cost_models, nmae,
                       predict_costs, split_train_val)
 from bnpolicy._blas import map_in_order, usable_cpus
-from bnpolicy.costimpute import FEATURE_BLOCK, TREE_BLOCK, LinearModel, _grow, _search
+from bnpolicy.costimpute import (FEATURE_BLOCK, TREE_BLOCK, LinearModel, _grow, _pack,
+                                 _search)
 from bnpolicy.seeding import splitmix64
 
 
@@ -108,7 +110,7 @@ def test_forest_deterministic_and_averages_trees(rng):
     f2 = RegressionForest(n_trees=20, seed=11).fit(x, y)
     grid = rng.standard_normal((10, 2))
     assert np.array_equal(f1.predict(grid), f2.predict(grid))
-    per_tree = np.mean([t.predict(grid) for t in f1.trees], axis=0)
+    per_tree = np.mean(np.vstack([_row_loop(block, grid) for block in f1.blocks]), axis=0)
     assert np.allclose(f1.predict(grid), per_tree)
 
 
@@ -249,8 +251,9 @@ def test_forest_grown_in_a_pool_reproduces_the_recorded_bits():
     assert [v.hex() for v in forest.importance_.tolist()] == RECORDED_IMPORTANCE
     # each tree alone walks its rows to the same leaves as the whole forest
     per_tree = np.zeros(grid.shape[0])
-    for tree in forest.trees:
-        per_tree += tree.predict(grid)
+    for block in forest.blocks:
+        for leaf_values in _row_loop(block, grid):
+            per_tree += leaf_values
     assert [v.hex() for v in (per_tree / 20).tolist()] == RECORDED_PREDICTIONS
 
 
@@ -333,18 +336,30 @@ def test_the_grower_matches_the_reference_grower_bit_for_bit(q):
     assert min(seen.values()) > 0, seen
 
 
+def _block_bits(block):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in block]
+
+
 def _assert_forest_matches_the_reference_grower(forest, x, y, seed):
-    """Each tree of ``forest``, fit with ``seed`` on (x, y), against the
-    reference grower on its own bootstrap rows, and the averaged importances."""
+    """Each block of ``forest``, fit with ``seed`` on (x, y), against the packed
+    trees of the reference grower, each on its own bootstrap rows, and the
+    averaged importances."""
     n, q = x.shape
-    importance = np.zeros(q)
-    for t, tree in enumerate(forest.trees):
+    expected, importance = [], np.zeros(q)
+    for t in range(forest.n_trees):
         tree_seed = splitmix64(seed, t)
         idx = np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
-        expected = _reference_tree(x[idx], y[idx], 5, max(1, math.ceil(q / 3)), tree_seed)
-        assert _tree_bits(tree.nodes, tree.importance_) == _tree_bits(*expected), t
-        importance += expected[1]
-    assert forest.importance_.tobytes() == (importance / len(forest.trees)).tobytes()
+        nodes, tree_importance = _reference_tree(x[idx], y[idx], 5, max(1, math.ceil(q / 3)),
+                                                 tree_seed)
+        expected.append(SimpleNamespace(nodes=nodes, importance_=tree_importance))
+        importance += tree_importance
+    start = 0
+    for block in forest.blocks:
+        end = start + block.roots.shape[0]
+        assert _block_bits(block) == _block_bits(_pack(expected[start:end])), (start, end)
+        start = end
+    assert start == forest.n_trees
+    assert forest.importance_.tobytes() == (importance / forest.n_trees).tobytes()
 
 
 def test_trees_grown_in_a_pool_match_the_reference_grower_bit_for_bit():
@@ -528,6 +543,39 @@ def test_growing_250_trees_on_325_rows_stays_under_its_traced_memory_bound():
     assert peak_mb < GROWER_PEAK_MB, peak_mb
 
 
+def test_a_500_tree_forest_stores_at_most_16_bytes_a_node():
+    """The forest keeps feature (int32), cut (float64) and right (int32) per
+    node, summed over its blocks: no left child, no split's own mean."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((325, 3))
+    y = np.exp(0.5 * x[:, 0] - 0.3 * x[:, 1] ** 2 + 0.2 * rng.standard_normal(325)) * 100
+    forest = RegressionForest(n_trees=500, seed=1).fit(x, y)
+    n_nodes = sum(block.feature.shape[0] for block in forest.blocks)
+    node_bytes = sum(block.feature.nbytes + block.cut.nbytes + block.right.nbytes
+                     for block in forest.blocks)
+    assert sum(block.roots.shape[0] for block in forest.blocks) == 500
+    assert n_nodes > 500 * 20 and node_bytes <= 16 * n_nodes, (node_bytes, n_nodes)
+
+
+def test_a_packed_block_keeps_what_the_walk_reads():
+    rng = np.random.default_rng(8)
+    x = np.round(rng.standard_normal((120, 3)), 1)
+    y = x[:, 0] ** 2 + rng.standard_normal(120)
+    trees = [RegressionTree(min_leaf=3, max_features=2, seed=seed).fit(x, y)
+             for seed in (4, 5)]
+    block = _pack(trees)
+    assert block.roots.tolist() == [0, trees[0].nodes[0].shape[0]]
+    for tree, root in zip(trees, block.roots.tolist()):
+        feature, threshold, left, right, value = tree.nodes
+        at = slice(root, root + feature.shape[0])
+        split = feature >= 0
+        assert np.array_equal(block.feature[at], feature)
+        assert np.array_equal(block.cut[at], np.where(split, threshold, value))
+        assert np.array_equal(block.right[at], np.where(split, right + root, -1))
+        assert np.array_equal(left[split], np.flatnonzero(split) + 1)
+    assert np.array_equal(block.importance, [tree.importance_ for tree in trees])
+
+
 @pytest.mark.parametrize("q", range(1, 8))
 def test_a_block_of_feature_draws_is_that_many_scalar_draws(q):
     """The grower takes one-feature draws ``FEATURE_BLOCK`` at a time where it
@@ -546,11 +594,29 @@ def test_the_blocked_walk_matches_a_row_loop_over_a_partial_block():
     y = x[:, 1] + rng.standard_normal(80)
     n_trees = 2 * TREE_BLOCK + 5
     forest = RegressionForest(n_trees=n_trees, seed=4).fit(x, y)
+    assert [block.roots.shape[0] for block in forest.blocks] == [TREE_BLOCK, TREE_BLOCK, 5]
     grid = np.vstack([x[:20], np.round(rng.standard_normal((30, 3)), 1)])
     expected = np.zeros(grid.shape[0])
-    for tree in forest.trees:
-        expected += _reference_predict(tree, grid)
+    for block in forest.blocks:
+        for leaf_values in _row_loop(block, grid):
+            expected += leaf_values
     assert forest.predict(grid).tobytes() == (expected / n_trees).tobytes()
+
+
+def _row_loop(block, x):
+    """Row-by-row walk of each tree of a packed block, one row of the result
+    per tree: the loop the vectorised walk replaces."""
+    feature, cut, right, roots, _ = block
+    out = []
+    for root in roots.tolist():
+        leaves = []
+        for row in x:
+            node = root
+            while feature[node] >= 0:
+                node = node + 1 if row[feature[node]] <= cut[node] else right[node]
+            leaves.append(cut[node])
+        out.append(leaves)
+    return np.array(out)
 
 
 def _reference_predict(tree, x):

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bnpolicy import (DataValidationError, EstimationError, FeatureMap, InterferenceMap,
                       InterventionTable, OutcomeModelSpec, OutcomeTable, PreparedData,
                       RankDeficiencyError, fit_a, fit_q)
+from bnpolicy.qlearn import OutcomeFit
 from oracles import q_design, q_score_norm
 
 LIN = OutcomeModelSpec(basis_f0=FeatureMap("linear"), basis_fa=FeatureMap("linear"))
@@ -151,6 +154,17 @@ def test_sandwich_close_to_classical_ols_under_homoskedasticity():
     classical = s2 * np.linalg.inv(design.T @ design)
     ratio = fit.standard_errors() / np.sqrt(np.diag(classical))
     assert np.all(np.abs(ratio - 1.0) <= 0.15)
+
+
+def test_a_negative_variance_gives_a_zero_standard_error_and_no_warning():
+    """Rounding can leave a variance just below 0; the fit reports it as a
+    standard error of 0, as ``fit`` writes it, not as NaN."""
+    fit = OutcomeFit(alpha=np.zeros(1), beta=np.zeros(2), spec=LIN,
+                     cov_theta=np.diag([4.0, -1e-18, 0.25]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        se = fit.standard_errors()
+    assert se.tolist() == [2.0, 0.0, 0.5]
 
 
 def test_covariance_equals_normal_equations_sandwich(rng):

@@ -2,6 +2,7 @@
 reports that depend on neither, and the child that a bundle command forks
 to parse its transport file."""
 import concurrent.futures
+import glob
 import json
 import multiprocessing
 import os
@@ -32,7 +33,9 @@ def _counts():
 
 @pytest.fixture
 def libs():
-    """The bundled OpenBLAS libraries, each set to 2 threads for the test."""
+    """The bundled OpenBLAS libraries, both loaded (scipy's by ``_lapack``) and
+    each set to 2 threads for the test."""
+    _blas._lapack()
     found = _blas._openblas()
     if not found:
         pytest.skip("no bundled OpenBLAS found")
@@ -236,11 +239,14 @@ def test_pools_run_serially_where_the_platform_cannot_fork(monkeypatch):
     assert sim_report_to_dict(report) == sim_report_to_dict(run_monte_carlo(SMALL))
 
 
+class _CountedBlock(costimpute._Block):
+    """A packed block that carries the BLAS thread counts of the process that grew it."""
+
+
 def _block_with_blas_counts(*args):
-    trees = _bagged_block(*args)
-    for tree in trees:
-        tree.blas_counts = _counts()
-    return trees
+    block = _CountedBlock(*_bagged_block(*args))
+    block.blas_counts = _counts()
+    return block
 
 
 def test_forest_pool_workers_run_one_blas_thread(libs, monkeypatch):
@@ -250,8 +256,102 @@ def test_forest_pool_workers_run_one_blas_thread(libs, monkeypatch):
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal((40, 3)), rng.standard_normal(40)
     forest = RegressionForest(n_trees=8, n_workers=2).fit(x, y)
-    assert [tree.blas_counts for tree in forest.trees] == [[1] * len(libs)] * 8
+    assert [block.roots.shape[0] for block in forest.blocks] == [4, 4]
+    assert [block.blas_counts for block in forest.blocks] == [[1] * len(libs)] * 2
     assert _counts() == [2] * len(libs)
+
+
+def _run_probe(probe, *argv, **env):
+    """The JSON that ``probe`` prints last, run in a fresh interpreter that
+    imports the package from this checkout."""
+    src = os.path.dirname(os.path.dirname(bnpolicy.__file__))
+    done = subprocess.run([sys.executable, "-c", probe, *argv],
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _scipy_openblas():
+    found = [path for libdir in _blas._library_dirs(("scipy",))
+             for path in glob.glob(os.path.join(libdir, "*openblas*.so*"))]
+    if not found:
+        pytest.skip("scipy bundles no OpenBLAS here")
+
+
+# a probe that runs one command, then lists the files of scipy's bundled
+# libraries mapped into its process
+MAPS_PROBE = """
+import json, os, sys
+from bnpolicy import _blas
+from bnpolicy.cli import main
+code = main(sys.argv[1:])
+libdirs = [os.path.realpath(d) + os.sep for d in _blas._library_dirs(("scipy",))]
+with open("/proc/self/maps") as fh:
+    mapped = {line.split()[-1] for line in fh if line.split()[-1].startswith(tuple(libdirs))}
+print(json.dumps([code, sorted(os.path.basename(path) for path in mapped)]))
+"""
+
+
+@pytest.mark.parametrize("command, maps_lapack", [
+    (["impute-costs", "--interventions", "{plants}"], False),
+    (["effects", "--estimator", "a", *"--outcomes {outcomes} --interventions "
+      "{interventions} --h {h}".split()], False),
+    (["fit", "--estimator", "q", *"--outcomes {outcomes} --interventions "
+      "{interventions} --h {h}".split()], True),  # runs the pivoted QR
+], ids=["impute-costs", "effects-a", "fit-q"])
+def test_only_a_command_that_runs_lapack_maps_scipys_openblas(
+        tmp_path, write_smoke, command, maps_lapack):
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to list a process's mapped files")
+    _scipy_openblas()
+    write_smoke(tmp_path, "write_bundle")
+    write_smoke(tmp_path, "write_plants")
+    files = {name: str(tmp_path / f"{name}.csv") for name in ("outcomes", "interventions", "h")}
+    files["plants"] = str(tmp_path / "plants_missing_cost.csv")
+    argv = [arg.format(**files) for arg in command]
+    code, mapped = _run_probe(MAPS_PROBE, *argv, "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+    assert bool(mapped) == maps_lapack, mapped
+
+
+# a probe that loads scipy's OpenBLAS through _lapack, outside any pin or
+# inside two nested ones, and reads that library's thread count at each step
+LOAD_PROBE = """
+import json, sys
+from bnpolicy import _blas
+libdirs = tuple(_blas._library_dirs(("scipy",)))
+
+def counts():
+    return [get() for path, get, _ in _blas._openblas() if path.startswith(libdirs)]
+
+seen = {"before": counts()}
+if sys.argv[1] == "outside":
+    _blas._lapack()
+else:
+    with _blas.one_blas_thread():
+        with _blas.one_blas_thread():
+            _blas._lapack()
+            seen["inner"] = counts()
+        seen["outer"] = counts()
+seen["after"] = counts()
+print(json.dumps(seen))
+"""
+
+
+def test_a_library_that_lapack_loads_inside_a_pin_runs_on_one_thread():
+    _scipy_openblas()
+    seen = _run_probe(LOAD_PROBE, "inside", OPENBLAS_NUM_THREADS="2")
+    assert seen["before"] == []  # scipy's library is loaded by _lapack, not before
+    assert seen["inner"] == [1] and seen["outer"] == [1]
+
+
+def test_the_outermost_pin_restores_the_count_a_library_had_when_it_loaded():
+    _scipy_openblas()
+    loaded = _run_probe(LOAD_PROBE, "outside", OPENBLAS_NUM_THREADS="2")
+    seen = _run_probe(LOAD_PROBE, "inside", OPENBLAS_NUM_THREADS="2")
+    assert loaded["before"] == seen["before"] == []
+    assert len(loaded["after"]) == 1
+    assert seen["after"] == loaded["after"]
 
 
 @pytest.mark.parametrize("n_workers", [0, -1, 2.5])
@@ -313,6 +413,7 @@ def test_reports_are_identical_for_any_worker_and_blas_thread_count(tmp_path):
                 env["OPENBLAS_NUM_THREADS"] = blas
             out_dir = tmp_path / f"w{threads}_b{blas}"
             for argv in (["effects", *bundle],
+                         ["fit", *bundle, "--estimator", "q"],
                          ["policy", *bundle, "--budget-frac", "0.3"],
                          ["simulate", "--config", str(cfg), "--threads", threads]):
                 subprocess.run([sys.executable, "-m", "bnpolicy.cli", *argv,
@@ -321,8 +422,8 @@ def test_reports_are_identical_for_any_worker_and_blas_thread_count(tmp_path):
             runs[out_dir.name] = {f: (out_dir / f).read_bytes()
                                   for f in sorted(os.listdir(out_dir))}
     first, *rest = runs.values()
-    assert sorted(first) == ["effects.csv", "policy.json", "sim_report.json",
-                             "sim_report.txt"]
+    assert sorted(first) == ["effects.csv", "outcome_coefficients.csv", "policy.json",
+                             "sim_report.json", "sim_report.txt"]
     for other in rest:
         assert other == first
 
