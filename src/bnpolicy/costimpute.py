@@ -17,10 +17,12 @@ searches their splits in one set of padded 2-D arrays.  A block keeps
 its trees' rows in one buffer that each split reorders in place, so a
 node is a range of rows.  A tree draws its split features from its own
 generator, in blocks when the subset is a single feature (as it is for
-q <= 3), and grows to the same bits in any block.  The forest keeps each
+q <= 3), and grows to the same bits in any block.  The grower builds each
 block packed as the walk reads it (``_Block``): three arrays over the
-block's nodes and one importance row per tree, never an object per tree.
-Prediction walks a block's trees down together, one numpy pass per level.
+block's nodes and one importance row per tree, never an object per tree,
+and the forest keeps the blocks as built.  A ``RegressionTree`` holds a
+block of one.  Prediction walks a block's trees down together, one numpy
+pass per level.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ RESCALE_PLANTS = "rescale the costs or covariates of the plant table"  # when a 
 FEATURE_BLOCK = 64  # one-feature split draws taken from a tree's generator at once
 TREE_BLOCK = 32  # forest trees grown together, and walked down together by predict
 BLOCK_ROWS = 16384  # most rows a block of growing trees holds; bounds its padded arrays
+MIN_LEAF = 5  # fewest rows on each side of a forest tree's split
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,27 @@ def _checked_rows(x, y):
     return x, y
 
 
+class _Block(NamedTuple):
+    """Trees packed end to end in preorder, as the walk reads them.
+
+    A split node sends rows with x[feature] <= cut to the next node and the
+    others to node ``right``, an index into the block; a leaf has feature
+    -1, its value as cut and right -1.  ``roots`` is where each tree starts,
+    and ``importance`` holds one row of SSE reductions per tree.
+    """
+
+    feature: np.ndarray  # int32
+    cut: np.ndarray      # threshold at a split, value at a leaf
+    right: np.ndarray    # int32
+    roots: np.ndarray    # int32
+    importance: np.ndarray  # (trees, q)
+
+
 class RegressionTree:
     """Variance-reduction CART for regression, no depth cap.
 
-    The tree is five flat arrays in preorder, ``nodes`` = (feature,
-    threshold, left, right, value): rows with x[feature] <= threshold go to
-    node ``left``, the others to ``right``, and a leaf has feature -1 and
-    its rows' mean as value.  Nodes grow depth first, and each split draws
+    The fitted tree is ``block``, a ``_Block`` of one tree, and its
+    importances ``importance_``.  Nodes grow depth first, and each split draws
     its candidate features from the tree's one generator: when one feature
     is drawn, the next of a block of ``integers(q, size=FEATURE_BLOCK)``,
     which consumes the stream exactly as that many ``choice(q, 1,
@@ -105,27 +122,28 @@ class RegressionTree:
     without replacement.  A split's threshold is the midpoint of the two
     values it falls between, or the lower value where the midpoint rounds
     outside them (next to +inf, say), so rows always go where the split was
-    scored.  Trees grow in blocks (``_grow``); ``fit`` grows a block of one.
+    scored.  Trees grow in blocks (``_grow``); ``fit`` grows a block of one,
+    and ``predict`` walks it as a forest's blocks are walked.
     """
 
-    def __init__(self, min_leaf=5, max_features=None, seed=0):
+    def __init__(self, min_leaf=MIN_LEAF, max_features=None, seed=0):
         self.min_leaf = _integer(min_leaf, "min_leaf")
         self.max_features = (None if max_features is None
                              else _integer(max_features, "max_features"))
         self.seed = _integer(seed, "seed", least=0)
-        self.nodes = None
+        self.block = None
         self.importance_ = None
 
     def fit(self, x, y):
         x, y = _checked_rows(x, y)
         # copies, never the caller's arrays: the grower reorders its rows in place
-        _grow([self], np.array(x.T, order="C"), y.copy(), [(0, y.shape[0])])
+        self.block = _grow([self.seed], self.min_leaf, self.max_features,
+                           np.array(x.T, order="C"), y.copy(), [(0, y.shape[0])])
+        self.importance_ = self.block.importance[0]
         return self
 
     def predict(self, x):
-        """Leaf value of each row: the tree packed as a block of one and walked
-        as a forest's blocks are."""
-        return _walk(_pack([self]), np.asarray(x, dtype=float))[0]
+        return _walk(self.block, np.asarray(x, dtype=float))[0]
 
 
 class _Growing:
@@ -133,14 +151,13 @@ class _Growing:
     has not used yet, its stack of nodes to visit, each (first row, end row,
     the split it is the right child of), and its node lists and importances."""
 
-    __slots__ = ("tree", "rng", "drawn", "stack", "nodes", "importance")
+    __slots__ = ("rng", "drawn", "stack", "nodes", "importance")
 
-    def __init__(self, tree, start, end, q):
-        self.tree = tree
-        self.rng = np.random.default_rng(tree.seed)
+    def __init__(self, seed, start, end, q):
+        self.rng = np.random.default_rng(seed)
         self.drawn = iter(())
         self.stack = [(start, end, -1)]
-        self.nodes = ([], [], [], [], [])  # feature, threshold, left, right, value
+        self.nodes = ([], [], [])  # feature, cut, right (an index within the tree)
         self.importance = [0.0] * q
 
     def features(self, q, n_features):
@@ -154,10 +171,10 @@ class _Growing:
         return (f,)
 
 
-def _grow(trees, cols, y, spans):
-    """Grow ``trees``, which share ``min_leaf`` and ``max_features``: tree i
-    from the rows ``spans[i]`` = (start, end) of ``cols`` (the covariates,
-    one contiguous row per feature) and ``y``.
+def _grow(seeds, min_leaf, max_features, cols, y, spans) -> _Block:
+    """The ``_Block`` of one tree per seed: tree i grows from generator
+    ``seeds[i]`` on the rows ``spans[i]`` = (start, end) of ``cols`` (the
+    covariates, one contiguous row per feature) and ``y``.
 
     Each split reorders its node's rows in place, its right child's rows
     first, each child's in their order in the node, so every node's rows
@@ -167,32 +184,30 @@ def _grow(trees, cols, y, spans):
     the first node large enough ends the tree's turn.  ``_search`` then
     scores all the popped nodes at once, and ``_partition`` splits them.
     At the end, the leaves of each size get their means from one row-wise
-    ``np.add.reduce``, which sums each row as it sums the row alone.
+    ``np.add.reduce``, which sums each row as it sums the row alone, and
+    each tree's right indices are offset by its root in the block.
     """
     q = cols.shape[0]
-    min_leaf = trees[0].min_leaf
     min_split = 2 * min_leaf
-    n_features = min(trees[0].max_features or q, q)
-    everyone = [_Growing(tree, start, end, q) for tree, (start, end) in zip(trees, spans)]
-    leaves = {}  # rows -> (value list, node, first row) of each leaf waiting for its mean
+    n_features = min(max_features or q, q)
+    everyone = [_Growing(seed, start, end, q) for seed, (start, end) in zip(seeds, spans)]
+    leaves = {}  # rows -> (cut list, node, first row) of each leaf waiting for its mean
     growing = everyone
     while growing:
         popped = []  # (tree, node, first row, end row)
         for growth in growing:
-            feature, threshold, left, right, value = growth.nodes
+            feature, cut, right = growth.nodes
             stack = growth.stack
             while stack:
                 start, end, parent = stack.pop()
-                node = len(value)
+                node = len(cut)
                 if parent >= 0:
                     right[parent] = node
                 feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
+                cut.append(0.0)
                 right.append(-1)
-                value.append(0.0)
                 if end - start < min_split:
-                    leaves.setdefault(end - start, []).append((value, node, start))
+                    leaves.setdefault(end - start, []).append((cut, node, start))
                 else:
                     popped.append((growth, node, start, end))
                     break
@@ -204,18 +219,23 @@ def _grow(trees, cols, y, spans):
     for n, waiting in leaves.items():
         rows = np.array([start for *_, start in waiting])[:, None] + np.arange(n)
         means = np.add.reduce(y.take(rows), axis=1) / n
-        for (value, node, _), mean in zip(waiting, means.tolist()):
-            value[node] = mean
-    for grown in everyone:
-        grown.tree.nodes = tuple(np.array(column) for column in grown.nodes)
-        grown.tree.importance_ = np.array(grown.importance)
+        for (cut, node, _), mean in zip(waiting, means.tolist()):
+            cut[node] = mean
+    counts = [len(grown.nodes[0]) for grown in everyone]
+    roots = np.cumsum([0] + counts[:-1])
+    feature, cut, right = (np.concatenate(column)
+                           for column in zip(*(grown.nodes for grown in everyone)))
+    return _Block(feature.astype(np.int32), cut,
+                  np.where(feature >= 0, right + np.repeat(roots, counts), -1).astype(np.int32),
+                  roots.astype(np.int32), np.array([grown.importance for grown in everyone]))
 
 
 def _search(popped, cols, y, n_features, min_leaf):
-    """Record each popped node's mean and search its best variance-reducing
-    split.  Returns the splits found, each (node's index in ``popped``, its
-    pair's index, feature, threshold, SSE reduction), the rows of their
-    nodes one node after another, and which of those rows go left.
+    """Record each popped node's mean as its cut and search its best
+    variance-reducing split.  Returns the splits found, each (node's index
+    in ``popped``, its pair's index, feature, threshold, SSE reduction), the
+    rows of their nodes one node after another, and which of those rows go
+    left.
 
     The search runs on every (node, candidate feature) pair at once, one
     padded row each.  The covariates are padded with NaN, so a stable row
@@ -240,7 +260,7 @@ def _search(popped, cols, y, n_features, min_leaf):
     means = np.array([np.add.reduce(y[start:start + n])
                       for start, n in zip(starts, n_rows)]) / counts
     for (growth, node, _, _), mean in zip(popped, means.tolist()):
-        growth.nodes[4][node] = mean
+        growth.nodes[1][node] = mean
     deviation = y_pad - means[:, None]
     deviation **= 2
     pairs, pair_f, parent_sse, tried = [], [], [], []
@@ -314,8 +334,9 @@ def _search(popped, cols, y, n_features, min_leaf):
 
 
 def _partition(popped, splits, rows, goes_left, cols, y):
-    """Record each split, move its node's rows into its two children in place,
-    and push the right child, then the left one.
+    """Record each split, its threshold in place of its node's mean, move its
+    node's rows into its two children in place, and push the right child,
+    then the left one.
 
     ``rows`` are the split nodes' rows one node after another, and one stable
     argsort on 2 * split + goes_left groups them by child and keeps their
@@ -330,41 +351,12 @@ def _partition(popped, splits, rows, goes_left, cols, y):
     n_left = np.bincount(key, minlength=2 * len(splits))[1::2].tolist()
     for (r, _, f, thr, red), to_left in zip(splits, n_left):
         growth, node, start, end = popped[r]
-        feature, threshold, left, _, _ = growth.nodes
+        feature, cut, _ = growth.nodes
         feature[node] = f
-        threshold[node] = thr
-        left[node] = node + 1
+        cut[node] = thr
         growth.importance[f] += red
         growth.stack.append((start, end - to_left, node))
         growth.stack.append((end - to_left, end, -1))
-
-
-class _Block(NamedTuple):
-    """Trees packed end to end in preorder, as the walk reads them.
-
-    A split node sends rows with x[feature] <= cut to the next node and the
-    others to node ``right``, an index into the block; a leaf has feature
-    -1, its value as cut and right -1.  ``roots`` is where each tree starts,
-    and ``importance`` holds one row of SSE reductions per tree.
-    """
-
-    feature: np.ndarray  # int32
-    cut: np.ndarray      # threshold at a split, value at a leaf
-    right: np.ndarray    # int32
-    roots: np.ndarray    # int32
-    importance: np.ndarray  # (trees, q)
-
-
-def _pack(trees) -> _Block:
-    """The ``_Block`` of ``trees``, from their node arrays and importances."""
-    counts = [tree.nodes[0].shape[0] for tree in trees]
-    roots = np.cumsum([0] + counts[:-1])
-    feature, threshold, _, right, value = (
-        np.concatenate(arrays) for arrays in zip(*(tree.nodes for tree in trees)))
-    split = feature >= 0
-    return _Block(feature.astype(np.int32), np.where(split, threshold, value),
-                  np.where(split, right + np.repeat(roots, counts), -1).astype(np.int32),
-                  roots.astype(np.int32), np.array([tree.importance_ for tree in trees]))
 
 
 def _walk(block, x):
@@ -385,17 +377,15 @@ def _walk(block, x):
 
 
 def _bagged_block(x, y, max_features, tree_seeds):
-    """Forest trees grown as one block, one per seed, each on its own
-    bootstrap draw of the rows, and returned packed."""
+    """The ``_Block`` of forest trees, one per seed, each on its own
+    bootstrap draw of the rows."""
     n = y.shape[0]
     rows = np.concatenate([np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
                            for tree_seed in tree_seeds])
     cols, y = np.ascontiguousarray(x.T).take(rows, axis=1), y.take(rows)
     del rows
-    trees = [RegressionTree(max_features=max_features, seed=tree_seed)
-             for tree_seed in tree_seeds]
-    _grow(trees, cols, y, [(t * n, (t + 1) * n) for t in range(len(trees))])
-    return _pack(trees)
+    return _grow(tree_seeds, MIN_LEAF, max_features, cols, y,
+                 [(t * n, (t + 1) * n) for t in range(len(tree_seeds))])
 
 
 class RegressionForest:

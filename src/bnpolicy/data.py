@@ -100,14 +100,6 @@ class InterferenceMap:
     def j(self) -> int:
         return self.shape[1]
 
-    def toarray(self) -> np.ndarray:
-        """H as a dense array: ``h`` itself for a dense map, a new array for a sparse one."""
-        if not self.sparse:
-            return self.h
-        dense = np.zeros(self.shape)
-        dense[self.rows, self.cols] = self.data
-        return dense
-
     def _operand(self, v, size, name) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.ndim not in (1, 2) or v.shape[0] != size:

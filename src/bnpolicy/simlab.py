@@ -402,12 +402,11 @@ def run_cell(data: PreparedData, truth: Truth, cell: CellSpec,
             fit = fit_q(data, spec)
         else:
             fit = _fit_a(data, spec, FeatureMap(cell.prop_kind))
-        beta = fit.beta
-        cov_beta = fit.cov_beta()
     except BnpolicyError as exc:
         return CellResult(None, None, None, f"fit failed: {exc}")
 
-    se = np.sqrt(np.clip(np.diag(cov_beta), 0.0, None))
+    beta = fit.beta
+    se = fit.standard_errors()[fit.alpha.shape[0]:]
     if float(np.median(se)) > se_fail_threshold:
         return CellResult(None, None, None,
                           "uninformative fit: median effect-coefficient standard "

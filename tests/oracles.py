@@ -5,12 +5,23 @@ The fits never form these as such: ``fit_q`` factors the design, and
 against them, so each one is built on the same ``PreparedData`` that a fit
 reads: the design through ``PreparedData.design`` and the instruments
 through ``alearn._iv_system``.  A supplied exposure ``abar`` enters as
-``PreparedData(out, h=h, abar=abar)``.
+``PreparedData(out, h=h, abar=abar)``.  ``dense`` writes out an
+interference map's H.
 """
 import numpy as np
 
 from bnpolicy import PreparedData
 from bnpolicy.alearn import _iv_system
+
+
+def dense(h) -> np.ndarray:
+    """H of the interference map ``h`` as a dense array: ``h.h`` itself for a
+    dense map, a new array for a sparse one."""
+    if not h.sparse:
+        return h.h
+    out = np.zeros(h.shape)
+    out[h.rows, h.cols] = h.data
+    return out
 
 
 def q_design(out, abar, spec):

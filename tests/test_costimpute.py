@@ -4,7 +4,6 @@ import os
 import signal
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +12,7 @@ from bnpolicy import (DataValidationError, RegressionForest, RegressionTree,
                       SingularSystemError, SplitSpec, costimpute, fit_cost_models, nmae,
                       predict_costs, split_train_val)
 from bnpolicy._blas import map_in_order, usable_cpus
-from bnpolicy.costimpute import (FEATURE_BLOCK, TREE_BLOCK, LinearModel, _grow, _pack,
-                                 _search)
+from bnpolicy.costimpute import FEATURE_BLOCK, TREE_BLOCK, LinearModel, _Block, _grow, _search
 from bnpolicy.seeding import splitmix64
 
 
@@ -172,11 +170,11 @@ def _bits(split):
 
 class _Given:
     """Stands in for a growing tree in ``_search``: hands out the features it
-    was given and records its node's mean."""
+    was given and records its node's mean as its cut."""
 
     def __init__(self, features):
         self.given = features
-        self.nodes = ([], [], [], [], [0.0])
+        self.nodes = ([], [0.0], [])  # feature, cut, right
 
     def features(self, q, n_features):
         return self.given
@@ -205,7 +203,7 @@ def test_the_batched_split_search_matches_the_masked_reference_bit_for_bit():
         got = {r: (f, thr, red) for r, _, f, thr, red in splits}
         at = 0
         for r, ((x, node_y, features), (given, _, start, end)) in enumerate(zip(nodes, popped)):
-            assert given.nodes[4][0].hex() == float(np.add.reduce(node_y) / len(node_y)).hex()
+            assert given.nodes[1][0].hex() == float(np.add.reduce(node_y) / len(node_y)).hex()
             expected = (None if np.all(node_y == node_y[0])
                         else _bits(_masked_best_split(x, node_y, features, min_leaf)))
             assert _bits(got.get(r)) == expected, (min_leaf, r)
@@ -311,8 +309,23 @@ def _reference_tree(x, y, min_leaf, max_features, seed):
     return nodes, importance
 
 
-def _tree_bits(nodes, importance):
-    return [(a.dtype.str, a.tobytes()) for a in (*nodes, importance)]
+def _pack(trees) -> _Block:
+    """The ``_Block`` of reference trees, each (node arrays, importances):
+    their nodes end to end, a split's threshold or a leaf's value as its cut,
+    each right child offset by its tree's first node, and no left child,
+    since a split's left child is the next node in preorder."""
+    counts = [nodes[0].shape[0] for nodes, _ in trees]
+    roots = np.cumsum([0] + counts[:-1])
+    feature, threshold, _, right, value = (
+        np.concatenate(arrays) for arrays in zip(*(nodes for nodes, _ in trees)))
+    split = feature >= 0
+    return _Block(feature.astype(np.int32), np.where(split, threshold, value),
+                  np.where(split, right + np.repeat(roots, counts), -1).astype(np.int32),
+                  roots.astype(np.int32), np.array([importance for _, importance in trees]))
+
+
+def _block_bits(block):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in block]
 
 
 @pytest.mark.parametrize("q", [1, 3, 5, 7])
@@ -328,16 +341,13 @@ def test_the_grower_matches_the_reference_grower_bit_for_bit(q):
         seed = int(rng.integers(2**32))
         tree = RegressionTree(min_leaf=min_leaf, max_features=max_features, seed=seed).fit(x, y)
         expected = _reference_tree(x, y, min_leaf, max_features, seed)
-        assert _tree_bits(tree.nodes, tree.importance_) == _tree_bits(*expected)
-        n_splits = int(np.count_nonzero(tree.nodes[0] >= 0))
+        assert _block_bits(tree.block) == _block_bits(_pack([expected]))
+        assert tree.importance_.tobytes() == expected[1].tobytes()
+        n_splits = int(np.count_nonzero(tree.block.feature >= 0))
         seen["root leaf" if n_splits == 0 else "split"] += 1
         one_feature = min(max_features or q, q) == 1
         seen["block refilled"] += one_feature and n_splits > FEATURE_BLOCK
     assert min(seen.values()) > 0, seen
-
-
-def _block_bits(block):
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in block]
 
 
 def _assert_forest_matches_the_reference_grower(forest, x, y, seed):
@@ -349,10 +359,9 @@ def _assert_forest_matches_the_reference_grower(forest, x, y, seed):
     for t in range(forest.n_trees):
         tree_seed = splitmix64(seed, t)
         idx = np.random.default_rng(splitmix64(tree_seed, 1)).integers(0, n, n)
-        nodes, tree_importance = _reference_tree(x[idx], y[idx], 5, max(1, math.ceil(q / 3)),
-                                                 tree_seed)
-        expected.append(SimpleNamespace(nodes=nodes, importance_=tree_importance))
-        importance += tree_importance
+        expected.append(_reference_tree(x[idx], y[idx], 5, max(1, math.ceil(q / 3)),
+                                        tree_seed))
+        importance += expected[-1][1]
     start = 0
     for block in forest.blocks:
         end = start + block.roots.shape[0]
@@ -417,16 +426,16 @@ def test_a_block_grows_each_tree_as_the_reference_grower_does(q):
                 x[rng.random((n, q)) < 0.1] = rng.choice([np.nan, np.inf, -np.inf])
             rows.append((x, y))
         seeds = rng.integers(2**32, size=len(sizes)).tolist()
-        trees = [RegressionTree(min_leaf=min_leaf, max_features=max_features, seed=seed)
-                 for seed in seeds]
         ends = np.cumsum(sizes).tolist()
-        _grow(trees, np.ascontiguousarray(np.vstack([x for x, _ in rows]).T),
-              np.concatenate([y for _, y in rows]),
-              [(end - n, end) for n, end in zip(sizes, ends)])
-        for tree, (x, y), seed in zip(trees, rows, seeds):
-            expected = _reference_tree(x, y, min_leaf, max_features, seed)
-            assert _tree_bits(tree.nodes, tree.importance_) == _tree_bits(*expected)
-        splits = [int(np.count_nonzero(tree.nodes[0] >= 0)) for tree in trees]
+        block = _grow(seeds, min_leaf, max_features,
+                      np.ascontiguousarray(np.vstack([x for x, _ in rows]).T),
+                      np.concatenate([y for _, y in rows]),
+                      [(end - n, end) for n, end in zip(sizes, ends)])
+        expected = [_reference_tree(x, y, min_leaf, max_features, seed)
+                    for (x, y), seed in zip(rows, seeds)]
+        assert _block_bits(block) == _block_bits(_pack(expected))
+        splits = [int(np.count_nonzero(feature >= 0))
+                  for feature in np.split(block.feature, block.roots[1:])]
         assert splits[0] == splits[3] == 0 and splits[2] > 20, splits
 
 
@@ -456,12 +465,10 @@ def test_a_split_whose_midpoint_rounds_outside_its_values_sends_rows_where_score
     y = np.array([0.0] * 5 + [9.0] * 5)
     with _within(10):
         tree = RegressionTree(min_leaf=2, seed=0).fit(x, y)
-    feature, threshold, _, _, value = tree.nodes
-    assert feature.tolist() == [0, -1, -1] and threshold[0] == low
-    assert value.tolist() == [4.5, 0.0, 9.0]
+    assert tree.block.feature.tolist() == [0, -1, -1]
+    assert tree.block.cut.tolist() == [low, 0.0, 9.0]
     assert tree.predict(np.array([[low], [high]])).tolist() == [0.0, 9.0]
-    assert _tree_bits(tree.nodes, tree.importance_) == _tree_bits(
-        *_reference_tree(x, y, 2, None, 0))
+    assert _block_bits(tree.block) == _block_bits(_pack([_reference_tree(x, y, 2, None, 0)]))
 
 
 def _cost_data():
@@ -558,22 +565,19 @@ def test_a_500_tree_forest_stores_at_most_16_bytes_a_node():
 
 
 def test_a_packed_block_keeps_what_the_walk_reads():
+    """Two trees grown as one block walk each row to the leaf that the
+    reference grower's node arrays, with their explicit left children, reach."""
     rng = np.random.default_rng(8)
     x = np.round(rng.standard_normal((120, 3)), 1)
     y = x[:, 0] ** 2 + rng.standard_normal(120)
-    trees = [RegressionTree(min_leaf=3, max_features=2, seed=seed).fit(x, y)
-             for seed in (4, 5)]
-    block = _pack(trees)
-    assert block.roots.tolist() == [0, trees[0].nodes[0].shape[0]]
-    for tree, root in zip(trees, block.roots.tolist()):
-        feature, threshold, left, right, value = tree.nodes
-        at = slice(root, root + feature.shape[0])
-        split = feature >= 0
-        assert np.array_equal(block.feature[at], feature)
-        assert np.array_equal(block.cut[at], np.where(split, threshold, value))
-        assert np.array_equal(block.right[at], np.where(split, right + root, -1))
-        assert np.array_equal(left[split], np.flatnonzero(split) + 1)
-    assert np.array_equal(block.importance, [tree.importance_ for tree in trees])
+    block = _grow([4, 5], 3, 2, np.array(np.hstack([x.T, x.T]), order="C"),
+                  np.concatenate([y, y]), [(0, 120), (120, 240)])
+    expected = [_reference_tree(x, y, 3, 2, seed) for seed in (4, 5)]
+    assert block.roots.tolist() == [0, expected[0][0][0].shape[0]]
+    assert _block_bits(block) == _block_bits(_pack(expected))
+    grid = np.vstack([x, np.round(rng.standard_normal((50, 3)), 1)])
+    for leaf_values, (nodes, _) in zip(_row_loop(block, grid), expected):
+        assert np.array_equal(leaf_values, _reference_predict(nodes, grid))
 
 
 @pytest.mark.parametrize("q", range(1, 8))
@@ -619,9 +623,10 @@ def _row_loop(block, x):
     return np.array(out)
 
 
-def _reference_predict(tree, x):
-    """Row-by-row walk of a tree's node arrays: the loop the vectorised walk replaces."""
-    feature, threshold, left, right, value = tree.nodes
+def _reference_predict(nodes, x):
+    """Row-by-row walk of a reference tree's node arrays, with their explicit
+    left children."""
+    feature, threshold, left, right, value = nodes
     out = []
     for row in x:
         node = 0
@@ -636,12 +641,14 @@ def test_tree_arrays_are_preorder_and_the_walk_matches_a_row_loop():
     x = np.round(rng.standard_normal((200, 3)), 1)
     y = x[:, 0] ** 2 + rng.standard_normal(200)
     tree = RegressionTree(min_leaf=3, max_features=2, seed=4).fit(x, y)
-    feature, threshold, left, right, value = tree.nodes
+    feature, _, right, roots, _ = tree.block
     splits = np.flatnonzero(feature >= 0)
-    assert splits.size > 10 and np.array_equal(left[splits], splits + 1)
-    assert np.all(right[splits] > left[splits])
+    assert roots.tolist() == [0] and splits.size > 10
+    assert np.all(right[splits] > splits + 1) and np.all(right[feature < 0] == -1)
     grid = np.vstack([x, np.round(rng.standard_normal((50, 3)), 1)])
-    assert np.array_equal(tree.predict(grid), _reference_predict(tree, grid))
+    predicted = tree.predict(grid)
+    assert np.array_equal(predicted, _row_loop(tree.block, grid)[0])
+    assert np.array_equal(predicted, _reference_predict(_reference_tree(x, y, 3, 2, 4)[0], grid))
 
 
 def test_a_failed_least_squares_svd_is_a_singular_system(monkeypatch):

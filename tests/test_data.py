@@ -4,6 +4,7 @@ import pytest
 from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap,
                       InterventionTable, OutcomeTable, standardize,
                       validate_bundle)
+from oracles import dense
 
 
 def test_validate_bundle_consistent_dims_is_clean():
@@ -72,7 +73,7 @@ def test_interference_map_leaves_csr_arrays_writable():
         assert not kept.flags.writeable and arr.flags.writeable
         assert not np.shares_memory(kept, arr)
     given["data"][0] = 9.0
-    assert np.array_equal(held.toarray(), [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(dense(held), [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
     assert held.sparse and held.h is None
 
 

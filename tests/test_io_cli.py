@@ -1,4 +1,5 @@
 import ast
+import collections
 import glob
 import importlib
 import inspect
@@ -23,6 +24,7 @@ from bnpolicy.effects import EffectTable
 from bnpolicy.errors import DataValidationError
 from bnpolicy.io import (EFFECTS_COLUMNS, read_interference_csv, read_intervention_csv,
                          read_outcome_csv, write_effects_csv)
+from oracles import dense
 
 
 def _write(path, text):
@@ -86,7 +88,7 @@ def test_outcome_and_intervention_readers(tmp_path):
 def test_interference_triplet_reader(tmp_path):
     path = _write(tmp_path / "h3.csv", "i,j,value\n0,0,1.5\n1,1,2.5\n")
     h = read_interference_csv(path, n=2, j=2)
-    assert np.array_equal(h.toarray(), np.array([[1.5, 0.0], [0.0, 2.5]]))
+    assert np.array_equal(dense(h), np.array([[1.5, 0.0], [0.0, 2.5]]))
 
 
 def test_effects_round_trip(tmp_path, rng):
@@ -565,11 +567,11 @@ def test_repr_written_doubles_read_back_bit_exactly(tmp_path_factory, y, data):
     _, out = read_outcome_csv(_write(root / "o.csv", "\n".join(["id,y,x1,x2", *rows]) + "\n"))
     assert out.y.tobytes() == np.array(y).tobytes()
     assert out.x.tobytes() == np.array(x).tobytes()
-    dense = _write(root / "h.csv", "\n".join(",".join(map(repr, r)) for r in h) + "\n")
-    assert read_interference_csv(dense, n=n, j=3).h.tobytes() == np.array(h).tobytes()
+    full = _write(root / "h.csv", "\n".join(",".join(map(repr, r)) for r in h) + "\n")
+    assert read_interference_csv(full, n=n, j=3).h.tobytes() == np.array(h).tobytes()
     triplets = [f"{i},{k},{h[i][k]!r}" for i in range(n) for k in range(3)]
     sparse = _write(root / "h3.csv", "\n".join(["i,j,value", *triplets]) + "\n")
-    assert (read_interference_csv(sparse, n=n, j=3).toarray().tobytes()
+    assert (dense(read_interference_csv(sparse, n=n, j=3)).tobytes()
             == np.array(h).tobytes())
 
 
@@ -665,7 +667,7 @@ def test_byte_order_mark_is_skipped(tmp_path):
     triplets = _write(tmp_path / "h3.csv", "i,j,value\n0,0,1.5\n1,1,2.5\n")
     h = read_interference_csv(_with_bom(triplets), n=2, j=2)
     assert h.sparse
-    assert np.array_equal(h.toarray(), read_interference_csv(triplets, n=2, j=2).toarray())
+    assert np.array_equal(dense(h), dense(read_interference_csv(triplets, n=2, j=2)))
     config = _write(tmp_path / "cfg.json", json.dumps({"reps": 3}))
     assert cli._load_sim_config(_with_bom(config)).reps == 3
 
@@ -690,7 +692,7 @@ def _read_arrays(path, kind):
         return ids, [intv.x, intv.a, raw_cost]
     h = read_interference_csv(path, n=40, j=6)
     assert h.sparse == (kind == "triplets")
-    return [], [h.toarray()]
+    return [], [dense(h)]
 
 
 @pytest.mark.parametrize("notes", NOTES)
@@ -1240,6 +1242,68 @@ def test_the_environment_rule_reports_each_kind_of_read(case):
     source, expected = ENVIRONMENT_READS[case]
     assert _environment_reads("m.py", source) == [expected]
     assert _environment_reads("m.py", "import os\nsep = os.sep\n") == []
+
+
+def _uncalled(sources, exported):
+    """Each function, method or class defined in ``sources``, (file name,
+    source) pairs, that no name, attribute or import in them names outside its
+    own definition, is not in ``exported`` and is not a dunder, as
+    "<file name>:<line> <name>"."""
+    trees = [(file_name, ast.parse(source)) for file_name, source in sources]
+
+    def names(node):
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name):
+                yield inner.id
+            elif isinstance(inner, ast.Attribute):
+                yield inner.attr
+            elif isinstance(inner, (ast.Import, ast.ImportFrom)):
+                yield from (alias.name.split(".")[-1] for alias in inner.names)
+
+    named = collections.Counter(name for _, tree in trees for name in names(tree))
+    uncalled = []
+    for file_name, tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in exported
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and named[node.name] == sum(name == node.name for name in names(node))):
+                uncalled.append((file_name, node.lineno, node.name))
+    return [f"{file_name}:{line} {name}" for file_name, line, name in sorted(uncalled)]
+
+
+def test_every_definition_of_the_package_has_a_caller():
+    # code that nothing calls is deleted, unless it is public API
+    assert _uncalled(_package_sources(), bnpolicy.__all__) == []
+
+
+UNCALLED_SOURCE = """\
+class Map:
+    def __len__(self):
+        return 0
+
+    def used(self):
+        return self.helper()
+
+    def helper(self):
+        return 1
+
+    def unused(self):
+        return self.unused
+
+
+def countdown(n):
+    return countdown(n - 1) if n else 0
+
+
+def public():
+    return Map().used()
+"""
+
+
+def test_the_caller_rule_reports_a_definition_named_only_inside_itself():
+    assert _uncalled([("m.py", UNCALLED_SOURCE)], ["public"]) == [
+        "m.py:11 unused", "m.py:15 countdown"]
 
 
 def _smoke_bundle(monkeypatch, out_dir):

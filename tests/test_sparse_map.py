@@ -13,6 +13,7 @@ from bnpolicy import (DataValidationError, FeatureMap, InterferenceMap, OutcomeM
                       PreparedData, apply_trim, effect_table, fit_a, knapsack_policy,
                       policy_count, trim_by_propensity)
 from bnpolicy.io import read_interference_csv, read_intervention_csv, read_outcome_csv
+from oracles import dense
 
 N, J, DEG = 400, 30, 5
 SPEC = OutcomeModelSpec(basis_f0=FeatureMap("quadratic"), basis_fa=FeatureMap("linear"))
@@ -86,12 +87,12 @@ def _assert_sorted_triplets(h):
 
 
 def test_a_triplet_file_is_held_sparse_and_matches_the_dense_file(bundle):
-    dense = read_interference_csv(bundle["dense"], n=N, j=J)
+    full = read_interference_csv(bundle["dense"], n=N, j=J)
     sparse = read_interference_csv(bundle["triplets"], n=N, j=J)
-    assert not dense.sparse and sparse.sparse and sparse.h is None
+    assert not full.sparse and sparse.sparse and sparse.h is None
     _assert_sorted_triplets(sparse)
-    assert np.array_equal(sparse.toarray(), dense.h)
-    assert np.array_equal(sparse.zero_columns(), dense.zero_columns())
+    assert np.array_equal(dense(sparse), full.h)
+    assert np.array_equal(sparse.zero_columns(), full.zero_columns())
     assert sparse.zero_columns().tolist() == [J - 1]
 
 
@@ -117,7 +118,7 @@ def test_trimmed_fit_agrees(bundle):
     trimmed = [apply_trim(h, intv, trim) for h in maps]
     assert 0 < trimmed[0][0].j < J and trimmed[1][0].sparse
     _assert_sorted_triplets(trimmed[1][0])
-    assert np.array_equal(trimmed[1][0].toarray(), trimmed[0][0].h)
+    assert np.array_equal(dense(trimmed[1][0]), trimmed[0][0].h)
     _assert_fits_agree(*[fit_a(out, kept, h, SPEC, prop_basis=PROP) for h, kept in trimmed])
 
 
@@ -131,7 +132,7 @@ def test_a_scipy_sparse_input_becomes_a_frozen_csr_array():
     assert h.sparse and h.h is None and h.shape == (3, 2)
     _assert_sorted_triplets(h)
     assert h.rows.tolist() == [0, 0, 2] and h.cols.tolist() == [0, 1, 0]
-    assert np.array_equal(h.toarray(), coo.toarray())
+    assert np.array_equal(dense(h), coo.toarray())
     # the map holds sorted copies: the caller's arrays keep their order and stay writable
     assert given[0].tolist() == [2, 0, 0] and all(arr.flags.writeable for arr in given)
     assert not any(np.shares_memory(held, arr)
@@ -256,18 +257,18 @@ def test_a_csr_map_checks_its_arrays(case):
 def test_a_map_takes_a_matrix_or_csr_arrays_not_both():
     arrays = dict(rows=[1, 0], cols=[1, 0], data=[2.0, 1.0])
     h = InterferenceMap(shape=(2, 3), **arrays)
-    assert np.array_equal(h.toarray(), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    assert np.array_equal(dense(h), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     for bad in (dict(h=np.ones((2, 3)), **arrays), dict(arrays), dict(shape=(2, 3))):
         with pytest.raises(DataValidationError, match="give h, or rows, cols, data and shape"):
             InterferenceMap(**bad)
 
 
 def test_keep_columns_takes_distinct_ascending_columns():
-    dense = np.arange(6.0).reshape(2, 3)
-    rows, cols = np.nonzero(dense)
-    for h in (InterferenceMap(dense),
-              InterferenceMap(rows=rows, cols=cols, data=dense[rows, cols], shape=(2, 3))):
-        assert np.array_equal(h.keep_columns(np.array([0, 2])).toarray(), dense[:, [0, 2]])
+    values = np.arange(6.0).reshape(2, 3)
+    rows, cols = np.nonzero(values)
+    for h in (InterferenceMap(values),
+              InterferenceMap(rows=rows, cols=cols, data=values[rows, cols], shape=(2, 3))):
+        assert np.array_equal(dense(h.keep_columns(np.array([0, 2]))), values[:, [0, 2]])
         for kept in ([2, 0], [1, 1]):
             with pytest.raises(DataValidationError, match="distinct and ascending"):
                 h.keep_columns(np.array(kept))

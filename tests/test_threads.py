@@ -354,6 +354,36 @@ def test_the_outermost_pin_restores_the_count_a_library_had_when_it_loaded():
     assert seen["after"] == loaded["after"]
 
 
+# a probe that digests the pivoted QR of a 30000 x 20 array, first inside a
+# pin (so scipy's OpenBLAS loads inside it), then outside it
+QR_PROBE = """
+import hashlib, json
+import numpy as np
+from bnpolicy import _blas
+a = np.random.default_rng(0).standard_normal((30000, 20))
+
+def digest():
+    return hashlib.sha256(b"".join(part.tobytes() for part in _blas.pivoted_qr(a))).hexdigest()
+
+with _blas.one_blas_thread():
+    pinned = digest()
+print(json.dumps({"pinned": pinned, "unpinned": digest()}))
+"""
+
+
+def test_a_pinned_pivoted_qr_gives_the_one_thread_bits_where_two_threads_change_them():
+    """From about 30000 x 20 on, the QR's bits move with the BLAS thread
+    count, so only the pin that ``_lapack`` sets on load keeps them."""
+    _scipy_openblas()
+    if _blas.usable_cpus() < 2:
+        pytest.skip("OpenBLAS runs one thread on one CPU")
+    reference = _run_probe(QR_PROBE, OPENBLAS_NUM_THREADS="1")
+    seen = _run_probe(QR_PROBE, OPENBLAS_NUM_THREADS="2")
+    assert reference["pinned"] == reference["unpinned"]
+    assert seen["pinned"] == reference["pinned"]
+    assert seen["unpinned"] != reference["pinned"]
+
+
 @pytest.mark.parametrize("n_workers", [0, -1, 2.5])
 def test_the_forest_rejects_a_worker_count_below_one(n_workers):
     with pytest.raises(DataValidationError,
