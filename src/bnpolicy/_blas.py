@@ -5,9 +5,13 @@ the order in which partial sums are added, so the last digits of a fit
 depend on how many threads ran it.  Pinning every bundled OpenBLAS to one
 thread makes each report the same bits on any host; parallelism comes from
 worker processes instead (``map_in_order``: the Monte Carlo lab's
-replications and the cost forest's trees).  The libraries are found next
-to their packages without importing them, and driven through ctypes the
-way threadpoolctl does it.
+replications and the cost forest's trees).  ``map_in_order`` forks its
+workers with ``os.fork`` and collects their pickled results through pipes,
+so no process-pool module is loaded and the caller starts no thread; the
+caller only hands out chunks of items and gathers results, and the work's
+own memory stays in the workers.  The libraries are found next to their
+packages without importing them, and driven through ctypes the way
+threadpoolctl does it.
 
 Pinning loads no library: ``one_blas_thread`` pins the bundled libraries
 this process has already loaded (numpy's, once numpy is imported), and
@@ -38,6 +42,7 @@ import functools
 import glob
 import importlib.util
 import os
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -235,33 +240,136 @@ def usable_cpus() -> int:
 
 
 def map_in_order(fn, items, n_workers):
-    """``[fn(item) for item in items]``, over a process pool when ``n_workers`` > 1.
+    """``[fn(item) for item in items]``, in forked worker processes when ``n_workers`` > 1.
 
-    The pool has at most one worker per item and per usable CPU and gives
-    each worker contiguous chunks of items.  Results come back in item
-    order, so whatever the caller adds up from them does not depend on the
-    worker count.  ``fn`` runs with BLAS pinned to one thread: workers are
+    At most one worker runs per item and per usable CPU.  The items are cut
+    into contiguous chunks, about four a worker, and each worker takes the
+    next chunk whenever it has sent one, so a slow CPU holds up no fixed
+    share.  Results come back in item order, so whatever the caller adds up
+    from them does not depend on the worker count; where items fail, the
+    first failing item's exception is raised here, with its type and
+    message.  ``fn`` runs with BLAS pinned to one thread: workers are
     forked from this pinned process, so each inherits that count and runs
     without BLAS helper threads; no count is set in a worker, since that
-    would start its library's thread server again.  A two-worker pool is up
-    in ~10 ms on a 2-core host, where workers started by spawn or forkserver
-    (the default from Python 3.14 on Linux) import numpy and the package
-    again and take ~1 s, about what a 500-tree forest saves on two cores.
-    Where the platform cannot fork, the items run in this process.  The
-    pool's modules are imported only where a pool starts, so a serial map,
-    and any command that makes none, loads neither ``multiprocessing`` nor
-    ``concurrent.futures``.
+    would start its library's thread server again.  Workers are started
+    with ``os.fork`` and send their results down pipes, so a map imports no
+    process-pool module and starts no thread here; where the platform
+    cannot fork, or there is one worker, the items run in this process.
+    However the map ends, no worker is left running or unreaped.
     """
     _integer(n_workers, "n_workers")
     items = list(items)
     n_workers = min(n_workers, len(items), usable_cpus())
     with one_blas_thread():
-        if n_workers > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            if "fork" in multiprocessing.get_all_start_methods():
-                with ProcessPoolExecutor(max_workers=n_workers,
-                                         mp_context=multiprocessing.get_context("fork")) as pool:
-                    return list(pool.map(fn, items,
-                                         chunksize=max(1, len(items) // (4 * n_workers))))
+        if n_workers > 1 and hasattr(os, "fork"):
+            size = max(1, len(items) // (4 * n_workers))
+            chunks = [items[start:start + size] for start in range(0, len(items), size)]
+            return [result for chunk in _forked_map(fn, chunks, n_workers) for result in chunk]
         return [fn(item) for item in items]
+
+
+_NUMBER = 4  # bytes of a chunk number in the hand-out pipe
+_LENGTH = 8  # bytes of the length that heads each result frame
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _forked_map(fn, chunks, n_workers) -> list:
+    """Each chunk's list of results, in chunk order, from ``n_workers`` forked workers.
+
+    The chunk numbers are written to a hand-out pipe before any worker
+    starts (fewer than eight 4-byte records a worker, within a pipe's
+    buffer), and each worker reads one at a time.  Every worker's pipe is
+    read as data comes, so a large result cannot block its sender.  A
+    worker that fails sends the exception; once every chunk before the
+    first failed one is in, that exception is raised.  The ``finally``
+    kills and reaps every worker not reaped at the end of its pipe.
+    """
+    import pickle
+    import selectors
+    import signal
+
+    handout, fill = os.pipe()
+    with os.fdopen(fill, "wb") as pipe:
+        pipe.write(b"".join(k.to_bytes(_NUMBER, "little") for k in range(len(chunks))))
+    workers, exits, results = {}, [], [None] * len(chunks)
+    selector = selectors.DefaultSelector()
+    try:
+        _flush_std_streams()  # else a worker would write out what this process holds
+        for _ in range(n_workers):
+            fds = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fds[0])
+                os.close(fds[1])
+                raise
+            if pid == 0:
+                _work(fn, chunks, handout, fds[1])
+            os.close(fds[1])
+            workers[fds[0]] = pid
+            selector.register(fds[0], selectors.EVENT_READ, bytearray())
+        os.close(handout)
+        handout = None
+        failed = len(chunks)  # the first chunk that sent an exception
+        while selector.get_map() and not (failed < len(chunks) and None not in results[:failed]):
+            for key, _ in selector.select():
+                data = os.read(key.fd, 1 << 16)
+                if not data:  # the worker has exited, or is exiting
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+                    exits.append(os.waitstatus_to_exitcode(os.waitpid(workers.pop(key.fd), 0)[1]))
+                    continue
+                frames = key.data
+                frames += data
+                while len(frames) >= _LENGTH:
+                    end = _LENGTH + int.from_bytes(frames[:_LENGTH], "little")
+                    if len(frames) < end:
+                        break
+                    k, results[k] = pickle.loads(frames[_LENGTH:end])
+                    del frames[:end]
+                    if isinstance(results[k], BaseException):
+                        failed = min(failed, k)
+        if None in results[:failed]:
+            code = next((code for code in exits if code != 0), 0)
+            raise RuntimeError(f"a worker process ended with exit code {code} "
+                               f"before it sent all its results")
+        if failed < len(chunks):
+            raise results[failed]
+        return results
+    finally:
+        selector.close()
+        if handout is not None:
+            os.close(handout)
+        for fd, pid in workers.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _work(fn, chunks, handout, pipe_fd) -> None:
+    """A forked worker: run each chunk whose number it reads from ``handout`` and
+    send (number, results), or (number, exception), down its pipe.  Never returns."""
+    import pickle
+
+    code = 1
+    try:
+        with os.fdopen(pipe_fd, "wb") as pipe:
+            while record := os.read(handout, _NUMBER):
+                k = int.from_bytes(record, "little")
+                try:
+                    frame = pickle.dumps((k, [fn(item) for item in chunks[k]]),
+                                         protocol=pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:  # raised by fn, or a result that does not pickle
+                    frame = pickle.dumps((k, exc), protocol=pickle.HIGHEST_PROTOCOL)
+                pipe.write(len(frame).to_bytes(_LENGTH, "little"))
+                pipe.write(frame)
+                pipe.flush()
+        _flush_std_streams()
+        code = 0
+    finally:
+        os._exit(code)

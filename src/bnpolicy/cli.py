@@ -11,6 +11,11 @@ the current attribute.  Only the commands that run LAPACK (``simulate``
 and ``--estimator q``) load the OpenBLAS bundled with scipy, before any
 fork; the others never map it.
 
+``simulate`` (with ``--threads`` above 1) and ``impute-costs`` (on more
+than one usable CPU) run their replications or trees in workers that
+``_blas.map_in_order`` forks with ``os.fork``; results come back through
+pipes, so no command loads ``multiprocessing`` or ``concurrent.futures``.
+
 Where the process may run on more than one CPU, a bundle command (fit,
 effects, policy, sweep) forks a child at its start that parses the first
 three quarters of a regular transport file while the command imports its

@@ -394,7 +394,7 @@ class RegressionForest:
     Tree t is grown from seed ``splitmix64(seed, t)``.  Consecutive trees
     grow together in blocks of ``TREE_BLOCK``, or of fewer where a block
     would hold more than ``BLOCK_ROWS`` bootstrap rows, or where that gives
-    each process of the pool (``n_workers``, at most one per usable CPU) a
+    each forked worker (``n_workers``, at most one per usable CPU) a
     block.  The forest keeps each block as its ``_Block`` (``blocks``), in
     tree order.  A tree grows to the same bits in any block, and
     importances and predictions are summed in tree order, so every bit of

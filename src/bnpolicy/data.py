@@ -108,13 +108,19 @@ class InterferenceMap:
         return v
 
     def _sum_into(self, target, size, source, v) -> np.ndarray:
-        """sum over stored (t, s) of H[t, s] v[s], per column of v, in storage order."""
+        """sum over stored (t, s) of H[t, s] v[s], per column of v, in storage order.
+
+        A matrix's columns are gathered from a contiguous copy of v^T into
+        the rows of a (k, size) buffer; the result is C-ordered, as the
+        products that read it expect.
+        """
         if v.ndim == 1:
             return np.bincount(target, weights=self.data * v[source], minlength=size)
-        out = np.empty((size, v.shape[1]))
-        for k in range(v.shape[1]):
-            out[:, k] = np.bincount(target, weights=self.data * v[source, k], minlength=size)
-        return out
+        columns = np.ascontiguousarray(v.T)
+        out = np.empty((v.shape[1], size))
+        for k, column in enumerate(columns):
+            out[k] = np.bincount(target, weights=self.data * column[source], minlength=size)
+        return np.ascontiguousarray(out.T)
 
     def exposure(self, v) -> np.ndarray:
         """(1/J) H v: what each outcome unit receives from the intervention units.

@@ -439,10 +439,10 @@ def run_monte_carlo(config: SimConfig, n_workers: int = 1) -> SimReport:
     master seed, and results are aggregated in replication order; BLAS
     runs on one thread in this process and in every worker.  So the report
     is bitwise identical for any worker count and any BLAS thread count.
-    The pool has at most one worker per replication and per usable CPU.
+    At most one worker is forked per replication and per usable CPU.
     """
     alpha0, beta0, gamma_slopes = resolve_truth_coefficients(config)
-    # the Q-learning cells call LAPACK: loaded ahead of the pool's forks, which
+    # the Q-learning cells call LAPACK: loaded ahead of the workers' forks, which
     # stop the helper thread a library starts when it loads
     _lapack()
     per_rep = map_in_order(partial(run_replication, config), range(config.reps), n_workers)

@@ -381,7 +381,7 @@ def test_trees_grown_in_a_pool_match_the_reference_grower_bit_for_bit():
 
 def test_a_20_tree_forest_gives_each_of_2_workers_a_block(monkeypatch):
     """A forest smaller than two ``TREE_BLOCK``s is still cut into a block
-    per worker, so a 2-worker pool starts wherever 2 CPUs are usable."""
+    per worker, so 2 workers are forked wherever 2 CPUs are usable."""
     handed = []
 
     def spy(fn, items, n_workers):

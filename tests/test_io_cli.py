@@ -269,7 +269,7 @@ def _run_python(*argv, stdin=None, **env):
 
 
 # a probe that runs impute-costs with two workers, then lists the scipy modules
-# loaded in this process and in each worker of a two-worker pool
+# loaded in this process and in each of two forked workers
 IMPUTE_PROBE = """
 import json, sys
 from bnpolicy import cli
@@ -339,6 +339,7 @@ def test_cli_a_bundle_command_loads_no_pool_module(tmp_path):
 
 
 def test_cli_impute_costs_still_forks_its_workers(tmp_path):
+    """The forest's workers are forked with ``os.fork``: no pool module is loaded."""
     if usable_cpus() < 2:
         pytest.skip("impute-costs runs its forest serially on one CPU")
     out = _run_python("-c", POOL_PROBE, "impute-costs", "--interventions",
@@ -346,7 +347,20 @@ def test_cli_impute_costs_still_forks_its_workers(tmp_path):
                       str(tmp_path / "out"), PROBE_CPUS="2")
     code, pools, forks = json.loads(out.splitlines()[-1])
     assert code == 0 and (tmp_path / "out" / "importance.csv").exists()
-    assert {"concurrent.futures.process", "multiprocessing"} <= set(pools) and forks > 0
+    # two workers for each of the two forests: the validation fit and the refit
+    assert pools == [] and forks == 4
+
+
+def test_cli_simulate_forks_its_workers_and_loads_no_pool_module(tmp_path):
+    if usable_cpus() < 2:
+        pytest.skip("simulate runs its replications serially on one CPU")
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"n": 300, "j": 30, "p": 2, "q": 2, "reps": 4}))
+    out = _run_python("-c", POOL_PROBE, "simulate", "--config", str(config), "--threads", "2",
+                      "--out-dir", str(tmp_path / "out"))
+    code, pools, forks = json.loads(out.splitlines()[-1])
+    assert code == 0 and (tmp_path / "out" / "sim_report.json").exists()
+    assert pools == [] and forks == 2
 
 
 # every public name of the package: its modules and what they export
@@ -1242,6 +1256,50 @@ def test_the_environment_rule_reports_each_kind_of_read(case):
     source, expected = ENVIRONMENT_READS[case]
     assert _environment_reads("m.py", source) == [expected]
     assert _environment_reads("m.py", "import os\nsep = os.sep\n") == []
+
+
+# the modules of another concurrency model: the package forks its workers itself
+CONCURRENCY_MODULES = ("multiprocessing", "concurrent", "threading")
+
+
+def _concurrency_imports(file_name, source):
+    """Each import of a module in ``CONCURRENCY_MODULES`` or below it in
+    ``source``, at any depth, as "<file name>:<line> <module>"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{file_name}:{node.lineno} {module}" for module in modules
+                  if module.split(".")[0] in CONCURRENCY_MODULES]
+    return found
+
+
+def test_no_module_of_the_package_imports_a_process_pool_or_threads():
+    imports = []
+    for file_name, source in _package_sources():
+        imports += _concurrency_imports(file_name, source)
+    assert imports == []
+
+
+# a source that imports a concurrency module, and the import the rule must report
+CONCURRENCY_IMPORTS = {
+    "import": ("import os, multiprocessing\n", "m.py:1 multiprocessing"),
+    "from_import": ("import os\nfrom concurrent.futures import ProcessPoolExecutor\n",
+                    "m.py:2 concurrent.futures"),
+    "in_a_function": ("def run():\n    import threading\n    return threading\n",
+                      "m.py:2 threading"),
+}
+
+
+@pytest.mark.parametrize("case", CONCURRENCY_IMPORTS)
+def test_the_concurrency_rule_reports_each_kind_of_import(case):
+    source, expected = CONCURRENCY_IMPORTS[case]
+    assert _concurrency_imports("m.py", source) == [expected]
+    assert _concurrency_imports("m.py", "import os\nfrom . import threads\n") == []
 
 
 def _uncalled(sources, exported):

@@ -122,6 +122,28 @@ def test_trimmed_fit_agrees(bundle):
     _assert_fits_agree(*[fit_a(out, kept, h, SPEC, prop_basis=PROP) for h, kept in trimmed])
 
 
+def _summed_in_storage_order(target, size, source, data, v):
+    """Column k of the result: np.bincount's sums of data * v[source, k] into
+    target, which add each bin's terms in storage order."""
+    return np.stack([np.bincount(target, weights=data * v[source, k], minlength=size)
+                     for k in range(v.shape[1])], axis=1)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_matrix_operands_of_many_columns_sum_each_bin_in_storage_order(bundle, layout):
+    full = read_interference_csv(bundle["dense"], n=N, j=J)
+    h = read_interference_csv(bundle["triplets"], n=N, j=J)
+    rng = np.random.default_rng(7)
+    v = np.asarray(rng.standard_normal((J, 24)), order=layout)
+    w = np.asarray(rng.standard_normal((N, 21)), order=layout)
+    exposure, aggregate = h.exposure(v), h.aggregate(w)
+    assert exposure.flags.c_contiguous and aggregate.flags.c_contiguous
+    want = _summed_in_storage_order(h.rows, N, h.cols, h.data, v) / J
+    assert np.array_equal(exposure, want)
+    assert np.array_equal(aggregate, _summed_in_storage_order(h.cols, J, h.rows, h.data, w) / J)
+    assert _close(exposure, full.exposure(v)) and _close(aggregate, full.aggregate(w))
+
+
 def test_a_scipy_sparse_input_becomes_a_frozen_csr_array():
     """A scipy user hands over the triplets of a COO array: unsorted, int32 or int64."""
     import scipy.sparse

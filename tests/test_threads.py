@@ -1,16 +1,15 @@
-"""BLAS thread pinning, the worker pools of the study and the cost forest,
+"""BLAS thread pinning, the forked workers of the study and the cost forest,
 reports that depend on neither, and the child that a bundle command forks
 to parse its transport file."""
-import concurrent.futures
 import glob
 import json
-import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -110,7 +109,7 @@ def test_a_nested_pin_calls_no_setter(monkeypatch):
 
 
 def test_the_serial_branch_runs_at_one_blas_thread(libs):
-    """One worker runs the items in this process, pinned as a pool worker is."""
+    """One worker runs the items in this process, pinned as a forked worker is."""
     assert map_in_order(lambda _: _counts(), range(2), 1) == [[1] * len(libs)] * 2
     assert _counts() == [2] * len(libs)
 
@@ -147,22 +146,17 @@ def test_map_in_order_rejects_a_worker_count_that_is_not_a_positive_integer(n_wo
     assert ran == []
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments, starts nothing."""
-    made = []
+# one entry for each process this one forks (a fork handler cannot be
+# removed, so it is registered once, and ``count_forks`` empties the list)
+_FORKS = []
+os.register_at_fork(after_in_parent=lambda: _FORKS.append(1))
 
-    def __init__(self, max_workers, mp_context):
-        self.made.append({"max_workers": max_workers, "start": mp_context.get_start_method()})
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        self.made[-1]["chunksize"] = chunksize
-        return map(fn, iterable)
+@pytest.fixture
+def count_forks():
+    """The list that gets one entry for each process this one forks during the test."""
+    _FORKS.clear()
+    return _FORKS
 
 
 def _set_usable_cpus(monkeypatch, cpus):
@@ -172,27 +166,22 @@ def _set_usable_cpus(monkeypatch, cpus):
         monkeypatch.setattr(_blas.os, "cpu_count", lambda: None)
     else:
         monkeypatch.setattr(_blas.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    # map_in_order imports the pool where it starts one, so it is patched there
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    _RecordingPool.made = []
 
 
 @pytest.mark.parametrize("n_workers, cpus, expected", [
     (5000, 8, 4),     # capped by the 4 replications
     (5000, 3, 3),     # capped by the usable CPUs
     (2, 8, 2),
-    (5000, None, None),  # no affinity mask and unknown CPU count: serial
-    (1, 8, None),
+    (5000, 1, 0),     # one usable CPU: serial
+    (5000, None, 0),  # no affinity mask and unknown CPU count: serial
+    (1, 8, 0),
 ])
-def test_the_pool_has_at_most_one_worker_per_rep_and_per_cpu(monkeypatch, n_workers,
-                                                             cpus, expected):
+def test_the_study_forks_at_most_one_worker_per_rep_and_per_cpu(
+        monkeypatch, count_forks, n_workers, cpus, expected):
     _set_usable_cpus(monkeypatch, cpus)
     report = run_monte_carlo(SMALL, n_workers=n_workers)
-    if expected is None:
-        assert _RecordingPool.made == []
-    else:
-        assert _RecordingPool.made == [{"max_workers": expected, "start": "fork",
-                                        "chunksize": 1}]
+    assert len(count_forks) == expected
+    _assert_no_child_left()
     monkeypatch.undo()
     assert sim_report_to_dict(report) == sim_report_to_dict(run_monte_carlo(SMALL))
 
@@ -201,42 +190,107 @@ def _forest_fit(n_workers):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((60, 3))
     y = x[:, 0] ** 2 + rng.standard_normal(60) * 0.1
-    forest = RegressionForest(n_trees=40, seed=11, n_workers=n_workers).fit(x, y)
+    forest = RegressionForest(n_trees=12, seed=11, n_workers=n_workers).fit(x, y)
     return forest.predict(rng.standard_normal((10, 3))).tolist(), forest.importance_.tolist()
 
 
 @pytest.mark.parametrize("n_workers, cpus, expected", [
-    (5000, 64, (40, 1)),   # capped by the 40 trees, in blocks of one
-    (5000, 3, (3, 1)),     # capped by the usable CPUs: blocks of 14, 14 and 12 trees
-    (2, 8, (2, 1)),        # two blocks of 20 trees
-    (5000, None, None),    # no affinity mask and unknown CPU count: serial
-    (1, 8, None),
+    (5000, 64, 12),    # capped by the 12 trees, in blocks of one
+    (5000, 3, 3),      # capped by the usable CPUs: three blocks of 4 trees
+    (2, 8, 2),         # two blocks of 6 trees
+    (5000, 1, 0),      # one usable CPU: serial
+    (5000, None, 0),   # no affinity mask and unknown CPU count: serial
+    (1, 8, 0),
 ])
-def test_the_forest_pool_has_at_most_one_worker_per_tree_and_per_cpu(
-        monkeypatch, n_workers, cpus, expected):
+def test_the_forest_forks_at_most_one_worker_per_tree_and_per_cpu(
+        monkeypatch, count_forks, n_workers, cpus, expected):
     _set_usable_cpus(monkeypatch, cpus)
     fit = _forest_fit(n_workers)
-    if expected is None:
-        assert _RecordingPool.made == []
-    else:
-        assert _RecordingPool.made == [{"max_workers": expected[0], "start": "fork",
-                                        "chunksize": expected[1]}]
+    assert len(count_forks) == expected
+    _assert_no_child_left()
     monkeypatch.undo()
     assert fit == _forest_fit(1)
 
 
-def test_pools_run_serially_where_the_platform_cannot_fork(monkeypatch):
+def test_the_items_run_in_this_process_where_the_platform_cannot_fork(monkeypatch, count_forks):
     """Spawned workers would import the package again, which costs about what
     a forest saves on two cores; so without fork the items run in-process."""
     _set_usable_cpus(monkeypatch, 8)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
+    assert map_in_order(lambda _: os.getpid(), range(4), 2) == [os.getpid()] * 4
     fit = _forest_fit(2)
     report = run_monte_carlo(SMALL, n_workers=2)
-    assert _RecordingPool.made == []
+    assert count_forks == []
     monkeypatch.undo()
     assert fit == _forest_fit(1)
     assert sim_report_to_dict(report) == sim_report_to_dict(run_monte_carlo(SMALL))
+
+
+@pytest.fixture
+def two_cpus():
+    if _blas.usable_cpus() < 2 or not hasattr(os, "fork"):
+        pytest.skip("map_in_order forks workers only on two CPUs or more")
+    yield
+    _assert_no_child_left()
+
+
+def _slow_first(item):
+    """(item, worker pid); the first item takes half a second, the others no time."""
+    if item == 0:
+        time.sleep(0.5)
+    return item, os.getpid()
+
+
+def test_workers_take_chunks_as_they_finish_and_results_come_in_item_order(two_cpus, count_forks):
+    # 16 items on 2 workers are 8 chunks of 2: while one worker runs the slow
+    # first chunk, the other takes all the rest
+    seen = map_in_order(_slow_first, range(16), 2)
+    assert [item for item, _ in seen] == list(range(16)) and len(count_forks) == 2
+    slow, fast = seen[0][1], seen[2][1]
+    assert os.getpid() not in (slow, fast) and slow != fast
+    assert [pid for _, pid in seen] == [slow] * 2 + [fast] * 14
+
+
+def test_a_result_larger_than_a_pipe_buffer_comes_back_from_every_worker(two_cpus):
+    results = map_in_order(lambda item: bytes([item]) * (1 << 20), range(4), 2)
+    assert results == [bytes([item]) * (1 << 20) for item in range(4)]
+
+
+def _fails_at_2_and_9(item):
+    """Item 2 fails late with a ValueError, item 9 at once with a ZeroDivisionError."""
+    if item == 2:
+        time.sleep(0.2)
+        raise ValueError("item 2 is out of range")
+    return 1 / (item - 9)
+
+
+def test_the_first_failing_items_exception_is_raised_with_its_type_and_message(two_cpus):
+    with pytest.raises(ValueError, match="^item 2 is out of range$"):
+        map_in_order(_fails_at_2_and_9, range(16), 2)
+    with pytest.raises(ZeroDivisionError):
+        map_in_order(_fails_at_2_and_9, range(3, 16), 2)
+
+
+def _killed_at_3(item):
+    if item == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+def test_a_worker_killed_by_a_signal_is_an_error_and_leaves_no_child(two_cpus):
+    with pytest.raises(RuntimeError, match=f"exit code -{int(signal.SIGKILL)} before it sent"):
+        map_in_order(_killed_at_3, range(16), 2)
+
+
+def test_an_interrupt_in_the_caller_kills_and_reaps_every_worker(two_cpus, monkeypatch):
+    def interrupted(real, *args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(*_failing(pickle, "loads", interrupted, where="parent"))
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        map_in_order(lambda item: item if item == 0 else time.sleep(30), range(4), 2)
+    assert time.monotonic() - started < 10
 
 
 class _CountedBlock(costimpute._Block):
@@ -458,6 +512,30 @@ def test_reports_are_identical_for_any_worker_and_blas_thread_count(tmp_path):
         assert other == first
 
 
+# a probe that runs the study on a p = 13 config, the lab's reference shape,
+# with 2 workers and then 1, and digests each report
+REFERENCE_SHAPE_PROBE = """
+import hashlib, json
+from bnpolicy import SimConfig, run_monte_carlo
+from bnpolicy.io import sim_report_to_dict
+config = SimConfig(n=800, j=60, p=13, q=3, reps=2, master_seed=5)
+reports = [sim_report_to_dict(run_monte_carlo(config, n_workers=n)) for n in (2, 1)]
+print(json.dumps([hashlib.sha256(json.dumps(r).encode()).hexdigest() for r in reports]))
+"""
+
+
+def test_the_study_at_the_reference_shape_has_the_same_bits_for_any_worker_and_blas_thread_count():
+    """At p = 13 (54 columns under quadratic bases) two BLAS threads change a
+    fit's bits, so only ``map_in_order``'s own pin keeps the report; the
+    command-line test above cannot see that pin, since ``cli.main`` pins BLAS
+    around every command."""
+    if _blas.usable_cpus() < 2:
+        pytest.skip("OpenBLAS runs one thread on one CPU")
+    digests = [digest for threads in ("1", "2")
+               for digest in _run_probe(REFERENCE_SHAPE_PROBE, OPENBLAS_NUM_THREADS=threads)]
+    assert len(digests) == 4 and len(set(digests)) == 1, digests
+
+
 BUNDLE_COMMANDS = (["fit"], ["effects"], ["policy", "--budget-frac", "0.2"], ["sweep"])
 
 
@@ -476,14 +554,6 @@ def _dense(lines):
     h = np.zeros((i.max() + 1, j.max() + 1))
     h[i, j] = rows[:, 2]
     return [",".join(map(repr, row)) for row in h.tolist()]
-
-
-@pytest.fixture
-def count_forks(monkeypatch):
-    """The list that gets one entry for each ``os.fork`` call in this process."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: (forks.append(1), fork())[1])
-    return forks
 
 
 def _on_cpus(monkeypatch, cpus):
